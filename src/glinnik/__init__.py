@@ -34,7 +34,6 @@ from .errors import DomainError, NumericalIntegrityError, ResourceError, Toolkit
 from .expsums import (
     ArcLabel,
     DirichletApprox,
-    ExpSumValue,
     MinorArcReport,
     ProblemParams,
     classify_arc,

@@ -16,14 +16,12 @@ import numpy as np
 
 from .arith import sieve_range
 from .errors import DomainError, ResourceError
-from .expsums import ProblemParams, eval_G
+from .expsums import DEFAULT_GRID_BUDGET, ProblemParams, _grid_buckets, _require_finite, eval_G
 from .parallel import map_ordered
 
 DEFAULT_NODE_BUDGET = 5_000_000
 MAX_JSUM_N = 10**7
 MAX_JSUM_LCAP = 24
-
-_measure_grid_cache: dict[tuple[int, int], np.ndarray] = {}
 
 
 @dataclass(frozen=True)
@@ -150,50 +148,33 @@ def count_pairs(
     return total
 
 
-def _abs_g_chunk(args) -> np.ndarray:
-    start, stop, grid, shifts = args
-    j = np.arange(start, stop, dtype=np.int64)
-    re = np.zeros(stop - start)
-    im = np.zeros(stop - start)
-    for c in shifts:
-        theta = ((j * c) % grid) * (2.0 * math.pi / grid)
-        re += np.cos(theta)
-        im += np.sin(theta)
-    return np.hypot(re, im)
-
-
-def _abs_g_grid(v_max: int, grid: int, threads: int) -> np.ndarray:
-    key = (v_max, grid)
-    cached = _measure_grid_cache.get(key)
-    if cached is not None:
-        return cached
-    shifts = [pow(2, v, grid) for v in range(1, v_max + 1)]
-    chunk = 1 << 21
-    bounds = [(a, min(a + chunk, grid), grid, shifts) for a in range(0, grid, chunk)]
-    out = np.concatenate(map_ordered(_abs_g_chunk, bounds, threads))
-    _measure_grid_cache.clear()  # keep at most one grid resident
-    _measure_grid_cache[key] = out
-    return out
-
-
-def measure_sigma(lam: float, L: float, grid: int, *, threads: int = 1) -> MeasureEstimate:
+def measure_sigma(lam: float, L: float, grid: int) -> MeasureEstimate:
     """Measure of the set of alpha in [0, 1) where the binary sum >= lam * L.
 
-    Grid cells are judged by their endpoints; cells whose endpoints
-    disagree are refined one bisection level with a pointwise midpoint
-    evaluation.  The empirical exponent -log(measure)/log(2^L * L) is
-    diagnostic only.
+    |G| on the grid j/grid comes from the bucketed shifts and one real
+    DFT: the half spectrum is thresholded and mirrored, since G at
+    (grid - j)/grid is the conjugate of G at j/grid.  Grid cells are
+    judged by their endpoints; cells whose endpoints disagree are refined
+    one bisection level with a pointwise midpoint evaluation.  The
+    empirical exponent -log(measure)/log(2^L * L) is diagnostic only.
+
+    Raises:
+        DomainError: lam negative or not finite, L < 1 or not finite,
+            grid < 2^10
+        ResourceError: grid above DEFAULT_GRID_BUDGET
     """
+    _require_finite(lam=lam, L=L)
     if grid < (1 << 10):
         raise DomainError("grid must be >= 2^10")
+    if grid > DEFAULT_GRID_BUDGET:
+        raise ResourceError(f"grid size {grid} exceeds the grid budget ({DEFAULT_GRID_BUDGET})")
     if L < 1:
         raise DomainError("L must be >= 1")
     if lam < 0:
         raise DomainError("lambda must be >= 0")
-    v_max = math.floor(L)
     threshold = lam * L
-    absg = _abs_g_grid(v_max, grid, threads)
-    ind = absg >= threshold
+    half = np.abs(np.fft.rfft(_grid_buckets("binary", L, grid))) >= threshold
+    ind = np.concatenate((half, half[1 : (grid + 1) // 2][::-1]))
     crossing = ind != np.roll(ind, -1)
     measure = int(np.count_nonzero(ind & ~crossing)) / grid
     for j in np.nonzero(crossing)[0]:

@@ -24,7 +24,6 @@ from .arith import read_prime_cache, sieve_range, write_prime_cache
 from .binary import enum_Xi, j_sum_exact, measure_sigma
 from .errors import DomainError, ResourceError, ToolkitError
 from .expsums import (
-    ExpSumValue,
     ProblemParams,
     classify_arc,
     dyadic_table,
@@ -178,7 +177,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("singular-series", parents=[common], help="truncated series at n")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--cutoff", type=int, default=10_000)
-    p.add_argument("--tmax", type=int, default=4)
 
     p = sub.add_parser("singular-integral", parents=[common], help="integral estimate at n")
     p.add_argument("--n", type=int)
@@ -306,13 +304,7 @@ def _cmd_eval(args, cfg: RunConfig):
         value = eval_G(params.L, args.alpha)
     else:
         value = eval_cube(source, args.alpha)
-    point = ExpSumValue(alpha=args.alpha, value=value, kind=args.kind)
-    payload = {
-        "kind": point.kind,
-        "alpha": point.alpha,
-        "re": point.value.real,
-        "im": point.value.imag,
-    }
+    payload = {"kind": args.kind, "alpha": args.alpha, "re": value.real, "im": value.imag}
     return payload, None, None
 
 
@@ -322,13 +314,12 @@ def _cmd_arcs(args, cfg: RunConfig):
 
 
 def _cmd_singular_series(args, cfg: RunConfig):
-    ts = singular_series(args.n, args.cutoff, args.tmax)
+    ts = singular_series(args.n, args.cutoff)
     payload = {
         "n": ts.n,
         "cutoff": ts.prime_cutoff,
         "value": ts.value,
         "factors": [[p, f] for p, f in ts.factors],
-        "largest_t": [[p, t] for p, t in ts.largest_t],
         "anomalies": [[p, f] for p, f in ts.anomalies],
     }
     return payload, None, None
@@ -396,7 +387,7 @@ def _cmd_xi(args, cfg: RunConfig):
 
 
 def _cmd_measure(args, cfg: RunConfig):
-    est = measure_sigma(cfg.lam, args.l, args.grid, threads=cfg.effective_threads())
+    est = measure_sigma(cfg.lam, args.l, args.grid)
     payload = {
         "lambda": est.lam,
         "l": est.L,

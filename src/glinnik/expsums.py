@@ -134,15 +134,6 @@ class ArcLabel:
 
 
 @dataclass(frozen=True)
-class ExpSumValue:
-    """One pointwise evaluation, for CLI/CSV plumbing."""
-
-    alpha: float
-    value: complex
-    kind: str
-
-
-@dataclass(frozen=True)
 class MinorArcReport:
     """Max observed |sum| / (N^exponent * (log N)^c) over seeded minor-arc samples."""
 
@@ -160,6 +151,13 @@ class MinorArcReport:
 
 # ---------------------------------------------------------------------------
 # phase reduction
+
+
+def _require_finite(**values) -> None:
+    """Raise DomainError naming the first value that is NaN or infinite."""
+    for name, x in values.items():
+        if not isinstance(x, (int, Fraction)) and not math.isfinite(x):
+            raise DomainError(f"{name} must be finite, got {x!r}")
 
 
 def _frac_exact(m: int, num: int, den: int) -> float:
@@ -214,6 +212,7 @@ def linear_table(params: ProblemParams, i: int, **kwargs) -> PrimeTable:
 
 def eval_linear(params: ProblemParams, i: int, alpha, *, table: PrimeTable | None = None) -> complex:
     """sum of (log p) e(p alpha) over omega*N_i < p <= N_i."""
+    _require_finite(alpha=alpha)
     if table is None:
         table = linear_table(params, i)
     if len(table) == 0:
@@ -232,6 +231,7 @@ def eval_linear(params: ProblemParams, i: int, alpha, *, table: PrimeTable | Non
 
 def eval_cube(table: PrimeTable, alpha) -> complex:
     """sum of (log p) e(p^3 alpha) over the table's primes."""
+    _require_finite(alpha=alpha)
     if len(table) == 0:
         return 0j
     cubes = [int(p) ** 3 for p in table.primes]
@@ -240,6 +240,7 @@ def eval_cube(table: PrimeTable, alpha) -> complex:
 
 def eval_G(L: float, alpha) -> complex:
     """sum of e(2^v alpha) over integer v = 1 .. floor(L)."""
+    _require_finite(L=L, alpha=alpha)
     if L < 1:
         raise DomainError(f"binary sum needs L >= 1, got {L}")
     m = math.floor(L)
@@ -312,8 +313,9 @@ def dirichlet_approx(alpha, Q: int) -> DirichletApprox:
     arithmetic.
 
     Raises:
-        DomainError: Q < 1 or alpha outside [1/Q, 1 + 1/Q]
+        DomainError: Q < 1, alpha not finite or outside [1/Q, 1 + 1/Q]
     """
+    _require_finite(alpha=alpha)
     if Q < 1:
         raise DomainError(f"Q must be >= 1, got {Q}")
     fr = alpha if isinstance(alpha, Fraction) else Fraction(alpha)
@@ -351,6 +353,7 @@ def classify_arc(params: ProblemParams, i: int, alpha) -> ArcLabel:
     convergent of alpha, so scanning convergents with q <= P_i decides
     membership; the arcs are disjoint, so at most one label can match.
     """
+    _require_finite(alpha=alpha)
     q_cap = params.q_max(i)
     fr = alpha if isinstance(alpha, Fraction) else Fraction(alpha)
     lo, hi = 1.0 / q_cap, 1.0 + 1.0 / q_cap

@@ -11,14 +11,15 @@ density vanishes off squarefree q, and the series
 
     sum over q >= 1 of A(n, q)
 
-is evaluated as an Euler product over primes p <= cutoff of
-1 + sum over t of A(n, p^t).
+is evaluated as an Euler product over primes p <= cutoff of 1 + A(n, p).
 
-For squarefree q the a-sum is computed with two length-q DFTs: C3(q, .)
-is the transform of the cube-residue histogram, and transforming the
-masked fourth power back yields B(m, q) for every residue class m at
-once.  Rows are cached per modulus, so evaluating the series for many n
-costs one table lookup per prime.
+For a prime p the a-sum is computed with two length-p DFTs: C3(p, .) is
+the transform of the cube-residue histogram, and transforming the masked
+fourth power back yields B(m, p) for every residue class m at once.
+A(n, .) is multiplicative over coprime moduli (Chinese remainder
+theorem), so A(n, q) for squarefree q is the product of the prime rows
+at its factors.  Rows are cached per prime up to 2^16, so evaluating
+the series for many n costs one table lookup per prime.
 """
 
 from __future__ import annotations
@@ -34,14 +35,12 @@ from .errors import DomainError, NumericalIntegrityError
 _IMAG_RAISE_TOL = 1e-6
 _ROW_CACHE_MAX_Q = 1 << 16
 
-_b_rows: dict[int, np.ndarray] = {}
 _a_prime_rows: dict[int, np.ndarray] = {}
-_verified_vanishing: set[tuple[int, int]] = set()
 
 
 @dataclass(frozen=True)
 class LocalFactor:
-    """A(n, q) together with the complex B(n, q) it came from."""
+    """A(n, q) together with B(n, q) = A(n, q) * phi(q)^5."""
 
     n: int
     q: int
@@ -51,14 +50,12 @@ class LocalFactor:
 
 @dataclass(frozen=True)
 class TruncatedSeries:
-    """Euler product over p <= prime_cutoff of 1 + sum_t A(n, p^t)."""
+    """Euler product over p <= prime_cutoff of 1 + A(n, p)."""
 
     n: int
     prime_cutoff: int
-    t_max: int
     factors: tuple[tuple[int, float], ...]
     value: float
-    largest_t: tuple[tuple[int, int], ...]
     anomalies: tuple[tuple[int, float], ...]
 
 
@@ -94,110 +91,74 @@ def cubic_C3(q: int, a: int) -> complex:
     return complex(acc)
 
 
-def _b_row(q: int, mu: int) -> np.ndarray:
-    """Complex array of B(m, q) over all residues m, for squarefree q."""
-    h = np.arange(q, dtype=np.int64)
-    mask = np.gcd(h, q) == 1
-    cubes = (h * h % q) * h % q
-    r = np.bincount(cubes[mask], minlength=q).astype(np.float64)
-    c3 = np.fft.ifft(r) * q
-    g = np.where(mask, c3**4, 0.0)
-    return mu * np.fft.fft(g)
-
-
-def _b_value(n: int, q: int, mu: int) -> complex:
-    if q <= _ROW_CACHE_MAX_Q:
-        row = _b_rows.get(q)
-        if row is None:
-            row = _b_row(q, mu)
-            _b_rows[q] = row
-        return complex(row[n % q])
-    return complex(_b_row(q, mu)[n % q])
-
-
-def local_A(n: int, q: int) -> LocalFactor:
-    """Local density A(n, q) = B(n, q) / phi(q)^5.
-
-    Raises:
-        NumericalIntegrityError: B(n, q) fails its realness check, judged
-            against the natural magnitude of the whole residue row
-    """
-    if q < 1:
-        raise DomainError(f"modulus must be >= 1, got {q}")
-    _, mu, phi = multiplicative(q)
-    if q == 1:
-        return LocalFactor(n=n, q=1, B=1 + 0j, A=1.0)
-    if mu == 0:
-        # every term of the a-sum carries C1(q, a) = mu(q) = 0
-        return LocalFactor(n=n, q=q, B=0j, A=0.0)
-    b = _b_value(n, q, mu)
-    scale = max(1.0, (q - 1.0) ** 2.5)  # generic size of the row's entries
-    if abs(b.imag) > _IMAG_RAISE_TOL * max(abs(b.real), scale):
-        raise NumericalIntegrityError(f"B({n},{q}) = {b} is not numerically real")
-    return LocalFactor(n=n, q=q, B=b, A=b.real / phi**5)
-
-
 def _a_prime_row(p: int) -> np.ndarray:
     """Real array of A(m, p) over residues m, with a build-time realness check."""
     row = _a_prime_rows.get(p)
     if row is not None:
         return row
-    b = _b_row(p, -1)
+    h = np.arange(1, p, dtype=np.int64)
+    r = np.bincount((h * h % p) * h % p, minlength=p).astype(np.float64)
+    g = (np.fft.ifft(r) * p) ** 4
+    g[0] = 0.0  # a = 0 is not a reduced residue
+    b = -np.fft.fft(g)  # C1(p, a) = mu(p) = -1
     scale = max(1.0, float(np.abs(b).max()))
     worst = float(np.abs(b.imag).max())
     if worst > _IMAG_RAISE_TOL * scale:
         raise NumericalIntegrityError(f"B(., {p}) row has imaginary residue {worst}")
     row = b.real / float(p - 1) ** 5
-    _a_prime_rows[p] = row
+    if p <= _ROW_CACHE_MAX_Q:
+        _a_prime_rows[p] = row
     return row
 
 
-def _verify_power_vanishes(n: int, p: int, t: int) -> None:
-    """One-time runtime check that A(n, p^t) = 0 for t >= 2 (any n)."""
-    if (p, t) in _verified_vanishing:
-        return
-    if local_A(n, p**t).A != 0.0:
-        raise NumericalIntegrityError(f"A(n, {p}^{t}) unexpectedly nonzero")
-    _verified_vanishing.add((p, t))
+def local_A(n: int, q: int) -> LocalFactor:
+    """Local density A(n, q) = B(n, q) / phi(q)^5.
+
+    For squarefree q this is the product of A(n, p) over the primes p | q.
+
+    Raises:
+        NumericalIntegrityError: a prime row fails its realness check,
+            judged against the natural magnitude of the whole row
+    """
+    if q < 1:
+        raise DomainError(f"modulus must be >= 1, got {q}")
+    fac, mu, phi = multiplicative(q)
+    if mu == 0:
+        # every term of the a-sum carries C1(q, a) = mu(q) = 0
+        return LocalFactor(n=n, q=q, B=0j, A=0.0)
+    a = 1.0
+    for p, _ in fac.factors:
+        a *= float(_a_prime_row(p)[n % p])
+    return LocalFactor(n=n, q=q, B=complex(a * phi**5), A=a)
 
 
-def singular_series(n: int, prime_cutoff: int = 10_000, t_max: int = 4) -> TruncatedSeries:
+def singular_series(n: int, prime_cutoff: int = 10_000) -> TruncatedSeries:
     """Truncated series value as a product of per-prime local factors.
 
-    Each factor is 1 + sum over t = 1..t_max of A(n, p^t); factors are
-    multiplied in ascending-p order for reproducibility.  The largest t
-    with a nonzero contribution is recorded per prime, and a non-positive
-    factor at odd n is flagged as an anomaly rather than raised
-    (positivity is expected, so a flag marks either a bug or a genuinely
-    exceptional n worth reporting verbatim).
+    Each factor is 1 + A(n, p), since A(n, p^t) = 0 for t >= 2; factors
+    are multiplied in ascending-p order for reproducibility.  A
+    non-positive factor at odd n is flagged as an anomaly rather than
+    raised (positivity is expected, so a flag marks either a bug or a
+    genuinely exceptional n worth reporting verbatim).
     """
     if prime_cutoff < 3:
         raise DomainError("prime_cutoff must be >= 3")
-    if t_max < 2:
-        raise DomainError("t_max must be >= 2")
     limit = 1 << max(14, prime_cutoff.bit_length())
     primes = [int(p) for p in _base_primes(limit) if p <= prime_cutoff]
     factors: list[tuple[int, float]] = []
-    largest: list[tuple[int, int]] = []
     anomalies: list[tuple[int, float]] = []
     value = 1.0
     odd = n % 2 == 1
     for p in primes:
-        a1 = float(_a_prime_row(p)[n % p])
-        for t in range(2, t_max + 1):
-            _verify_power_vanishes(n, p, t)
-        f = 1.0 + a1
+        f = 1.0 + float(_a_prime_row(p)[n % p])
         factors.append((p, f))
-        largest.append((p, 1 if a1 != 0.0 else 0))
         if odd and f <= 0.0:
             anomalies.append((p, f))
         value *= f
     return TruncatedSeries(
         n=n,
         prime_cutoff=prime_cutoff,
-        t_max=t_max,
         factors=tuple(factors),
         value=value,
-        largest_t=tuple(largest),
         anomalies=tuple(anomalies),
     )

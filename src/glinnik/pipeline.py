@@ -14,7 +14,7 @@ the derivation).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import binary, local, search
 from .binary import count_pairs, enum_Xi, measure_sigma
@@ -176,10 +176,7 @@ def full_report(
     )
     mc = jn_monte_carlo(b.mc_n, mc_params, 1, b.mc_samples, seed, threads=threads)
 
-    measures = [
-        measure_sigma(lam, b.measure_L, b.measure_grid, threads=threads)
-        for lam in b.measure_lambdas
-    ]
+    measures = [measure_sigma(lam, b.measure_L, b.measure_grid) for lam in b.measure_lambdas]
 
     jsum_params = ProblemParams(n1=b.jsum_n, n2=b.jsum_n, k=params.k)
     jsum = binary.j_sum_exact(jsum_params, b.jsum_l_cap, threads=threads)
@@ -210,20 +207,7 @@ def full_report(
             "epsilon": params.epsilon,
             "k": params.k,
             "seed": seed,
-            "budgets": {
-                "sigma_samples": b.sigma_samples,
-                "sigma_cutoff": b.sigma_cutoff,
-                "mc_n": b.mc_n,
-                "mc_samples": b.mc_samples,
-                "measure_grid": b.measure_grid,
-                "jsum_n": b.jsum_n,
-                "jsum_l_cap": b.jsum_l_cap,
-                "rho_u": b.rho_u,
-                "rho_v": b.rho_v,
-                "witness_start": b.witness_start,
-                "witness_count": b.witness_count,
-                "witness_k": b.witness_k,
-            },
+            "budgets": asdict(b),
         },
         "constants": _annotate(
             {

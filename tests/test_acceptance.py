@@ -38,6 +38,7 @@ from glinnik import (
 )
 from tests.test_binary import brute_force_jsum, exhaustive_xi
 from tests.test_expsums import brute_force_st4
+from tests.test_local import assert_multiplicative
 from tests.test_search import brute_force_rho, oracle_has_witness
 
 
@@ -109,9 +110,7 @@ def test_criterion_05_local_factors():
         q2 = int(rng.integers(2, 1001))
         if math.gcd(q1, q2) != 1:
             continue
-        n = int(rng.integers(1, 10**7))
-        a1, a2, a12 = local_A(n, q1).A, local_A(n, q2).A, local_A(n, q1 * q2).A
-        assert abs(a12 - a1 * a2) <= 1e-9 * max(abs(a12), abs(a1 * a2), 1e-9)
+        assert_multiplicative(int(rng.integers(1, 10**7)), q1, q2)
         done += 1
     _ok(5, "A(n,2) parity values, squarefree support q<=500, multiplicativity on 1000 pairs")
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 
@@ -113,19 +114,27 @@ def test_measure_monotone_in_lambda_small_grid():
     assert all(a >= b for a, b in zip(vals, vals[1:]))
 
 
-def test_measure_thread_invariance():
-    import glinnik.binary as binary
-
-    binary._measure_grid_cache.clear()
-    a = measure_sigma(0.9, 14.0, 1 << 12, threads=1)
-    binary._measure_grid_cache.clear()
-    b = measure_sigma(0.9, 14.0, 1 << 12, threads=4)
-    assert a == b
+def test_measure_pinned_values():
+    # exact ties |G| = lam L occur on dyadic grids at lam 0.9 and 1.0
+    cases = [
+        (0.8, 20.0, 1 << 14, 0.0018310546875),
+        (0.9, 20.0, 1 << 14, 0.0001220703125),
+        (0.961917, 20.0, 1 << 14, 6.103515625e-05),
+        (1.0, 20.0, 1 << 14, 6.103515625e-05),
+        (0.9, 14.0, 1 << 12, 0.000244140625),
+    ]
+    for lam, L, grid, expected in cases:
+        assert measure_sigma(lam, L, grid).measure == expected
 
 
 def test_measure_validation():
     with pytest.raises(DomainError):
         measure_sigma(0.9, 14.0, 512)
+    for lam, L in [(math.nan, 14.0), (math.inf, 14.0), (-0.1, 14.0), (0.9, math.nan), (0.9, math.inf)]:
+        with pytest.raises(DomainError):
+            measure_sigma(lam, L, 1 << 12)
+    with pytest.raises(ResourceError, match="grid budget"):
+        measure_sigma(0.9, 14.0, (1 << 24) + 1)
 
 
 def brute_force_jsum(n1, n2, omega, l_cap):

@@ -170,6 +170,21 @@ def test_exit_code_domain_error(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("measure", "--lambda", "nan", "--l", "12", "--grid", "1024"),
+        ("eval", "--kind", "binary", "--alpha", "nan"),
+        ("arcs", "--alpha", "nan"),
+        ("eval", "--kind", "linear", "--alpha", "inf"),
+    ],
+)
+def test_non_finite_input_is_a_domain_error(capsys, argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 1 and "domain error" in err
+    assert "Traceback" not in err
+
+
 def test_exit_code_resource_error(capsys):
     code, _, err = run_cli(capsys, "jsum", "--lcap", "30", "--n1", "101", "--n2", "101")
     assert code == 2 and "resource error" in err

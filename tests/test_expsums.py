@@ -301,6 +301,22 @@ def test_classify_minor_with_exhaustive_oracle():
                 assert abs(alpha - a / q) > 1.0 / (q * q_big)
 
 
+def test_non_finite_alpha_is_a_domain_error():
+    cube = dyadic_table(PARAMS_1E6.u(1))
+    for bad in (math.nan, math.inf, -math.inf):
+        calls = [
+            lambda: eval_linear(PARAMS_1E6, 1, bad),
+            lambda: eval_cube(cube, bad),
+            lambda: eval_G(12.0, bad),
+            lambda: eval_G(bad, 0.25),
+            lambda: classify_arc(PARAMS_1E6, 1, bad),
+            lambda: dirichlet_approx(bad, 100),
+        ]
+        for call in calls:
+            with pytest.raises(DomainError, match="finite"):
+                call()
+
+
 def test_classify_domain_error():
     with pytest.raises(DomainError):
         classify_arc(PARAMS_1E6, 1, -0.2)
