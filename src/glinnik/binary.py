@@ -63,39 +63,51 @@ class JSumExact:
 
 
 def _power_multisets(k: int, v_max: int, s_allow: float, node_budget: int):
-    """Yield (sum, ordered-count) per multiset v1 <= ... <= vk of exponents.
+    """Yield (sum, ordered-count, exponents) per multiset v1 <= ... <= vk.
 
     Exponents range over 1..v_max; branches are pruned once the smallest
     possible completion exceeds s_allow; the ordered count of a multiset
-    with run lengths c_1..c_m is k! / (c_1! ... c_m!).
+    with run lengths c_1..c_m is k! / (c_1! ... c_m!).  Multisets come in
+    lexicographic order of their non-decreasing exponent tuples, which is
+    more copies of v before fewer.
     """
     fact = math.factorial(k)
     nodes = 0
 
-    def rec(v_start: int, remaining: int, partial: int, denom: int):
+    def rec(v_start: int, remaining: int, partial: int, denom: int, prefix: tuple[int, ...]):
         nonlocal nodes
         if remaining == 0:
-            yield partial, fact // denom
+            yield partial, fact // denom, prefix
             return
         for v in range(v_start, v_max + 1):
             step = 1 << v
             if partial + remaining * step > s_allow:
                 return  # larger v only raises the minimal completion
-            for c in range(1, remaining + 1):
+            for c in range(remaining, 0, -1):
                 s = partial + c * step
-                if s > s_allow:
-                    break
                 left = remaining - c
-                if left > 0 and (v == v_max or s + left * (step * 2) > s_allow):
-                    continue  # cannot finish with exactly c copies of v
+                if s > s_allow or (left > 0 and (v == v_max or s + left * (step * 2) > s_allow)):
+                    continue  # too large, or cannot finish with exactly c copies of v
                 nodes += 1
                 if nodes > node_budget:
                     raise ResourceError(
                         f"shift-multiset enumeration exceeded the node budget ({node_budget})"
                     )
-                yield from rec(v + 1, left, s, denom * math.factorial(c))
+                yield from rec(v + 1, left, s, denom * math.factorial(c), prefix + (v,) * c)
 
-    yield from rec(1, k, 0, 1)
+    yield from rec(1, k, 0, 1, ())
+
+
+def _shift_cap(k: int, eta: float, L: float) -> int:
+    """The largest shift exponent floor(L), after checking k, eta and L."""
+    _require_finite(eta=eta, L=L)
+    if k < 1:
+        raise DomainError("k must be >= 1")
+    if L < 1:
+        raise DomainError("L must be >= 1")
+    if not 0.0 < eta <= 1.0:
+        raise DomainError(f"eta must lie in (0, 1], got {eta}")
+    return math.floor(L)
 
 
 def enum_Xi(
@@ -104,20 +116,16 @@ def enum_Xi(
     """Exact enumeration of window members with ordered multiplicities.
 
     Raises:
-        DomainError: invalid N/k/L
+        DomainError: invalid N/k/L, eta outside (0, 1], eta or L not finite
         ResourceError: enumeration exceeds the node budget
     """
     if N % 2 == 0:
         raise DomainError("N must be odd")
-    if k < 1:
-        raise DomainError("k must be >= 1")
-    if L < 1:
-        raise DomainError("L must be >= 1")
-    v_max = math.floor(L)
+    v_max = _shift_cap(k, eta, L)
     window_lo = (1.0 - eta) * N
     counts: dict[int, int] = {}
     # the +1 slack keeps pruning strictly weaker than the exact window test
-    for s, mult in _power_multisets(k, v_max, eta * N + 1.0, node_budget):
+    for s, mult, _ in _power_multisets(k, v_max, eta * N + 1.0, node_budget):
         n = N - s
         if n >= window_lo:
             counts[n] = counts.get(n, 0) + mult
@@ -137,12 +145,10 @@ def count_pairs(
     """Ordered tuples whose shift sum is admissible for both N1 and N2."""
     if N1 % 2 == 0 or N2 % 2 == 0:
         raise DomainError("N1 and N2 must be odd")
-    if k < 1 or L < 1:
-        raise DomainError("k must be >= 1 and L >= 1")
-    v_max = math.floor(L)
+    v_max = _shift_cap(k, eta, L)
     s_allow = min(eta * N1, eta * N2) + 1.0
     total = 0
-    for s, mult in _power_multisets(k, v_max, s_allow, node_budget):
+    for s, mult, _ in _power_multisets(k, v_max, s_allow, node_budget):
         if N1 - s >= (1.0 - eta) * N1 and N2 - s >= (1.0 - eta) * N2:
             total += mult
     return total

@@ -43,7 +43,7 @@ from .pipeline import (
     k_threshold,
 )
 from .search import find_pair_witness, find_witness, rho_counts
-from .sint import jn_closed_form, jn_exact_small, jn_monte_carlo
+from .sint import SingularIntegralEstimate, jn_closed_form, jn_exact_small, jn_monte_carlo
 
 _CONFIG_KEYS = (
     ("n1", int),
@@ -286,11 +286,7 @@ def _cmd_eval(args, cfg: RunConfig):
         raise DomainError("eval needs exactly one of --alpha or --grid")
     params, source = _eval_source(args.kind, cfg, args.i)
     if args.grid is not None:
-        grid = eval_grid(
-            args.kind,
-            source if args.kind != "binary" else params.L,
-            args.grid,
-        )
+        grid = eval_grid(args.kind, source, args.grid)
         rows = list(grid_rows(args.kind, grid))
         payload = {
             "kind": args.kind,
@@ -299,9 +295,9 @@ def _cmd_eval(args, cfg: RunConfig):
         }
         return payload, rows, ("j", "alpha", "re", "im")
     if args.kind == "linear":
-        value = eval_linear(params, args.i, args.alpha)
+        value = eval_linear(params, args.i, args.alpha, table=source)
     elif args.kind == "binary":
-        value = eval_G(params.L, args.alpha)
+        value = eval_G(source, args.alpha)
     else:
         value = eval_cube(source, args.alpha)
     payload = {"kind": args.kind, "alpha": args.alpha, "re": value.real, "im": value.imag}
@@ -327,49 +323,34 @@ def _cmd_singular_series(args, cfg: RunConfig):
 
 def _cmd_singular_integral(args, cfg: RunConfig):
     params = cfg.params()
+    N = params.n(args.i)
+    n = args.n if args.n is not None else N
     if args.method == "closed_form":
-        value = jn_closed_form(params.delta)
-        payload = {
-            "n": args.n,
-            "N": params.n(args.i),
-            "method": "closed_form",
-            "value": None,
-            "normalized": value,
-            "stderr": 0.0,
-            "samples": 0,
-            "seed": None,
-        }
+        est = SingularIntegralEstimate(
+            n=args.n,
+            N=N,
+            value=None,
+            normalized=jn_closed_form(params.delta),
+            method="closed_form",
+            stderr=0.0,
+        )
     elif args.method == "exact_lattice":
         if args.u is None or args.v is None:
             raise DomainError("exact_lattice needs --u and --v")
-        n = args.n if args.n is not None else params.n(args.i)
         value = jn_exact_small(n, args.u, args.v, (params.omega * n, float(n)))
-        payload = {
-            "n": n,
-            "N": params.n(args.i),
-            "method": "exact_lattice",
-            "value": value,
-            "normalized": value / params.n(args.i) ** (11.0 / 9.0),
-            "stderr": 0.0,
-            "samples": 0,
-            "seed": None,
-        }
+        est = SingularIntegralEstimate(
+            n=n,
+            N=N,
+            value=value,
+            normalized=value / N ** (11.0 / 9.0),
+            method="exact_lattice",
+            stderr=0.0,
+        )
     else:
-        n = args.n if args.n is not None else params.n(args.i)
         est = jn_monte_carlo(
             n, params, args.i, args.samples, cfg.seed, threads=cfg.effective_threads()
         )
-        payload = {
-            "n": est.n,
-            "N": est.N,
-            "method": est.method,
-            "value": est.value,
-            "normalized": est.normalized,
-            "stderr": est.stderr,
-            "samples": est.samples,
-            "seed": est.seed,
-        }
-    return payload, None, None
+    return dataclasses.asdict(est), None, None
 
 
 def _cmd_xi(args, cfg: RunConfig):
@@ -400,17 +381,7 @@ def _cmd_measure(args, cfg: RunConfig):
 
 def _cmd_jsum(args, cfg: RunConfig):
     res = j_sum_exact(cfg.params(), args.lcap, threads=cfg.effective_threads())
-    payload = {
-        "n1": res.n1,
-        "n2": res.n2,
-        "l_cap": res.l_cap,
-        "omega": res.omega,
-        "value": res.value,
-        "ratio": res.ratio,
-        "diagonal": res.diagonal,
-        "asserted": False,
-    }
-    return payload, None, None
+    return {**dataclasses.asdict(res), "asserted": False}, None, None
 
 
 def _cmd_rho(args, cfg: RunConfig):
@@ -511,3 +482,7 @@ def main(argv=None) -> int:
         print(f"glinnik: error: {exc}", file=sys.stderr)
         return 1
     return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -32,6 +32,7 @@ KINDS = ("linear", "cube_u", "cube_v", "binary")
 
 DEFAULT_GRID_BUDGET = 1 << 24
 DEFAULT_PAIR_BUDGET = 1 << 24
+MAX_BINARY_TERMS = 1 << 12  # most terms floor(L) of the binary sum; ProblemParams.L < 64
 
 _TWO_PI = 2.0 * math.pi
 _SPLIT = 134217729.0  # 2^27 + 1, Dekker splitting constant
@@ -239,12 +240,26 @@ def eval_cube(table: PrimeTable, alpha) -> complex:
 
 
 def eval_G(L: float, alpha) -> complex:
-    """sum of e(2^v alpha) over integer v = 1 .. floor(L)."""
-    _require_finite(L=L, alpha=alpha)
+    """sum of e(2^v alpha) over integer v = 1 .. floor(L).
+
+    Raises:
+        DomainError: L < 1, L or alpha not finite
+        ResourceError: floor(L) above MAX_BINARY_TERMS
+    """
+    m = _binary_terms(L)
+    _require_finite(alpha=alpha)
+    return _phase_sum_exact([1 << v for v in range(1, m + 1)], np.ones(m), alpha)
+
+
+def _binary_terms(L) -> int:
+    """floor(L), the number of terms of the binary sum, within MAX_BINARY_TERMS."""
+    _require_finite(L=L)
     if L < 1:
         raise DomainError(f"binary sum needs L >= 1, got {L}")
     m = math.floor(L)
-    return _phase_sum_exact([1 << v for v in range(1, m + 1)], np.ones(m), alpha)
+    if m > MAX_BINARY_TERMS:
+        raise ResourceError(f"binary sum of {m} terms exceeds the term budget ({MAX_BINARY_TERMS})")
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +268,7 @@ def eval_G(L: float, alpha) -> complex:
 
 def _grid_buckets(kind: str, source, M: int) -> np.ndarray:
     if kind == "binary":
-        m = math.floor(float(source))
+        m = _binary_terms(source)
         idx = np.array([pow(2, v, M) for v in range(1, m + 1)], dtype=np.int64)
         w = np.ones(m)
     elif kind == "linear":
@@ -403,23 +418,30 @@ def moment_ST4_exact(U: int, V: int, *, pair_budget: int = DEFAULT_PAIR_BUDGET) 
     tv = dyadic_table(V)
     if len(tu) == 0 or len(tv) == 0:
         return 0.0
-    if (len(tu) * len(tv)) ** 2 > pair_budget:
-        raise ResourceError(
-            f"{(len(tu) * len(tv)) ** 2} four-tuples exceed the pair budget ({pair_budget})"
-        )
-    cu = tu.primes.astype(np.int64) ** 3
-    cv = tv.primes.astype(np.int64) ** 3
-    wu = tu.log_weights()
-    wv = tv.log_weights()
-    su = (cu[:, None] + cu[None, :]).ravel()
-    pu = (wu[:, None] * wu[None, :]).ravel()
-    sv = (cv[:, None] + cv[None, :]).ravel()
-    pv = (wv[:, None] * wv[None, :]).ravel()
-    sums = (su[:, None] + sv[None, :]).ravel()
-    wts = (pu[:, None] * pv[None, :]).ravel()
-    _, inverse = np.unique(sums, return_inverse=True)
-    bucket = np.bincount(inverse, weights=wts)
+    _, bucket = _quadruple_buckets(
+        tu.primes, tv.primes, pair_budget, (tu.log_weights(), tv.log_weights())
+    )
     return float(np.dot(bucket, bucket))
+
+
+def _quadruple_buckets(primes_u, primes_v, pair_budget: int, weights=None):
+    """Distinct sums a^3 + b^3 + c^3 + d^3 and the total weight of each.
+
+    a, b run over primes_u and c, d over primes_v, all ordered.  A tuple
+    weighs the product of its four entries of weights = (w_u, w_v), or 1
+    when weights is None, which makes the buckets exact integer counts.
+    """
+    tuples = (len(primes_u) * len(primes_v)) ** 2
+    if tuples > pair_budget:
+        raise ResourceError(f"{tuples} four-tuples exceed the pair budget ({pair_budget})")
+    cu = np.asarray(primes_u, dtype=np.int64) ** 3
+    cv = np.asarray(primes_v, dtype=np.int64) ** 3
+    sums = np.add.outer(np.add.outer(cu, cu).ravel(), np.add.outer(cv, cv).ravel()).ravel()
+    if weights is None:
+        return np.unique(sums, return_counts=True)
+    wu, wv = (np.multiply.outer(w, w).ravel() for w in weights)
+    values, inverse = np.unique(sums, return_inverse=True)
+    return values, np.bincount(inverse, weights=np.multiply.outer(wu, wv).ravel())
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 from . import binary, local, search
 from .binary import count_pairs, enum_Xi, measure_sigma
 from .errors import DomainError
-from .expsums import ProblemParams
+from .expsums import ProblemParams, _require_finite
 from .sint import jn_closed_form, jn_monte_carlo
 
 SIGMA_MIN = 0.8842495063
@@ -88,6 +88,7 @@ def k_threshold(c1: float, c2: float, lam: float) -> int:
     A logarithm bracket locates the candidate; direct floating evaluation
     at the candidate and its neighbors is authoritative.
     """
+    _require_finite(c1=c1, c2=c2)
     if c1 <= 0 or c2 <= 0:
         raise DomainError("coefficients must be positive")
     if not 0.0 < lam < 1.0:

@@ -15,16 +15,18 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .arith import dyadic_table, is_prime, sieve_range
+from .binary import DEFAULT_NODE_BUDGET, _power_multisets
 from .errors import DomainError, ResourceError
+from .expsums import DEFAULT_PAIR_BUDGET, _quadruple_buckets
 
 log = logging.getLogger(__name__)
 
 DEFAULT_N_CAP = 10**7
-DEFAULT_PAIR_BUDGET = 1 << 24
 DEFAULT_DIFF_BUDGET = 1 << 24
 _MIN_WITNESS = 2 + 4 * 8  # smallest possible p1 + four cubes
 
@@ -80,12 +82,6 @@ class RhoCounts:
     bound_ratio: float
 
 
-def _prime_bitset(limit: int) -> np.ndarray:
-    isp = np.zeros(limit + 1, dtype=bool)
-    isp[sieve_range(2, limit).primes] = True
-    return isp
-
-
 def _cube_pairs(primes) -> tuple[list[int], dict[int, tuple[int, int]]]:
     """Sorted distinct two-cube sums and one witness pair per sum."""
     sums: dict[int, tuple[int, int]] = {}
@@ -99,72 +95,96 @@ def _cube_pairs(primes) -> tuple[list[int], dict[int, tuple[int, int]]]:
     return sorted(sums), sums
 
 
-def _shift_multisets(k: int, v_max: int, s_allow: int):
-    """Non-decreasing exponent tuples (v1..vk) with sum of 2^v <= s_allow."""
+class _SearchSets(NamedTuple):
+    """Cube-pair tables, p1 window and shift cap of one target."""
 
-    def rec(v_start: int, remaining: int, partial: int, prefix: tuple[int, ...]):
-        if remaining == 0:
-            yield partial, prefix
-            return
-        for v in range(v_start, v_max + 1):
-            s = partial + (1 << v)
-            if s + (remaining - 1) * (1 << v) > s_allow:
-                return
-            yield from rec(v, remaining - 1, s, prefix + (v,))
-
-    yield from rec(1, k, 0, ())
+    u_sums: list[int]
+    u_pairs: dict[int, tuple[int, int]]
+    v_sums: list[int]
+    v_pairs: dict[int, tuple[int, int]]
+    p1_lo: float
+    p1_hi: float
+    v_max: int
 
 
 def _complete_cubes_and_prime(
-    target: int,
-    d_sums: list[int],
-    d_pairs: dict[int, tuple[int, int]],
-    isp: np.ndarray,
-    p1_lo: float,
-    p1_hi: float,
-    d2_sums: list[int] | None = None,
-    d2_pairs: dict[int, tuple[int, int]] | None = None,
+    target: int, sets: _SearchSets, isp: np.ndarray
 ) -> tuple[int, tuple[int, int, int, int]] | None:
     """Find p1 + (two cubes) + (two cubes) = target, or None (exhaustive)."""
-    if d2_sums is None:
-        d2_sums, d2_pairs = d_sums, d_pairs
-    for c1 in d_sums:
-        if c1 + d2_sums[0] + 2 > target:
+    u_sums, u_pairs, v_sums, v_pairs, p1_lo, p1_hi, _ = sets
+    for c1 in u_sums:
+        if c1 + v_sums[0] + 2 > target:
             break
-        for c2 in d2_sums:
+        for c2 in v_sums:
             r = target - c1 - c2
             if r < 2:
                 break
             if r <= p1_lo or r > p1_hi:
                 continue
             if isp[r]:
-                a, b = d_pairs[c1]
-                c, d = d2_pairs[c2]
+                a, b = u_pairs[c1]
+                c, d = v_pairs[c2]
                 return r, tuple(sorted((a, b, c, d)))
     return None
 
 
-def _search_sets(N: int, mode: str, delta: float, omega: float):
-    """Cube-pair tables, p1 window, and shift cap for one target."""
+def _search_sets(N: int, mode: str, delta: float, omega: float) -> _SearchSets:
+    """The search sets of N in free mode, or else in paper_ranges mode."""
     if mode == "free":
-        cube_primes = sieve_range(2, max(2, math.floor((N - 34) ** (1 / 3)) + 1)).primes
+        cube_primes = sieve_range(2, math.floor((N - 34) ** (1 / 3)) + 1).primes
         cube_primes = [int(p) for p in cube_primes if p**3 <= N - 34 + 8]
         sums, pairs = _cube_pairs(cube_primes)
-        v_max = max((N - _MIN_WITNESS).bit_length() - 1, 1) if N > _MIN_WITNESS else 1
-        return (sums, pairs), (sums, pairs), 0.0, float(N), v_max
-    if mode == "paper_ranges":
-        u = (N / (16.0 * (1.0 + delta))) ** (1.0 / 3.0)
-        v = u ** (5.0 / 6.0)
-        tu = dyadic_table(u)
-        tv = dyadic_table(v)
-        for name, t in (("cube-u", tu), ("cube-v", tv)):
-            if len(t) == 0:
-                log.warning("paper_ranges: %s prime range (%d, %d] is empty", name, t.lo - 1, t.hi)
-        l_cap = max(1, math.floor(math.log2(N / math.log(N))))
-        su, pu = _cube_pairs(tu.primes)
-        sv, pv = _cube_pairs(tv.primes)
-        return (su, pu), (sv, pv), omega * N, float(N), l_cap
-    raise DomainError(f"unknown search mode {mode!r}")
+        v_max = (N - _MIN_WITNESS).bit_length() - 1
+        return _SearchSets(sums, pairs, sums, pairs, 0.0, float(N), v_max)
+    u = (N / (16.0 * (1.0 + delta))) ** (1.0 / 3.0)
+    v = u ** (5.0 / 6.0)
+    tu = dyadic_table(u)
+    tv = dyadic_table(v)
+    for name, t in (("cube-u", tu), ("cube-v", tv)):
+        if len(t) == 0:
+            log.warning("paper_ranges: %s prime range (%d, %d] is empty", name, t.lo - 1, t.hi)
+    l_cap = max(1, math.floor(math.log2(N / math.log(N))))
+    return _SearchSets(
+        *_cube_pairs(tu.primes), *_cube_pairs(tv.primes), omega * N, float(N), l_cap
+    )
+
+
+def _search(
+    targets: tuple[int, ...], k: int, mode: str, params, n_cap: int
+) -> list[RepWitness] | None:
+    """Witnesses for every target sharing one shift multiset, or None.
+
+    Shift multisets come in lexicographic order; the first one that every
+    target completes with a prime and four prime cubes wins.
+    """
+    if mode not in ("free", "paper_ranges"):
+        raise DomainError(f"unknown search mode {mode!r}")
+    if k < 1:
+        raise DomainError("k must be >= 1")
+    if max(targets) > n_cap:
+        raise ResourceError(f"witness search needs N <= n_cap ({n_cap})")
+    if min(targets) < _MIN_WITNESS + 2 * k:
+        return None  # every shift is at least 2
+    delta = params.delta if params is not None else 1e-4
+    omega = params.omega if params is not None else 1e-5
+    sets = [_search_sets(N, mode, delta, omega) for N in targets]
+    if not all(t.u_sums and t.v_sums for t in sets):
+        return None
+    isp = np.zeros(max(targets) + 1, dtype=bool)
+    isp[sieve_range(2, max(targets)).primes] = True
+    v_max = min(t.v_max for t in sets)
+    s_allow = min(targets) - _MIN_WITNESS
+    for s, _, powers in _power_multisets(k, v_max, s_allow, DEFAULT_NODE_BUDGET):
+        witnesses = []
+        for N, t in zip(targets, sets):
+            hit = _complete_cubes_and_prime(N - s, t, isp)
+            if hit is None:
+                break
+            witnesses.append(RepWitness(N=N, p1=hit[0], cubes=hit[1], powers=powers))
+        else:
+            assert all(w.validate() for w in witnesses)
+            return witnesses
+    return None
 
 
 def find_witness(
@@ -183,28 +203,13 @@ def find_witness(
     any desk-scale-empty range.
 
     Raises:
-        ResourceError: N beyond the configured cap
+        ResourceError: N beyond the configured cap, or the shift
+            enumeration beyond the node budget
     """
     if N % 2 == 0:
         raise DomainError("N must be odd")
-    if k < 1:
-        raise DomainError("k must be >= 1")
-    if N > n_cap:
-        raise ResourceError(f"witness search needs N <= n_cap ({n_cap})")
-    delta = params.delta if params is not None else 1e-4
-    omega = params.omega if params is not None else 1e-5
-    (su, pu), (sv, pv), p1_lo, p1_hi, v_max = _search_sets(N, mode, delta, omega)
-    if not su or not sv:
-        return None
-    isp = _prime_bitset(N)
-    for s, prefix in _shift_multisets(k, v_max, N - _MIN_WITNESS):
-        hit = _complete_cubes_and_prime(N - s, su, pu, isp, p1_lo, p1_hi, sv, pv)
-        if hit is not None:
-            p1, cubes = hit
-            w = RepWitness(N=N, p1=p1, cubes=cubes, powers=prefix)
-            assert w.validate()
-            return w
-    return None
+    found = _search((N,), k, mode, params, n_cap)
+    return None if found is None else found[0]
 
 
 def find_pair_witness(
@@ -221,35 +226,8 @@ def find_pair_witness(
         raise DomainError("N1 and N2 must be odd")
     if N1 < N2:
         raise DomainError("pair search requires N1 >= N2")
-    if k < 1:
-        raise DomainError("k must be >= 1")
-    if N1 > n_cap:
-        raise ResourceError(f"witness search needs N <= n_cap ({n_cap})")
-    delta = params.delta if params is not None else 1e-4
-    omega = params.omega if params is not None else 1e-5
-    sets1 = _search_sets(N1, mode, delta, omega)
-    sets2 = _search_sets(N2, mode, delta, omega)
-    if not sets1[0][0] or not sets1[1][0] or not sets2[0][0] or not sets2[1][0]:
-        return None
-    isp = _prime_bitset(N1)
-    v_max = min(sets1[4], sets2[4])
-    for s, prefix in _shift_multisets(k, v_max, N2 - _MIN_WITNESS):
-        hit1 = _complete_cubes_and_prime(
-            N1 - s, sets1[0][0], sets1[0][1], isp, sets1[2], sets1[3], sets1[1][0], sets1[1][1]
-        )
-        if hit1 is None:
-            continue
-        hit2 = _complete_cubes_and_prime(
-            N2 - s, sets2[0][0], sets2[0][1], isp, sets2[2], sets2[3], sets2[1][0], sets2[1][1]
-        )
-        if hit2 is None:
-            continue
-        w1 = RepWitness(N=N1, p1=hit1[0], cubes=hit1[1], powers=prefix)
-        w2 = RepWitness(N=N2, p1=hit2[0], cubes=hit2[1], powers=prefix)
-        pw = PairWitness(w1=w1, w2=w2)
-        assert pw.validate()
-        return pw
-    return None
+    found = _search((N1, N2), k, mode, params, n_cap)
+    return None if found is None else PairWitness(*found)
 
 
 def rho_counts_from_primes(
@@ -272,14 +250,7 @@ def rho_counts_from_primes(
     pv = np.asarray(sorted(int(p) for p in primes_v), dtype=np.int64)
     if pu.size == 0 or pv.size == 0:
         raise DomainError("both prime sets must be non-empty")
-    if (pu.size * pv.size) ** 2 > pair_budget:
-        raise ResourceError(f"quadruple table exceeds the pair budget ({pair_budget})")
-    cu = pu**3
-    cv = pv**3
-    su = (cu[:, None] + cu[None, :]).ravel()
-    sv = (cv[:, None] + cv[None, :]).ravel()
-    quad = (su[:, None] + sv[None, :]).ravel()
-    values, counts = np.unique(quad, return_counts=True)
+    values, counts = _quadruple_buckets(pu, pv, pair_budget)
     if values.size**2 > diff_budget:
         raise ResourceError(f"difference table exceeds the diff budget ({diff_budget})")
     diffs = (values[:, None] - values[None, :]).ravel()
@@ -297,7 +268,7 @@ def rho_counts_from_primes(
         U=int(u_scale),
         V=int(v_scale),
         counts=table,
-        quadruples=int(quad.size),
+        quadruples=int(counts.sum()),
         max_count=max_count,
         n_ref=n_ref,
         bound_ratio=bound_ratio,

@@ -26,9 +26,9 @@ _MAX_LATTICE_U = 50
 
 @dataclass(frozen=True)
 class SingularIntegralEstimate:
-    n: int
+    n: int | None
     N: int
-    value: float
+    value: float | None  # None for closed_form, which gives only the normalized value
     normalized: float
     method: str  # closed_form | monte_carlo | exact_lattice
     stderr: float

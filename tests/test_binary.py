@@ -63,6 +63,12 @@ def test_enum_xi_validation_and_budget():
         enum_Xi(101, 0, 0.1, 3.0)
     with pytest.raises(ResourceError, match="node budget"):
         enum_Xi(2**40 + 1, 12, 0.9, 30.0, node_budget=1_000)
+    bad = [(0.0, 3.0), (-0.1, 3.0), (1.5, 3.0), (math.nan, 3.0), (0.1, math.inf), (0.1, math.nan)]
+    for eta, L in bad:
+        with pytest.raises(DomainError):
+            enum_Xi(101, 2, eta, L)
+        with pytest.raises(DomainError):
+            count_pairs(101, 103, 2, eta, L)
 
 
 def test_count_pairs_worked_example():

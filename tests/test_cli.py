@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import glinnik
+from glinnik.arith import sieve_range
 from glinnik.cli import RunConfig, main
 
 
@@ -177,6 +183,11 @@ def test_exit_code_domain_error(capsys):
         ("eval", "--kind", "binary", "--alpha", "nan"),
         ("arcs", "--alpha", "nan"),
         ("eval", "--kind", "linear", "--alpha", "inf"),
+        ("xi", "--N", "101", "--k", "2", "--eta", "2.0", "--vmax", "3"),
+        ("xi", "--N", "101", "--k", "2", "--eta", "0.1", "--vmax", "inf"),
+        ("xi", "--N", "101", "--k", "2", "--eta", "0.1", "--vmax", "nan"),
+        ("xi", "--N", "101", "--k", "2", "--eta", "nan", "--vmax", "3"),
+        ("k-threshold", "--c1", "nan"),
     ],
 )
 def test_non_finite_input_is_a_domain_error(capsys, argv):
@@ -185,9 +196,41 @@ def test_non_finite_input_is_a_domain_error(capsys, argv):
     assert "Traceback" not in err
 
 
+def test_eval_linear_sieves_once(capsys, monkeypatch):
+    import glinnik.expsums as expsums
+
+    calls = []
+
+    def counting_sieve(*args, **kwargs):
+        calls.append(args)
+        return sieve_range(*args, **kwargs)
+
+    monkeypatch.setattr(expsums, "sieve_range", counting_sieve)
+    payload = run_json(capsys, "eval", "--kind", "linear", "--alpha", "0.3")
+    assert payload["kind"] == "linear"
+    assert len(calls) == 1
+
+
+def test_python_m_runs_the_cli():
+    env = {**os.environ, "PYTHONPATH": str(Path(glinnik.__file__).resolve().parents[1])}
+
+    def run(module, *argv):
+        cmd = [sys.executable, "-m", module, "k-threshold", *argv]
+        return subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=120)
+
+    for module in ("glinnik", "glinnik.cli"):
+        done = run(module)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["k_threshold"] == 231
+        done = run(module, "--c1", "nan")
+        assert done.returncode == 1 and "domain error" in done.stderr
+
+
 def test_exit_code_resource_error(capsys):
     code, _, err = run_cli(capsys, "jsum", "--lcap", "30", "--n1", "101", "--n2", "101")
     assert code == 2 and "resource error" in err
+    code, _, err = run_cli(capsys, "measure", "--l", "1e308", "--grid", "1024")
+    assert code == 2 and "term budget" in err
 
 
 def test_output_file(tmp_path, capsys):

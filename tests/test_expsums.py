@@ -21,6 +21,7 @@ from glinnik import (
     moment_ST4_exact,
     sieve_range,
 )
+from glinnik import expsums
 from glinnik.arith import dyadic_table
 
 PARAMS_1E6 = ProblemParams(n1=1_000_003, n2=1_000_003)
@@ -315,6 +316,17 @@ def test_non_finite_alpha_is_a_domain_error():
         for call in calls:
             with pytest.raises(DomainError, match="finite"):
                 call()
+
+
+def test_binary_term_budget(monkeypatch):
+    assert eval_G(63.9, 0.0) == pytest.approx(63.0)
+    for call in (lambda: eval_G(1e308, 0.25), lambda: eval_grid("binary", 1e308, 1024)):
+        with pytest.raises(ResourceError, match="term budget"):
+            call()
+    monkeypatch.setattr(expsums, "MAX_BINARY_TERMS", 20)
+    assert eval_G(20.5, 0.0) == pytest.approx(20.0)
+    with pytest.raises(ResourceError, match="term budget"):
+        eval_G(21.0, 0.25)
 
 
 def test_classify_domain_error():

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from glinnik import search
 from glinnik import (
     DomainError,
     RepWitness,
@@ -92,6 +93,67 @@ def test_witness_validation_errors():
         find_witness(37, 0)
     with pytest.raises(ResourceError, match="n_cap"):
         find_witness(10**7 + 1, 1)
+
+
+# the first witness in lexicographic shift-multiset order at k = 2; a
+# change to the enumeration order or to the cube-pair tables shows here
+PINNED_WITNESSES_K2 = {
+    10001: (9829, (2, 2, 3, 5)),
+    10003: (9967, (2, 2, 2, 2)),
+    10005: (9931, (2, 2, 3, 3)),
+    10007: (8629, (2, 2, 3, 11)),
+    10009: (9973, (2, 2, 2, 2)),
+    10011: (9839, (2, 2, 3, 5)),
+    10013: (9743, (2, 2, 5, 5)),
+    10015: (9941, (2, 2, 3, 3)),
+    10017: (9311, (2, 2, 7, 7)),
+    10019: (9749, (2, 2, 5, 5)),
+    10021: (9631, (2, 2, 3, 7)),
+    10023: (9949, (2, 2, 3, 3)),
+    10025: (9319, (2, 2, 7, 7)),
+    10027: (9539, (2, 2, 5, 7)),
+    10029: (9857, (2, 2, 3, 5)),
+    10031: (9859, (2, 2, 3, 5)),
+    10033: (9643, (2, 2, 3, 7)),
+    10035: (9547, (2, 2, 5, 7)),
+    10037: (9767, (2, 2, 5, 5)),
+    10039: (9769, (2, 2, 5, 5)),
+    10041: (9967, (2, 2, 3, 3)),
+}
+
+
+def test_witness_pinned_values():
+    for n, (p1, cubes) in PINNED_WITNESSES_K2.items():
+        assert find_witness(n, 2) == RepWitness(N=n, p1=p1, cubes=cubes, powers=(1, 1))
+
+
+def test_pair_witness_pinned_values():
+    pw = find_pair_witness(111, 109, 2)
+    assert pw.w1 == RepWitness(N=111, p1=37, cubes=(2, 2, 3, 3), powers=(1, 1))
+    assert pw.w2 == RepWitness(N=109, p1=73, cubes=(2, 2, 2, 2), powers=(1, 1))
+    pw = find_pair_witness(10019, 10017, 2)
+    assert pw.w1 == RepWitness(N=10019, p1=9749, cubes=(2, 2, 5, 5), powers=(1, 1))
+    assert pw.w2 == RepWitness(N=10017, p1=9311, cubes=(2, 2, 7, 7), powers=(1, 1))
+
+
+def test_witness_search_node_budget(monkeypatch):
+    # in paper_ranges mode at k = 2, 433 is reached after 11 enumeration nodes
+    w = RepWitness(N=433, p1=109, cubes=(3, 3, 5, 5), powers=(2, 4))
+    monkeypatch.setattr(search, "DEFAULT_NODE_BUDGET", 11)
+    assert find_witness(433, 2, mode="paper_ranges") == w
+    monkeypatch.setattr(search, "DEFAULT_NODE_BUDGET", 10)
+    with pytest.raises(ResourceError, match="node budget"):
+        find_witness(433, 2, mode="paper_ranges")
+    with pytest.raises(ResourceError, match="node budget"):
+        find_pair_witness(433, 433, 2, mode="paper_ranges")
+
+
+def test_witness_below_minimum_is_none_in_both_modes():
+    for n in (1, 3, 33, 35, 37):
+        assert find_witness(n, 2) is None
+        assert find_witness(n, 2, mode="paper_ranges") is None
+    with pytest.raises(DomainError, match="mode"):
+        find_witness(37, 1, mode="bogus")
 
 
 def test_pair_witness_identical_targets():
