@@ -16,7 +16,7 @@ import numpy as np
 
 from .arith import sieve_range
 from .errors import DomainError, ResourceError
-from .expsums import DEFAULT_GRID_BUDGET, ProblemParams, _grid_buckets, _require_finite, eval_G
+from .expsums import ProblemParams, _half_spectrum, _require_finite, eval_G
 from .parallel import map_ordered
 
 DEFAULT_NODE_BUDGET = 5_000_000
@@ -167,19 +167,17 @@ def measure_sigma(lam: float, L: float, grid: int) -> MeasureEstimate:
     Raises:
         DomainError: lam negative or not finite, L < 1 or not finite,
             grid < 2^10
-        ResourceError: grid above DEFAULT_GRID_BUDGET
+        ResourceError: grid above expsums.DEFAULT_GRID_BUDGET
     """
     _require_finite(lam=lam, L=L)
     if grid < (1 << 10):
         raise DomainError("grid must be >= 2^10")
-    if grid > DEFAULT_GRID_BUDGET:
-        raise ResourceError(f"grid size {grid} exceeds the grid budget ({DEFAULT_GRID_BUDGET})")
     if L < 1:
         raise DomainError("L must be >= 1")
     if lam < 0:
         raise DomainError("lambda must be >= 0")
     threshold = lam * L
-    half = np.abs(np.fft.rfft(_grid_buckets("binary", L, grid))) >= threshold
+    half = np.abs(_half_spectrum("binary", L, grid)) >= threshold
     ind = np.concatenate((half, half[1 : (grid + 1) // 2][::-1]))
     crossing = ind != np.roll(ind, -1)
     measure = int(np.count_nonzero(ind & ~crossing)) / grid

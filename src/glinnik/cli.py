@@ -25,6 +25,7 @@ from .binary import enum_Xi, j_sum_exact, measure_sigma
 from .errors import DomainError, ResourceError, ToolkitError
 from .expsums import (
     ProblemParams,
+    _require_finite,
     classify_arc,
     dyadic_table,
     eval_G,
@@ -109,9 +110,35 @@ class RunConfig:
                     raise DomainError(f"config key {key!r} must be true/false")
                 parsed = val == "true"
             else:
-                parsed = typ(val)
+                try:
+                    parsed = typ(val)
+                except ValueError:
+                    msg = f"config key {key!r} must be {typ.__name__}, got {val!r}"
+                    raise DomainError(msg) from None
             kwargs[cls._field_name(key)] = parsed
         return cls(**kwargs)
+
+    def validate(self) -> None:
+        """Check each key against its own domain, whatever the subcommand.
+
+        Constraints between keys (eta < delta/(1+delta), the arc dissection)
+        and k >= 2 belong to ProblemParams, checked where a subcommand builds one.
+        """
+        _require_finite(delta=self.delta, omega=self.omega, eta=self.eta, lam=self.lam,
+                        epsilon=self.epsilon)
+        checks = (
+            (self.n1 % 2 == 1 and self.n2 % 2 == 1, "n1 and n2 must be odd"),
+            (self.n1 >= self.n2 >= 1, "n1 >= n2 >= 1 is required"),
+            (self.delta > 0.0, "delta must be > 0"),
+            (0.0 < self.omega < 1.0, "omega must lie in (0, 1)"),
+            (0.0 < self.eta <= 1.0, "eta must lie in (0, 1]"),
+            (self.lam >= 0.0, "lambda must be >= 0"),
+            (self.k >= 1, "k must be >= 1"),
+            (self.threads >= 0, "threads must be >= 0"),
+        )
+        for ok, message in checks:
+            if not ok:
+                raise DomainError(f"config: {message}")
 
     def params(self) -> ProblemParams:
         return ProblemParams(
@@ -230,7 +257,9 @@ def _load_config(args) -> RunConfig:
         if val is None:
             continue
         overrides[RunConfig._field_name(key)] = (val == "true") if typ is bool else val
-    return dataclasses.replace(cfg, **overrides)
+    cfg = dataclasses.replace(cfg, **overrides)
+    cfg.validate()
+    return cfg
 
 
 def _emit(payload, args, csv_rows=None, csv_header=None) -> None:

@@ -8,12 +8,15 @@ exp(2*pi*i*x):
     cube_v   same with the smaller dyadic scale V = U^(5/6)
     binary   sum of e(2^v a)            over integer v = 1 .. floor(L)
 
-Phase reduction is exact: a float argument is treated as the dyadic
-rational it is, and m*a mod 1 is computed in integer arithmetic for the
-few-term sums (cube, binary) or with a compensated double-double product
-for the long linear sums.  Either way the phase error per term stays at
-the rounding level, which the periodicity/conjugacy property tests rely
-on.
+Phase reduction is exact up to the last rounding.  The few-term sums
+(cube, binary) treat a float argument as the dyadic rational it is and
+reduce m*a mod 1 in integer arithmetic.  The long linear sums split
+a = A/2^s + a_lo with s the bit length of the largest argument m (at most
+31; larger m are cut into 31-bit limbs): frac(m A / 2^s) is exact in
+int64 and m a_lo < 1 carries one rounding, so each phase is within a few
+ulp of 1.  A rational point a/q is entry a of the length-q grid and is
+read from the residue buckets of the primes mod q.  The periodicity and
+conjugacy property tests rely on this accuracy.
 """
 
 from __future__ import annotations
@@ -35,7 +38,8 @@ DEFAULT_PAIR_BUDGET = 1 << 24
 MAX_BINARY_TERMS = 1 << 12  # most terms floor(L) of the binary sum; ProblemParams.L < 64
 
 _TWO_PI = 2.0 * math.pi
-_SPLIT = 134217729.0  # 2^27 + 1, Dekker splitting constant
+_LIMB_BITS = 31  # m * A stays below 2^62 for m, A < 2^31
+_CHUNK = 1 << 19  # terms per cos/sin/dot pass of the linear sum
 
 
 @dataclass(frozen=True)
@@ -72,6 +76,11 @@ class ProblemParams:
             raise DomainError("omega must lie in (0, 1)")
         if not 0.0 < self.eta < 1.0:
             raise DomainError("eta must lie in (0, 1)")
+        _require_finite(delta=self.delta, lam=self.lam)
+        if not self.delta > 0.0:
+            raise DomainError(f"delta must be > 0, got {self.delta}")
+        if not 0.0 < self.lam <= 1.0:
+            raise DomainError(f"lam must lie in (0, 1], got {self.lam}")
         if not self.eta < self.delta / (1.0 + self.delta):
             raise DomainError(
                 "constraint violated: eta < delta/(1+delta) "
@@ -179,25 +188,40 @@ def _phase_sum_exact(args, weights, alpha) -> complex:
     return complex(acc)
 
 
-def _frac_dekker(p: np.ndarray, alpha: float) -> np.ndarray:
-    """(p * alpha) mod 1 for exactly-representable p, error ~ 1 ulp."""
-    x = p * alpha
-    c = _SPLIT * p
-    phi = c - (c - p)
-    plo = p - phi
-    c = _SPLIT * alpha
-    ahi = c - (c - alpha)
-    alo = alpha - ahi
-    err = ((phi * ahi - x) + phi * alo + plo * ahi) + plo * alo
-    f = np.fmod(np.fmod(x, 1.0) + err, 1.0)
-    f[f < 0.0] += 1.0
+def _split_phases(m: np.ndarray, alpha: float, top: int) -> np.ndarray:
+    """(m * alpha) mod 1 for int64 0 <= m <= top, within a few ulp of 1.
+
+    alpha = A/2^s + lo with A = floor(alpha 2^s) and 0 <= lo <= 2^-s: the
+    high phase (m A mod 2^s) / 2^s is exact in int64 and m lo < 1 is one
+    rounded product.  Arguments of 2^31 or more are split into 31-bit limbs
+    m = m_hi 2^31 + m_lo, with m_hi reduced against frac(2^31 alpha).
+    """
+    a = math.fmod(alpha, 1.0)  # exact, keeps the sign
+    if top >> _LIMB_BITS:
+        f = _split_phases(m >> _LIMB_BITS, math.fmod(a * 2.0**_LIMB_BITS, 1.0), top >> _LIMB_BITS)
+        f += _split_phases(m & ((1 << _LIMB_BITS) - 1), a, (1 << _LIMB_BITS) - 1)
+    else:
+        s = max(1, top.bit_length())
+        A = math.floor(a * 2.0**s)  # in [-2^s, 2^s)
+        lo = a - A * 2.0**-s
+        f = ((m * (A % (1 << s))) & ((1 << s) - 1)) * 2.0**-s
+        f += m * lo
+    f -= f >= 1.0  # back into [0, 1)
     return f
 
 
-def _weighted_phase_sum(p: np.ndarray, w: np.ndarray, alpha: float) -> complex:
-    f = _frac_dekker(p.astype(np.float64), float(alpha))
-    theta = _TWO_PI * f
-    return complex(np.dot(w, np.cos(theta)), np.dot(w, np.sin(theta)))
+def _weighted_phase_sum(m: np.ndarray, w: np.ndarray, alpha: float) -> complex:
+    """sum of w e(m alpha) for int64 m >= 0, in chunks of _CHUNK terms."""
+    alpha = float(alpha)
+    top = int(m.max(initial=0))
+    re = im = 0.0
+    for i in range(0, m.size, _CHUNK):
+        theta = _split_phases(m[i : i + _CHUNK], alpha, top)
+        theta *= _TWO_PI
+        wi = w[i : i + _CHUNK]
+        re += float(np.dot(wi, np.cos(theta)))
+        im += float(np.dot(wi, np.sin(theta, out=theta)))
+    return complex(re, im)
 
 
 # ---------------------------------------------------------------------------
@@ -220,13 +244,16 @@ def eval_linear(params: ProblemParams, i: int, alpha, *, table: PrimeTable | Non
         return 0j
     if isinstance(alpha, Fraction):
         num, den = alpha.numerator, alpha.denominator
-        if 0 < den <= 1 << 31 and table.hi * den < (1 << 62):
-            # exact reduction stays inside int64
-            rem = (table.primes % den) * (num % den) % den
-            theta = _TWO_PI * (rem / den)
-            w = table.log_weights()
-            return complex(np.dot(w, np.cos(theta)), np.dot(w, np.sin(theta)))
-        alpha = float(alpha)
+        if den <= len(table):
+            # a/q is entry a of the length-q grid: the q residue buckets suffice
+            w, res = _grid_buckets("linear", table, den), np.arange(den, dtype=np.int64)
+        elif den <= 1 << 31 and table.hi * den < (1 << 62):
+            w, res = table.log_weights(), table.primes % den
+        else:
+            return _weighted_phase_sum(table.primes, table.log_weights(), alpha)
+        # exact reduction stays inside int64
+        theta = _TWO_PI * (res * (num % den) % den / den)
+        return complex(np.dot(w, np.cos(theta)), np.dot(w, np.sin(theta)))
     return _weighted_phase_sum(table.primes, table.log_weights(), alpha)
 
 
@@ -283,19 +310,28 @@ def _grid_buckets(kind: str, source, M: int) -> np.ndarray:
     return np.bincount(idx, weights=w, minlength=M)
 
 
-def eval_grid(kind: str, source, M: int, *, budget: int = DEFAULT_GRID_BUDGET) -> np.ndarray:
-    """Values at alpha = j/M for j = 0..M-1, as one complex array.
-
-    Weights are bucketed by (argument mod M) and transformed with a single
-    length-M DFT; entry j then equals the pointwise sum at j/M exactly (up
-    to rounding), because e(b j / M) only depends on b mod M.
-    """
+def _half_spectrum(kind: str, source, M: int, budget: int = DEFAULT_GRID_BUDGET) -> np.ndarray:
+    """Real DFT of the length-M buckets: the conjugates of the values at j/M, j <= M//2."""
     if M < 2:
         raise DomainError(f"grid size must be >= 2, got {M}")
     if M > budget:
         raise ResourceError(f"grid size {M} exceeds the grid budget ({budget})")
-    buckets = _grid_buckets(kind, source, M)
-    return np.fft.ifft(buckets) * M
+    return np.fft.rfft(_grid_buckets(kind, source, M))
+
+
+def eval_grid(kind: str, source, M: int, *, budget: int = DEFAULT_GRID_BUDGET) -> np.ndarray:
+    """Values at alpha = j/M for j = 0..M-1, as one complex array.
+
+    Weights are bucketed by (argument mod M) and transformed with a single
+    real DFT; entry j then equals the pointwise sum at j/M exactly (up to
+    rounding), because e(b j / M) only depends on b mod M.  The buckets are
+    real, so the value at (M - j)/M is the conjugate of the value at j/M.
+    """
+    half = _half_spectrum(kind, source, M, budget)
+    out = np.empty(M, dtype=np.complex128)
+    np.conjugate(half, out=out[: M // 2 + 1])
+    out[M // 2 + 1 :] = half[1 : (M + 1) // 2][::-1]
+    return out
 
 
 def grid_rows(kind: str, grid: np.ndarray):
@@ -479,10 +515,9 @@ def minor_arc_diagnostic(
     lin = linear_table(params, i)
     cube = dyadic_table(params.u(i))
     w = lin.log_weights()
-    p = lin.primes.astype(np.float64)
 
     def f_abs(x: float) -> float:
-        return abs(_weighted_phase_sum(p, w, x))
+        return abs(_weighted_phase_sum(lin.primes, w, x))
 
     f_vals = map_ordered(f_abs, alphas, threads)
     s_vals = [abs(eval_cube(cube, x)) for x in alphas]

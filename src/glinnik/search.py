@@ -15,11 +15,12 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .arith import dyadic_table, is_prime, sieve_range
+from .arith import _round_pow2, dyadic_table, is_prime, sieve_range
 from .binary import DEFAULT_NODE_BUDGET, _power_multisets
 from .errors import DomainError, ResourceError
 from .expsums import DEFAULT_PAIR_BUDGET, _quadruple_buckets
@@ -149,6 +150,15 @@ def _search_sets(N: int, mode: str, delta: float, omega: float) -> _SearchSets:
     )
 
 
+@lru_cache(maxsize=1)
+def _prime_bitset(limit: int) -> np.ndarray:
+    """Read-only primality flags for 0..limit, shared by consecutive searches."""
+    isp = np.zeros(limit + 1, dtype=bool)
+    isp[sieve_range(2, limit).primes] = True
+    isp.flags.writeable = False
+    return isp
+
+
 def _search(
     targets: tuple[int, ...], k: int, mode: str, params, n_cap: int
 ) -> list[RepWitness] | None:
@@ -170,8 +180,8 @@ def _search(
     sets = [_search_sets(N, mode, delta, omega) for N in targets]
     if not all(t.u_sums and t.v_sums for t in sets):
         return None
-    isp = np.zeros(max(targets) + 1, dtype=bool)
-    isp[sieve_range(2, max(targets)).primes] = True
+    # one bitset serves every target up to the next power of two, within n_cap
+    isp = _prime_bitset(min(_round_pow2(max(targets)), n_cap))
     v_max = min(t.v_max for t in sets)
     s_allow = min(targets) - _MIN_WITNESS
     for s, _, powers in _power_multisets(k, v_max, s_allow, DEFAULT_NODE_BUDGET):

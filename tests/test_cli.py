@@ -196,6 +196,31 @@ def test_non_finite_input_is_a_domain_error(capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--n1", "4"),
+        ("--n2", "1000004"),
+        ("--n1", "101", "--n2", "103"),
+        ("--delta", "-1"),
+        ("--delta", "nan"),
+        ("--omega", "1.5"),
+        ("--eta", "0"),
+        ("--lambda", "-0.5"),
+        ("--lambda", "inf"),
+        ("--epsilon", "nan"),
+        ("--k", "0"),
+        ("--threads", "-1"),
+    ],
+)
+def test_bad_config_is_a_domain_error_for_every_subcommand(capsys, flags):
+    subcommands = (("sieve", "--lo", "2", "--hi", "30"), ("k-threshold",), ("rho", "--u", "10", "--v", "5"))
+    for argv in subcommands:
+        code, out, err = run_cli(capsys, *argv, *flags)
+        assert code == 1 and "domain error" in err, (argv, flags)
+        assert out == "" and "Traceback" not in err
+
+
 def test_eval_linear_sieves_once(capsys, monkeypatch):
     import glinnik.expsums as expsums
 
@@ -267,6 +292,15 @@ def test_config_file_with_flag_override(tmp_path, capsys):
         capsys, "search", "--n", "35", "--config", str(cfg_path), "--k", "1"
     )
     assert payload["witness"] is None
+
+
+@pytest.mark.parametrize("line", ["n1 = abc", "delta = 1e-4x", "threads = 1.5"])
+def test_config_value_that_does_not_parse_is_a_domain_error(tmp_path, capsys, line):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(line + "\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "k-threshold", "--config", str(cfg_path))
+    assert code == 1 and "domain error" in err and line.split()[0] in err
+    assert out == "" and "Traceback" not in err
 
 
 def test_config_rejects_unknown_key():

@@ -22,7 +22,7 @@ from glinnik import (
     sieve_range,
 )
 from glinnik import expsums
-from glinnik.arith import dyadic_table
+from glinnik.arith import PrimeTable, dyadic_table, is_prime
 
 PARAMS_1E6 = ProblemParams(n1=1_000_003, n2=1_000_003)
 
@@ -55,6 +55,30 @@ def test_params_validation():
         ProblemParams(n1=101, n2=101, eta=0.1)
     with pytest.raises(DomainError, match="max_ratio"):
         ProblemParams(n1=10**9 + 1, n2=3, max_ratio=10.0)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("delta", -1.0),
+        ("delta", 0.0),
+        ("delta", math.nan),
+        ("delta", math.inf),
+        ("lam", 0.0),
+        ("lam", -0.5),
+        ("lam", 1.5),
+        ("lam", 2.0),
+        ("lam", math.nan),
+        ("lam", math.inf),
+    ],
+)
+def test_params_reject_bad_delta_and_lam(field, value):
+    with pytest.raises(DomainError, match=field):
+        ProblemParams(n1=101, n2=101, **{field: value})
+
+
+def test_params_accept_edge_lam():
+    assert ProblemParams(n1=101, n2=101, lam=1.0).lam == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +225,17 @@ def test_grid_matches_direct_linear_odd_size():
             [int(p) for p in table.primes], table.log_weights(), Fraction(j, 100)
         )
         assert abs(grid[j] - direct) <= 1e-9 * scale
+
+
+@pytest.mark.parametrize("M", [2, 3, 7, 1024, 1 << 16])
+def test_grid_matches_complex_ifft_reference(M):
+    lin = linear_table(ProblemParams(n1=20_001, n2=20_001), 1)
+    for kind, source in (("linear", lin), ("cube_u", dyadic_table(40)), ("binary", 12.3)):
+        buckets = expsums._grid_buckets(kind, source, M)
+        reference = np.fft.ifft(buckets) * M
+        grid = eval_grid(kind, source, M)
+        assert grid.shape == (M,)
+        assert np.max(np.abs(grid - reference)) <= 1e-12 * float(buckets.sum())
 
 
 def test_grid_budget_and_domain_errors():
@@ -416,3 +451,97 @@ def test_minor_arc_diagnostic_deterministic_and_minor_only():
         assert not classify_arc(params, 1, alpha).is_major
     r3 = minor_arc_diagnostic(params, 1, samples=25, seed=6)
     assert r3.alphas != r1.alphas
+
+
+def test_minor_arc_diagnostic_thread_invariance():
+    params = ProblemParams(n1=100_003, n2=100_003)
+    r1 = minor_arc_diagnostic(params, 1, samples=6, seed=9, threads=1)
+    r2 = minor_arc_diagnostic(params, 1, samples=6, seed=9, threads=2)
+    assert r1 == r2 and r1.alphas == r2.alphas
+
+
+# ---------------------------------------------------------------------------
+# the split phase reduction of the linear sum
+
+
+def _big_prime_table() -> PrimeTable:
+    """Primes just above 2^31, 2^32, 2^40, 2^52 and 2^62, and 2^61 - 1."""
+    primes = []
+    for start in (2**31, 2**32, 2**40, 2**52, 2**62):
+        n = start + 1
+        while not is_prime(n):
+            n += 2
+        primes.append(n)
+    primes.append(2**61 - 1)
+    primes = sorted(primes)
+    return PrimeTable(primes[0], primes[-1], np.array(primes, dtype=np.int64))
+
+
+def _phase_alphas(Q: float, count: int, seed: int) -> list[float]:
+    rng = np.random.default_rng(seed)
+    alphas = [1.0 / Q, 1.0 + 1.0 / Q, 2.0**40, 2.0**40 + 0.75, -(2.0**45) - 0.125, 2.0**60 / 3]
+    for x in rng.uniform(-1e-9, 1e-9, count):
+        alphas += [1.0 / Q + float(x), 1.0 + 1.0 / Q + float(x)]
+    alphas += [float(x) for x in rng.uniform(-3.0, 0.0, count)]
+    alphas += [float(x) for x in rng.uniform(2.0**40, 2.0**44, count)]
+    alphas += [float(x) for x in rng.uniform(0.0, 1.0, count)]
+    return alphas
+
+
+def _circle_distance(a: float, exact: Fraction) -> float:
+    d = abs(Fraction(a) - exact) % 1
+    return float(min(d, 1 - d))
+
+
+def test_split_phases_against_fraction_oracle():
+    table = linear_table(PARAMS_1E6, 1)
+    big = _big_prime_table()
+    rng = np.random.default_rng(31)
+    small = np.concatenate((table.primes[-3:], table.primes[:2], rng.choice(table.primes, 5)))
+    tol = 4 * 2.0**-52
+    pairs = 0
+    for primes, top in ((small, int(table.primes[-1])), (big.primes, int(big.primes[-1]))):
+        assert (top >> (top.bit_length() - 1)) == 1 and int(primes.max()) == top
+        for alpha in _phase_alphas(PARAMS_1E6.q_max(1), 15, 32):
+            got = expsums._split_phases(primes, alpha, top)
+            assert np.all((got >= 0.0) & (got < 1.0))
+            for p, f in zip(primes.tolist(), got.tolist()):
+                assert _circle_distance(f, Fraction(p) * Fraction(alpha) % 1) <= tol
+                pairs += 1
+    assert pairs >= 1_000
+
+
+def test_linear_sum_over_primes_above_2_31():
+    big = _big_prime_table()
+    params = ProblemParams(n1=101, n2=101)
+    w = big.log_weights()
+    for alpha in (0.3, -0.7, 2.0**40 + 0.25, 1e-12):
+        direct = direct_weighted_sum([int(p) for p in big.primes], w, Fraction(alpha))
+        assert abs(eval_linear(params, 1, alpha, table=big) - direct) <= 1e-12 * float(w.sum())
+
+
+def test_rational_point_buckets_match_residue_branch(monkeypatch):
+    sizes = []
+
+    def recording_buckets(kind, source, M):
+        sizes.append(M)
+        return grid_buckets(kind, source, M)
+
+    grid_buckets = expsums._grid_buckets
+    monkeypatch.setattr(expsums, "_grid_buckets", recording_buckets)
+    params = ProblemParams(n1=5_001, n2=5_001)
+    table = linear_table(params, 1)
+    n = len(table)
+    w = table.log_weights()
+    mass = float(w.sum())
+    cases = [(1, 1), (1, 2), (3, 7), (7, 600), (3, n - 1), (1, n), (1, n + 1), (11, 5_003),
+             (-4, 9), (1, 104_729), (12_345, 1_000_003)]
+    for a, q in cases:
+        # the int64 residue branch, written out
+        rem = (table.primes % q) * (a % q) % q
+        theta = 2.0 * math.pi * (rem / q)
+        reference = complex(np.dot(w, np.cos(theta)), np.dot(w, np.sin(theta)))
+        value = eval_linear(params, 1, Fraction(a, q), table=table)
+        assert abs(value - reference) <= 1e-12 * mass, (a, q)
+    # residue buckets are read only while they are no larger than the table
+    assert sizes == [q for _, q in cases if q <= n]

@@ -127,6 +127,23 @@ def test_witness_pinned_values():
         assert find_witness(n, 2) == RepWitness(N=n, p1=p1, cubes=cubes, powers=(1, 1))
 
 
+def test_nearby_searches_sieve_once(monkeypatch):
+    calls = []
+
+    def counting_sieve(*args, **kwargs):
+        calls.append(args)
+        return sieve_range(*args, **kwargs)
+
+    search._prime_bitset.cache_clear()
+    monkeypatch.setattr(search, "sieve_range", counting_sieve)
+    for n in (10_001, 10_013, 10_041, 12_001):
+        assert find_witness(n, 2).validate()
+    assert find_pair_witness(10_019, 10_017, 2).validate()
+    # free mode also sieves the few cube primes; only one sieve reaches N
+    assert [args for args in calls if args[1] >= 10_001] == [(2, 1 << 14)]
+    search._prime_bitset.cache_clear()
+
+
 def test_pair_witness_pinned_values():
     pw = find_pair_witness(111, 109, 2)
     assert pw.w1 == RepWitness(N=111, p1=37, cubes=(2, 2, 3, 3), powers=(1, 1))
