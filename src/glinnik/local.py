@@ -13,29 +13,39 @@ density vanishes off squarefree q, and the series
 
 is evaluated as an Euler product over primes p <= cutoff of 1 + A(n, p).
 
-For a prime p the a-sum is computed with two length-p DFTs: C3(p, .) is
-the transform of the cube-residue histogram, and transforming the masked
-fourth power back yields B(m, p) for every residue class m at once.
 A(n, .) is multiplicative over coprime moduli (Chinese remainder
-theorem), so A(n, q) for squarefree q is the product of the prime rows
-at its factors.  Rows are cached per prime up to 2^16, so evaluating
-the series for many n costs one table lookup per prime.
+theorem), so A(n, q) for squarefree q is the product of A(n, p) over the
+primes p | q, and each A(n, p) has a closed form.  For p = 2, p = 3 and
+p congruent to 2 mod 3, cubing permutes the reduced residues, so
+C3(p, a) = C1(p, a) = -1 and A(n, p) is -1/(p-1)^4 when p | n and
+1/(p-1)^5 otherwise.  For p congruent to 1 mod 3, C3(p, a) = 3 eta_j,
+where eta_0, eta_1, eta_2 are the cubic Gauss periods (eta_j is the sum
+of cos(2 pi g^j c / p) over the cubes c, for a non-cube g) and j is the
+coset of a among the cubes; the periods are real because -1 is a cube.
+Grouping the a-sum by coset gives
+
+    B(n, p) = -27 (p-1) * sum_j eta_j^4             if p | n,
+    B(n, p) = -81 * sum_j eta_j^4 * eta_(j+s)       otherwise,
+
+with s the coset of -n, read off (-n)^((p-1)/3) mod p against
+omega = g^((p-1)/3).  The four values A(., p) can take and omega are
+cached per prime; the periods cost one pass over p residues, so period
+primes and the moduli of cubic_C3 are bounded by MAX_RESIDUES.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .arith import _base_primes, multiplicative
-from .errors import DomainError, NumericalIntegrityError
+from .errors import DomainError, ResourceError
 
-_IMAG_RAISE_TOL = 1e-6
-_ROW_CACHE_MAX_Q = 1 << 16
-
-_a_prime_rows: dict[int, np.ndarray] = {}
+MAX_RESIDUES = 1 << 20
+_PRIME_ROW_CACHE_SIZE = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -59,6 +69,11 @@ class TruncatedSeries:
     anomalies: tuple[tuple[int, float], ...]
 
 
+def _check_residues(what: str, m: int) -> None:
+    if m > MAX_RESIDUES:
+        raise ResourceError(f"{what} {m} exceeds the residue budget ({MAX_RESIDUES})")
+
+
 def ramanujan_C1(q: int, a: int) -> int:
     """Ramanujan sum over reduced residues h mod q of e(a h / q).
 
@@ -77,38 +92,64 @@ def ramanujan_C1(q: int, a: int) -> int:
 
 
 def cubic_C3(q: int, a: int) -> complex:
-    """Cubic complete sum over reduced residues h mod q of e(a h^3 / q)."""
+    """Cubic complete sum over reduced residues h mod q of e(a h^3 / q).
+
+    Raises:
+        ResourceError: q beyond MAX_RESIDUES
+    """
     if q < 1:
         raise DomainError(f"modulus must be >= 1, got {q}")
     if not 1 <= a <= q:
         raise DomainError(f"need 1 <= a <= q, got a={a}, q={q}")
-    if q == 1:
-        return 1 + 0j
-    acc = 0j
-    for h in range(1, q + 1):
-        if math.gcd(h, q) == 1:
-            acc += np.exp(2j * math.pi * ((a * pow(h, 3, q) % q) / q))
-    return complex(acc)
+    _check_residues("modulus", q)
+    h = np.arange(1, q + 1, dtype=np.int64)
+    h = h[np.gcd(h, q) == 1]
+    r = a * ((h * h % q) * h % q) % q
+    return complex(np.exp(2j * math.pi * (r / q)).sum())
 
 
-def _a_prime_row(p: int) -> np.ndarray:
-    """Real array of A(m, p) over residues m, with a build-time realness check."""
-    row = _a_prime_rows.get(p)
-    if row is not None:
-        return row
+def _cubic_periods(p: int) -> tuple[tuple[float, float, float], int]:
+    """The cubic Gauss periods (eta_0, eta_1, eta_2) of a prime p = 1 mod 3, and omega.
+
+    eta_j sums cos(2 pi g^j c / p) over the cubes c for the least non-cube
+    g, and omega = g^((p-1)/3) mod p, so x lies in coset j exactly when
+    x^((p-1)/3) = omega^j mod p.
+    """
+    _check_residues("period prime", p)
+    e = (p - 1) // 3
+    g = next(x for x in range(2, p) if pow(x, e, p) != 1)
     h = np.arange(1, p, dtype=np.int64)
-    r = np.bincount((h * h % p) * h % p, minlength=p).astype(np.float64)
-    g = (np.fft.ifft(r) * p) ** 4
-    g[0] = 0.0  # a = 0 is not a reduced residue
-    b = -np.fft.fft(g)  # C1(p, a) = mu(p) = -1
-    scale = max(1.0, float(np.abs(b).max()))
-    worst = float(np.abs(b.imag).max())
-    if worst > _IMAG_RAISE_TOL * scale:
-        raise NumericalIntegrityError(f"B(., {p}) row has imaginary residue {worst}")
-    row = b.real / float(p - 1) ** 5
-    if p <= _ROW_CACHE_MAX_Q:
-        _a_prime_rows[p] = row
-    return row
+    cubes = np.flatnonzero(np.bincount((h * h % p) * h % p, minlength=p))
+    periods = tuple(
+        float(np.cos(2.0 * math.pi / p * (cubes * pow(g, j, p) % p)).sum()) for j in range(3)
+    )
+    return periods, pow(g, e, p)
+
+
+@functools.lru_cache(maxsize=_PRIME_ROW_CACHE_SIZE)
+def _period_row(p: int) -> tuple[float, tuple[float, float, float], int]:
+    """A(m, p) for p | m, A(m, p) by the coset s of -m, and omega; p = 1 mod 3."""
+    eta, omega = _cubic_periods(p)
+    eta4 = [x**4 for x in eta]
+    scale = float(p - 1) ** 5
+    at_zero = -27.0 * (p - 1) * math.fsum(eta4) / scale
+    by_coset = tuple(
+        -81.0 * math.fsum(eta4[j] * eta[(j + s) % 3] for j in range(3)) / scale
+        for s in range(3)
+    )
+    return at_zero, by_coset, omega
+
+
+def _a_prime(n: int, p: int) -> float:
+    """A(n, p) for a prime p, in closed form."""
+    m = int(-n % p)
+    if p % 3 != 1:
+        return -1.0 / float(p - 1) ** 4 if m == 0 else 1.0 / float(p - 1) ** 5
+    at_zero, by_coset, omega = _period_row(p)
+    if m == 0:
+        return at_zero
+    chi = pow(m, (p - 1) // 3, p)
+    return by_coset[0 if chi == 1 else 1 if chi == omega else 2]
 
 
 def local_A(n: int, q: int) -> LocalFactor:
@@ -117,8 +158,7 @@ def local_A(n: int, q: int) -> LocalFactor:
     For squarefree q this is the product of A(n, p) over the primes p | q.
 
     Raises:
-        NumericalIntegrityError: a prime row fails its realness check,
-            judged against the natural magnitude of the whole row
+        ResourceError: a prime factor congruent to 1 mod 3 beyond MAX_RESIDUES
     """
     if q < 1:
         raise DomainError(f"modulus must be >= 1, got {q}")
@@ -128,7 +168,7 @@ def local_A(n: int, q: int) -> LocalFactor:
         return LocalFactor(n=n, q=q, B=0j, A=0.0)
     a = 1.0
     for p, _ in fac.factors:
-        a *= float(_a_prime_row(p)[n % p])
+        a *= _a_prime(n, p)
     return LocalFactor(n=n, q=q, B=complex(a * phi**5), A=a)
 
 
@@ -140,9 +180,13 @@ def singular_series(n: int, prime_cutoff: int = 10_000) -> TruncatedSeries:
     non-positive factor at odd n is flagged as an anomaly rather than
     raised (positivity is expected, so a flag marks either a bug or a
     genuinely exceptional n worth reporting verbatim).
+
+    Raises:
+        ResourceError: prime_cutoff beyond MAX_RESIDUES
     """
     if prime_cutoff < 3:
         raise DomainError("prime_cutoff must be >= 3")
+    _check_residues("prime_cutoff", prime_cutoff)
     limit = 1 << max(14, prime_cutoff.bit_length())
     primes = [int(p) for p in _base_primes(limit) if p <= prime_cutoff]
     factors: list[tuple[int, float]] = []
@@ -150,7 +194,7 @@ def singular_series(n: int, prime_cutoff: int = 10_000) -> TruncatedSeries:
     value = 1.0
     odd = n % 2 == 1
     for p in primes:
-        f = 1.0 + float(_a_prime_row(p)[n % p])
+        f = 1.0 + _a_prime(n, p)
         factors.append((p, f))
         if odd and f <= 0.0:
             anomalies.append((p, f))

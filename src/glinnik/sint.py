@@ -154,11 +154,16 @@ def jn_exact_small(n: int, U: int, V: int, m1_range: tuple[float, float]) -> flo
     """Exact lattice sum over integer m2..m5 with m1 = n - sum in m1_range.
 
     The two pair-sum weight profiles (one per dyadic block) are formed by
-    convolution, and the m1 window turns into an interval constraint on
-    the V-pair sum, resolved with a prefix-sum lookup; the result is the
-    exact lattice sum up to floating-point rounding.
+    convolution, and the m1 window turns into a window of V-pair sums for
+    each U-pair sum su.  All windows are found at once: the float bounds
+    are clipped to the V-pair range before the cast to int64 (an unbounded
+    window such as m1_lo = -1e30 stays in range), each window's weight is
+    a difference of two prefix sums, empty windows weigh zero, and
+    np.add.accumulate adds the terms left to right, so the result is the
+    same float as a loop over su.
 
     Raises:
+        DomainError: U or V below 1, or a NaN window bound
         ResourceError: U beyond the lattice budget
     """
     if U < 1 or V < 1:
@@ -166,6 +171,8 @@ def jn_exact_small(n: int, U: int, V: int, m1_range: tuple[float, float]) -> flo
     if U > _MAX_LATTICE_U:
         raise ResourceError(f"U={U} exceeds the lattice budget (U <= {_MAX_LATTICE_U})")
     m1_lo, m1_hi = m1_range
+    if math.isnan(m1_lo) or math.isnan(m1_hi):
+        raise DomainError(f"m1 window bounds must not be NaN, got {m1_range}")
     wu = _block_weights(U)
     wv = _block_weights(V)
     conv_u = _fft_convolve(wu, wu)  # index s - 2*(U^3+1)
@@ -173,14 +180,13 @@ def jn_exact_small(n: int, U: int, V: int, m1_range: tuple[float, float]) -> flo
     base_u = 2 * (U**3 + 1)
     base_v = 2 * (V**3 + 1)
     prefix_v = np.concatenate(([0.0], np.cumsum(conv_v)))
+    top = len(conv_v)
 
-    total = 0.0
-    for idx_u, w in enumerate(conv_u):
-        su = base_u + idx_u
-        # m1 = n - su - sv in (m1_lo, m1_hi]  <=>  n - m1_hi <= sv < n - m1_lo
-        lo = max(int(math.ceil(n - m1_hi - su)), base_v)
-        hi = min(int(math.ceil(n - m1_lo - su)) - 1, base_v + len(conv_v) - 1)
-        if hi < lo:
-            continue
-        total += w * float(prefix_v[hi - base_v + 1] - prefix_v[lo - base_v])
-    return total
+    su = np.arange(base_u, base_u + len(conv_u), dtype=np.int64)
+    # m1 = n - su - sv in (m1_lo, m1_hi]  <=>  n - m1_hi <= sv < n - m1_lo;
+    # as offsets from base_v: sv in [lo, hi), clipped to [0, top]
+    lo = np.clip(np.ceil((n - m1_hi) - su) - base_v, 0, top).astype(np.int64)
+    hi = np.clip(np.ceil((n - m1_lo) - su) - base_v, 0, top).astype(np.int64)
+    terms = conv_u * (prefix_v[hi] - prefix_v[lo])
+    terms[hi <= lo] = 0.0
+    return float(np.add.accumulate(terms)[-1])

@@ -258,6 +258,12 @@ def test_exit_code_resource_error(capsys):
     assert code == 2 and "term budget" in err
 
 
+def test_singular_series_cutoff_budget(capsys):
+    code, out, err = run_cli(capsys, "singular-series", "--n", "5", "--cutoff", "1000000000")
+    assert code == 2 and out == ""
+    assert "residue budget" in err and "Traceback" not in err
+
+
 def test_output_file(tmp_path, capsys):
     out_path = tmp_path / "result.json"
     code, out, _ = run_cli(capsys, "k-threshold", "--out", str(out_path))

@@ -6,6 +6,7 @@ import pytest
 
 from glinnik import (
     DomainError,
+    ResourceError,
     cubic_C3,
     local_A,
     multiplicative,
@@ -13,6 +14,7 @@ from glinnik import (
     singular_series,
 )
 from glinnik import local
+from glinnik.arith import _base_primes, is_prime
 
 
 def direct_C1(q: int, a: int) -> complex:
@@ -60,12 +62,38 @@ def composite_b_row(q: int, mu: int) -> np.ndarray:
     return mu * np.fft.fft(g)
 
 
+def prime_a_row(p: int) -> np.ndarray:
+    """A(m, p) over all residues m of a prime p, by two length-p DFTs.
+
+    This is the prime row local_A used before its closed form: C3(p, .)
+    is the transform of the cube-residue histogram, and transforming its
+    masked fourth power back gives B(m, p) for every m.
+    """
+    return composite_b_row(p, -1).real / float(p - 1) ** 5
+
+
+def composite_b_at(n: int, q: int, mu: int) -> complex:
+    """B(n, q) for squarefree q: C3(q, .) from one length-q DFT, then one dot product.
+
+    The modulus is never split into primes, so this stays independent of
+    local_A; a*n is reduced mod q in int64 before the phase is formed.
+    """
+    h = np.arange(q, dtype=np.int64)
+    mask = np.gcd(h, q) == 1
+    cubes = (h * h % q) * h % q
+    r = np.bincount(cubes[mask], minlength=q).astype(np.float64)
+    a = h[mask]
+    c3 = (np.fft.ifft(r) * q)[a]
+    phase = np.exp(-2j * math.pi * (a * (n % q) % q / q))
+    return mu * complex(np.dot(c3**4, phase))
+
+
 def oracle_A(n: int, q: int) -> float:
-    """A(n, q) from the whole-modulus DFT, with its realness checked."""
+    """A(n, q) from the whole-modulus sum, with its realness checked."""
     _, mu, phi = multiplicative(q)
     if mu == 0:
         return 0.0
-    b = complex(composite_b_row(q, mu)[n % q])
+    b = composite_b_at(n, q, mu)
     assert abs(b.imag) <= 1e-6 * max(abs(b.real), (q - 1.0) ** 2.5)
     return b.real / phi**5
 
@@ -101,6 +129,21 @@ def test_cubic_against_direct_summation():
     for q in range(1, 41):
         for a in range(1, q + 1):
             assert cubic_C3(q, a) == pytest.approx(direct_C3(q, a), abs=1e-9)
+
+
+def test_cubic_against_direct_summation_larger_moduli():
+    # composite and non-squarefree q up to about 10^4, against the loop
+    rng = np.random.default_rng(37)
+    moduli = [997 * 7, 4 * 9 * 49 * 5, 8 * 27 * 7 * 5, 2 * 3 * 5 * 7 * 11 * 13, 9973, 10_000, 9_991]
+    moduli += [int(q) for q in rng.integers(100, 10_001, size=13)]
+    for q in moduli:
+        for a in {1, q, *(int(x) for x in rng.integers(1, q + 1, size=3))}:
+            assert cubic_C3(q, a) == pytest.approx(direct_C3(q, a), abs=1e-9)
+
+
+def test_cubic_modulus_budget():
+    with pytest.raises(ResourceError, match="residue budget"):
+        cubic_C3(local.MAX_RESIDUES + 1, 1)
 
 
 def test_local_A_examples():
@@ -156,10 +199,90 @@ def test_local_A_multiplicativity_sample():
 
 
 def test_local_A_uncached_large_prime_factor():
-    # 65537 > 2^16, so its row is built for the call and not retained
+    # 65537 is 2 mod 3, so its factor is a closed form that caches nothing
+    before = local._period_row.cache_info().currsize
     for n in (1, 65537, 123_456_789):
         assert_multiplicative(n, 6, 65537)
-    assert 65537 not in local._a_prime_rows
+    info = local._period_row.cache_info()
+    assert info.currsize == before
+    assert info.maxsize == local._PRIME_ROW_CACHE_SIZE
+
+
+def test_one_point_oracle_matches_the_row_oracle():
+    rng = np.random.default_rng(43)
+    for q in (2, 3, 7, 30, 91, 210, 997, 2 * 991, 3 * 5 * 7 * 11 * 13, 65537):
+        _, mu, _ = multiplicative(q)
+        row = composite_b_row(q, mu)
+        scale = float(np.abs(row).max())
+        for n in (0, 1, q - 1, *(int(x) for x in rng.integers(0, 10**7, size=5))):
+            assert abs(composite_b_at(n, q, mu) - row[n % q]) <= 1e-12 * scale
+
+
+def assert_rows_agree(p: int, ms, row: np.ndarray) -> None:
+    """Closed-form A(m, p) at the sampled m, within 1e-12 of the row's largest value."""
+    got = np.array([local._a_prime(int(m), p) for m in ms])
+    assert np.abs(got - row[ms]).max() <= 1e-12 * np.abs(row).max()
+
+
+def test_closed_form_rows_every_residue_small_primes():
+    for p in _base_primes(1 << 12):
+        p = int(p)
+        if p < 3000:
+            assert_rows_agree(p, np.arange(p), prime_a_row(p))
+
+
+def test_closed_form_rows_sampled_to_2e4():
+    rng = np.random.default_rng(47)
+    for p in _base_primes(1 << 15):
+        p = int(p)
+        if 3000 <= p <= 20_000:
+            ms = np.concatenate(([0, 1, p - 1], rng.integers(0, p, size=8)))
+            assert_rows_agree(p, ms, prime_a_row(p))
+
+
+def test_closed_form_rows_above_2_16_both_classes():
+    rng = np.random.default_rng(53)
+    primes = (65537, 65539, 99991, 100003, 120011, 131071)
+    assert {p % 3 for p in primes} == {1, 2}
+    for p in primes:
+        ms = np.concatenate(([0, 1, p - 1], rng.integers(0, p, size=20)))
+        assert_rows_agree(p, ms, prime_a_row(p))
+
+
+def period_cubic_constant(p: int) -> int:
+    """(p (L + 3) - 1) / 27, where 4p = L^2 + 27 M^2 and L = 1 mod 3."""
+    for M in range(1, math.isqrt(4 * p // 27) + 1):
+        sq = 4 * p - 27 * M * M
+        L = math.isqrt(sq)
+        if L * L == sq:
+            L = L if L % 3 == 1 else -L
+            return (p * (L + 3) - 1) // 27
+    raise AssertionError(f"no representation 4p = L^2 + 27 M^2 for p = {p}")
+
+
+def test_cubic_period_identities():
+    primes = [int(p) for p in _base_primes(1 << 15) if p % 3 == 1 and p <= 20_000]
+    for p in primes + [65539, 99991, 100003]:
+        (e0, e1, e2), omega = local._cubic_periods(p)
+        tol = 1e-9 * p
+        assert abs(e0 + e1 + e2 + 1.0) <= tol
+        assert abs(e0 * e1 + e1 * e2 + e2 * e0 + (p - 1) / 3) <= tol
+        # Gauss's period polynomial fixes the product as well
+        assert abs(e0 * e1 * e2 - period_cubic_constant(p)) <= tol * math.sqrt(p)
+        assert pow(omega, 3, p) == 1 and omega != 1
+
+
+def test_period_prime_budget():
+    cap = local.MAX_RESIDUES
+    period_prime = next(p for p in range(cap + 1, cap + 1000) if is_prime(p) and p % 3 == 1)
+    with pytest.raises(ResourceError, match="residue budget"):
+        local_A(5, period_prime)
+    with pytest.raises(ResourceError, match="residue budget"):
+        local_A(5, 2 * period_prime)
+    # primes congruent to 2 mod 3 need no residue array and stay unbounded
+    other = next(p for p in range(cap + 1, cap + 1000) if is_prime(p) and p % 3 == 2)
+    assert local_A(5, other).A == 1.0 / float(other - 1) ** 5
+    assert local_A(other, other).A == -1.0 / float(other - 1) ** 4
 
 
 def test_series_factor_at_two():
@@ -193,3 +316,13 @@ def test_series_matches_q_sum_oracle():
 def test_series_validation_errors():
     with pytest.raises(DomainError):
         singular_series(5, 2)
+
+
+def test_series_cutoff_budget_checked_before_sieving(monkeypatch):
+    def no_sieve(limit):
+        raise AssertionError(f"sieved up to {limit}")
+
+    monkeypatch.setattr(local, "_base_primes", no_sieve)
+    for cutoff in (local.MAX_RESIDUES + 1, 10**9):
+        with pytest.raises(ResourceError, match="residue budget"):
+            singular_series(5, cutoff)

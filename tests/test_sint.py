@@ -133,3 +133,39 @@ def test_lattice_vs_monte_carlo_same_box():
 def test_lattice_budget():
     with pytest.raises(ResourceError, match="budget"):
         jn_exact_small(10**9, 51, 2, (0.0, 10**9))
+
+
+# jn_exact_small values as float hex, captured from the per-su loop it
+# replaced; windows cover the separable case, binding windows, the
+# (-1e30, split) outer window, an empty window and a reversed one
+LATTICE_PINS = [
+    (10**9, 2, 2, (0.0, 1e9), "0x1.3090e157c23cdp+10"),
+    (300, 2, 2, (0.0, 120.0), "0x1.bcfed1962d634p+5"),
+    (500, 2, 2, (50.0, 400.0), "0x1.c7d84f4e96969p+9"),
+    (16384, 8, 8, (0.0, 16384.0), "0x1.43af0d669801ap+18"),
+    (170385, 22, 13, (1.70385, 170385.0), "0x1.90007682f85e6p+22"),
+    (170385, 22, 13, (-1e30, 1.70385), "0x1.1518fbcdb46f0p+16"),
+    (169868, 22, 13, (1.6986800000000002, 169868.0), "0x1.8fbfcb90f868bp+22"),
+    (169868, 22, 13, (-1e30, 1.6986800000000002), "0x1.2543b84db0501p+16"),
+    (11625, 9, 6, (3487.5, 11625.0), "0x1.3c97a713c6e8ep+17"),
+    (11625, 9, 6, (-1e30, 3487.5), "0x1.2012b265f3107p+16"),
+    (11625, 9, 6, (-1e30, 1e30), "0x1.cca10046c071bp+17"),
+    (11625, 9, 6, (11625.0, 23250.0), "0x0.0p+0"),
+    (11625, 9, 6, (5813.0, 5812.75), "0x0.0p+0"),
+]
+
+
+@pytest.mark.parametrize("n, U, V, window, pinned", LATTICE_PINS)
+def test_lattice_pinned_values(n, U, V, window, pinned):
+    assert jn_exact_small(n, U, V, window).hex() == pinned
+
+
+def test_lattice_unbounded_window_is_the_full_mass():
+    n, U, V = 11625, 9, 6
+    assert jn_exact_small(n, U, V, (-math.inf, math.inf)) == jn_exact_small(n, U, V, (-1e30, 1e30))
+
+
+def test_lattice_nan_window_is_a_domain_error():
+    for window in ((math.nan, 10.0), (0.0, math.nan)):
+        with pytest.raises(DomainError):
+            jn_exact_small(500, 2, 2, window)
