@@ -281,7 +281,8 @@ def read_prime_cache(path: str | Path) -> PrimeTable:
     """Read a cache file written by write_prime_cache.
 
     Raises:
-        DomainError: malformed header or non-ascending entries
+        DomainError: malformed header, a line that is not an integer, or
+            non-ascending entries
     """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
@@ -289,7 +290,18 @@ def read_prime_cache(path: str | Path) -> PrimeTable:
         if m is None:
             raise DomainError(f"bad prime cache header: {header!r}")
         lo, hi = int(m.group(1)), int(m.group(2))
-        primes = np.array([int(line) for line in fh if line.strip()], dtype=np.int64)
+        entries = []
+        for lineno, line in enumerate(fh, 2):
+            try:
+                if line.strip():
+                    entries.append(int(line))
+            except ValueError:
+                msg = f"prime cache line {lineno} is not an integer: {line.strip()!r}"
+                raise DomainError(msg) from None
+    try:
+        primes = np.array(entries, dtype=np.int64)
+    except OverflowError:
+        raise DomainError("prime cache entries must lie below 2^63") from None
     if primes.size and (np.any(np.diff(primes) <= 0) or primes[0] < lo or primes[-1] > hi):
         raise DomainError("prime cache entries must be strictly increasing inside [lo, hi]")
     return PrimeTable(lo, hi, primes)

@@ -20,6 +20,7 @@ from .expsums import ProblemParams, _half_spectrum, _require_finite, eval_G
 from .parallel import map_ordered
 
 DEFAULT_NODE_BUDGET = 5_000_000
+MAX_SHIFT_COUNT = 1 << 12  # k! is formed before any pruning; the paper's k is 231
 MAX_JSUM_N = 10**7
 MAX_JSUM_LCAP = 24
 
@@ -71,6 +72,8 @@ def _power_multisets(k: int, v_max: int, s_allow: float, node_budget: int):
     lexicographic order of their non-decreasing exponent tuples, which is
     more copies of v before fewer.
     """
+    if k > MAX_SHIFT_COUNT:
+        raise ResourceError(f"k={k} exceeds the shift-count budget (k <= {MAX_SHIFT_COUNT})")
     fact = math.factorial(k)
     nodes = 0
 

@@ -16,7 +16,6 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
@@ -46,54 +45,46 @@ from .pipeline import (
 from .search import find_pair_witness, find_witness, rho_counts
 from .sint import SingularIntegralEstimate, jn_closed_form, jn_exact_small, jn_monte_carlo
 
-_CONFIG_KEYS = (
-    ("n1", int),
-    ("n2", int),
-    ("delta", float),
-    ("omega", float),
-    ("eta", float),
-    ("lambda", float),
-    ("epsilon", float),
-    ("k", int),
-    ("threads", int),
-    ("seed", int),
-    ("cache", bool),
-)
 
-
-@dataclass
+@dataclasses.dataclass
 class RunConfig:
-    """Effective run parameters; canonical text form round-trips exactly."""
+    """Effective run parameters; canonical text form round-trips exactly.
+
+    The fields are the config keys, in order, each typed by its default;
+    a field's `key` metadata is its spelling in files, flags and JSON.
+    """
 
     n1: int = 1_000_003
     n2: int = 1_000_003
     delta: float = 1e-4
     omega: float = 1e-5
     eta: float = 5e-5
-    lam: float = LAMBDA_DEFAULT
+    lam: float = dataclasses.field(default=LAMBDA_DEFAULT, metadata={"key": "lambda"})
     epsilon: float = 1e-10
     k: int = 231
     threads: int = 0  # 0 means all available cores
     seed: int = 20240901
     cache: bool = True
 
-    @staticmethod
-    def _field_name(key: str) -> str:
-        return "lam" if key == "lambda" else key
+    @classmethod
+    def config_keys(cls) -> list[tuple[str, str, type]]:
+        """(config key, field name, type) for every field."""
+        return [
+            (f.metadata.get("key", f.name), f.name, type(f.default))
+            for f in dataclasses.fields(cls)
+        ]
 
     def to_text(self) -> str:
         lines = []
-        for key, typ in _CONFIG_KEYS:
-            val = getattr(self, self._field_name(key))
-            if typ is bool:
-                lines.append(f"{key} = {'true' if val else 'false'}")
-            else:
-                lines.append(f"{key} = {val!r}")
+        for key, name, typ in self.config_keys():
+            val = getattr(self, name)
+            text = ("true" if val else "false") if typ is bool else repr(val)
+            lines.append(f"{key} = {text}")
         return "\n".join(lines) + "\n"
 
     @classmethod
     def from_text(cls, text: str) -> "RunConfig":
-        known = {key: typ for key, typ in _CONFIG_KEYS}
+        known = {key: (name, typ) for key, name, typ in cls.config_keys()}
         kwargs = {}
         for lineno, raw in enumerate(text.splitlines(), 1):
             line = raw.strip()
@@ -104,7 +95,7 @@ class RunConfig:
             key, _, val = (part.strip() for part in line.partition("="))
             if key not in known:
                 raise DomainError(f"unknown config key {key!r} on line {lineno}")
-            typ = known[key]
+            name, typ = known[key]
             if typ is bool:
                 if val not in ("true", "false"):
                     raise DomainError(f"config key {key!r} must be true/false")
@@ -115,7 +106,7 @@ class RunConfig:
                 except ValueError:
                     msg = f"config key {key!r} must be {typ.__name__}, got {val!r}"
                     raise DomainError(msg) from None
-            kwargs[cls._field_name(key)] = parsed
+            kwargs[name] = parsed
         return cls(**kwargs)
 
     def validate(self) -> None:
@@ -133,24 +124,18 @@ class RunConfig:
             (0.0 < self.omega < 1.0, "omega must lie in (0, 1)"),
             (0.0 < self.eta <= 1.0, "eta must lie in (0, 1]"),
             (self.lam >= 0.0, "lambda must be >= 0"),
+            (0.0 < self.epsilon < 1.0 / 18.0, "epsilon must lie in (0, 1/18)"),
             (self.k >= 1, "k must be >= 1"),
             (self.threads >= 0, "threads must be >= 0"),
+            (self.seed >= 0, "seed must be >= 0"),
         )
         for ok, message in checks:
             if not ok:
                 raise DomainError(f"config: {message}")
 
     def params(self) -> ProblemParams:
-        return ProblemParams(
-            n1=self.n1,
-            n2=self.n2,
-            delta=self.delta,
-            omega=self.omega,
-            eta=self.eta,
-            lam=self.lam,
-            epsilon=self.epsilon,
-            k=self.k,
-        )
+        shared = {f.name for f in dataclasses.fields(ProblemParams)}
+        return ProblemParams(**{name: v for name, v in vars(self).items() if name in shared})
 
     def effective_threads(self) -> int:
         return self.threads if self.threads > 0 else (os.cpu_count() or 1)
@@ -158,11 +143,254 @@ class RunConfig:
     def audit(self) -> dict:
         # threads is execution-only: results are thread-invariant by
         # contract, so recording it would break byte-level reproducibility
-        out = {}
-        for key, _ in _CONFIG_KEYS:
-            if key != "threads":
-                out[key] = getattr(self, self._field_name(key))
-        return out
+        keys = self.config_keys()
+        return {key: getattr(self, name) for key, name, _ in keys if key != "threads"}
+
+
+def _load_config(args) -> RunConfig:
+    cfg = RunConfig()
+    if args.config:
+        cfg = RunConfig.from_text(args.config.read_text(encoding="utf-8"))
+    overrides = {}
+    for key, name, typ in RunConfig.config_keys():
+        val = getattr(args, f"cfg_{key}")
+        if val is not None:
+            overrides[name] = (val == "true") if typ is bool else val
+    cfg = dataclasses.replace(cfg, **overrides)
+    cfg.validate()
+    return cfg
+
+
+# Each handler takes (args, cfg) and returns (JSON payload, CSV rows or None),
+# the CSV header being the first row.  Handlers reach the library through
+# this module's globals, so rebinding one of them reroutes every subcommand.
+
+
+def _cmd_sieve(args, cfg: RunConfig):
+    cache_file = args.cache_file
+    table = None
+    if cache_file and cfg.cache and cache_file.exists():
+        cached = read_prime_cache(cache_file)
+        if cached.lo == args.lo and cached.hi == args.hi:
+            table = cached
+    if table is None:
+        table = sieve_range(args.lo, args.hi, threads=cfg.effective_threads())
+        if cache_file and cfg.cache:
+            write_prime_cache(cache_file, table)
+    primes = table.primes.tolist()
+    payload = {
+        "lo": table.lo,
+        "hi": table.hi,
+        "count": len(table),
+        "primes": primes,
+    }
+    return payload, [("p",), *zip(primes)]
+
+
+def _cmd_eval(args, cfg: RunConfig):
+    if (args.alpha is None) == (args.grid is None):
+        raise DomainError("eval needs exactly one of --alpha or --grid")
+    params, kind = cfg.params(), args.kind
+    if kind == "linear":
+        source = linear_table(params, args.i)
+    elif kind == "binary":
+        source = params.L
+    else:
+        source = dyadic_table(params.u(args.i) if kind == "cube_u" else params.v(args.i))
+    if args.grid is not None:
+        rows = list(grid_rows(kind, eval_grid(kind, source, args.grid)))
+        payload = {
+            "kind": kind,
+            "grid": args.grid,
+            "rows": rows,
+        }
+        return payload, [("j", "alpha", "re", "im"), *rows]
+    if kind == "linear":
+        value = eval_linear(params, args.i, args.alpha, table=source)
+    elif kind == "binary":
+        value = eval_G(source, args.alpha)
+    else:
+        value = eval_cube(source, args.alpha)
+    return {"kind": kind, "alpha": args.alpha, "re": value.real, "im": value.imag}, None
+
+
+def _cmd_arcs(args, cfg: RunConfig):
+    label = classify_arc(cfg.params(), args.i, args.alpha)
+    return {"alpha": args.alpha, "arc": label.kind, "a": label.a, "q": label.q}, None
+
+
+def _cmd_singular_series(args, cfg: RunConfig):
+    ts = singular_series(args.n, args.cutoff)
+    payload = {
+        "n": ts.n,
+        "cutoff": ts.prime_cutoff,
+        "value": ts.value,
+        "factors": ts.factors,
+        "anomalies": ts.anomalies,
+    }
+    return payload, None
+
+
+def _cmd_singular_integral(args, cfg: RunConfig):
+    params = cfg.params()
+    N = params.n(args.i)
+    n = args.n if args.n is not None else N
+    if args.method == "monte_carlo":
+        est = jn_monte_carlo(
+            n, params, args.i, args.samples, cfg.seed, threads=cfg.effective_threads()
+        )
+        return dataclasses.asdict(est), None
+    if args.method == "closed_form":
+        n, value, normalized = args.n, None, jn_closed_form(params.delta)
+    else:
+        if args.u is None or args.v is None:
+            raise DomainError("exact_lattice needs --u and --v")
+        value = jn_exact_small(n, args.u, args.v, (params.omega * n, float(n)))
+        normalized = value / N ** (11.0 / 9.0)
+    est = SingularIntegralEstimate(
+        n=n,
+        N=N,
+        value=value,
+        normalized=normalized,
+        method=args.method,
+        stderr=0.0,
+    )
+    return dataclasses.asdict(est), None
+
+
+def _cmd_xi(args, cfg: RunConfig):
+    xi = enum_Xi(args.n, cfg.k, cfg.eta, args.vmax)
+    payload = {
+        "n": xi.N,
+        "k": xi.k,
+        "eta": xi.eta,
+        "vmax": xi.L,
+        "values": xi.values,
+        "entries": xi.entries,
+        "total_multiplicity": xi.total_multiplicity(),
+    }
+    return payload, [("n", "count"), *xi.entries]
+
+
+def _cmd_measure(args, cfg: RunConfig):
+    est = measure_sigma(cfg.lam, args.l, args.grid)
+    payload = {
+        "lambda": est.lam,
+        "l": est.L,
+        "grid": est.grid,
+        "measure": est.measure,
+        "empirical_exponent": est.empirical_exponent,
+    }
+    return payload, None
+
+
+def _cmd_jsum(args, cfg: RunConfig):
+    res = j_sum_exact(cfg.params(), args.lcap, threads=cfg.effective_threads())
+    return {**dataclasses.asdict(res), "asserted": False}, None
+
+
+def _cmd_rho(args, cfg: RunConfig):
+    res = rho_counts(args.u, args.v)
+    payload = {
+        "u": res.U,
+        "v": res.V,
+        "quadruples": res.quadruples,
+        "max_count": res.max_count,
+        "bound_ratio": res.bound_ratio,
+        "counts": sorted(res.counts.items()),
+        "asserted": False,
+    }
+    return payload, None
+
+
+def _witness_payload(w) -> dict | None:
+    if w is None:
+        return None
+    return {
+        "n": w.N,
+        "p1": w.p1,
+        "cubes": w.cubes,
+        "powers": w.powers,
+        "residual": w.residual(),
+    }
+
+
+def _cmd_search(args, cfg: RunConfig):
+    w = find_witness(args.n, cfg.k, args.mode)
+    return {"n": args.n, "k": cfg.k, "mode": args.mode, "witness": _witness_payload(w)}, None
+
+
+def _cmd_pair_search(args, cfg: RunConfig):
+    pw = find_pair_witness(cfg.n1, cfg.n2, cfg.k, args.mode)
+    payload = {
+        "n1": cfg.n1,
+        "n2": cfg.n2,
+        "k": cfg.k,
+        "mode": args.mode,
+        "witness1": _witness_payload(pw.w1 if pw else None),
+        "witness2": _witness_payload(pw.w2 if pw else None),
+    }
+    return payload, None
+
+
+def _cmd_k_threshold(args, cfg: RunConfig):
+    ledger = ConstantsLedger()
+    c1 = args.c1 if args.c1 is not None else ledger.r1_coeff
+    c2 = args.c2 if args.c2 is not None else ledger.r3_coeff
+    k = k_threshold(c1, c2, cfg.lam)
+    return {"c1": c1, "c2": c2, "lambda": cfg.lam, "k_threshold": k}, None
+
+
+def _cmd_report(args, cfg: RunConfig):
+    payload = full_report(
+        cfg.params(), ReportBudgets(), seed=cfg.seed, threads=cfg.effective_threads()
+    )
+    return payload, None
+
+
+def _flag(*names: str, **kwargs) -> tuple:
+    """One flag as (names, add_argument kwargs)."""
+    return names, kwargs
+
+
+def _req(name: str, typ) -> tuple:
+    return _flag(name, type=typ, required=True)
+
+
+_I = _flag("--i", type=int, default=1, choices=(1, 2))
+_MODE = _flag("--mode", choices=("free", "paper_ranges"), default="free")
+_KINDS = ("linear", "cube_u", "cube_v", "binary")
+_METHODS = ("closed_form", "monte_carlo", "exact_lattice")
+_LATTICE = "lattice block scale (exact_lattice)"
+
+# The CLI grammar: one row per subcommand, in help order, holding
+# (name, help, flags as (names, add_argument kwargs), handler).
+SUBCOMMANDS = (
+    ("sieve", "primes in [lo, hi]",
+     (_req("--lo", int), _req("--hi", int), _flag("--cache-file", type=Path)), _cmd_sieve),
+    ("eval", "evaluate one generating sum",
+     (_flag("--kind", choices=_KINDS, required=True), _I, _flag("--alpha", type=float),
+      _flag("--grid", type=int)), _cmd_eval),
+    ("arcs", "classify a point as major/minor", (_I, _req("--alpha", float)), _cmd_arcs),
+    ("singular-series", "truncated series at n",
+     (_req("--n", int), _flag("--cutoff", type=int, default=10_000)), _cmd_singular_series),
+    ("singular-integral", "integral estimate at n",
+     (_flag("--n", type=int), _I, _flag("--method", choices=_METHODS, default="monte_carlo"),
+      _flag("--samples", type=int, default=1_000_000), _flag("--u", type=int, help=_LATTICE),
+      _flag("--v", type=int, help=_LATTICE)), _cmd_singular_integral),
+    ("xi", "admissible window values",
+     (_flag("--n", "--N", dest="n", type=int, required=True), _req("--vmax", float)), _cmd_xi),
+    ("measure", "level-set measure of the binary sum",
+     (_flag("--l", type=float, default=20.0), _flag("--grid", type=int, default=1 << 20)),
+     _cmd_measure),
+    ("jsum", "exact shift-quadruple pair sum", (_req("--lcap", int),), _cmd_jsum),
+    ("rho", "cube-difference counts", (_req("--u", int), _req("--v", int)), _cmd_rho),
+    ("search", "representation witness for one target", (_req("--n", int), _MODE), _cmd_search),
+    ("pair-search", "shared-shift witnesses for a pair", (_MODE,), _cmd_pair_search),
+    ("k-threshold", "least admissible shift count",
+     (_flag("--c1", type=float), _flag("--c2", type=float)), _cmd_k_threshold),
+    ("report", "end-to-end report", (), _cmd_report),
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -178,315 +406,16 @@ def _build_parser() -> _Parser:
     common.add_argument("--config", type=Path, help="key = value config file")
     common.add_argument("--out", type=Path, help="output path (default stdout)")
     common.add_argument("--csv", action="store_true", help="CSV output where supported")
-    for key, typ in _CONFIG_KEYS:
-        if typ is bool:
-            common.add_argument(f"--{key}", dest=f"cfg_{key}", choices=("true", "false"))
-        else:
-            common.add_argument(f"--{key}", dest=f"cfg_{key}", type=typ)
-
+    for key, _, typ in RunConfig.config_keys():
+        domain = dict(choices=("true", "false")) if typ is bool else dict(type=typ)
+        common.add_argument(f"--{key}", dest=f"cfg_{key}", **domain)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("sieve", parents=[common], help="primes in [lo, hi]")
-    p.add_argument("--lo", type=int, required=True)
-    p.add_argument("--hi", type=int, required=True)
-    p.add_argument("--cache-file", type=Path)
-
-    p = sub.add_parser("eval", parents=[common], help="evaluate one generating sum")
-    p.add_argument("--kind", choices=("linear", "cube_u", "cube_v", "binary"), required=True)
-    p.add_argument("--i", type=int, default=1, choices=(1, 2))
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--grid", type=int)
-
-    p = sub.add_parser("arcs", parents=[common], help="classify a point as major/minor")
-    p.add_argument("--i", type=int, default=1, choices=(1, 2))
-    p.add_argument("--alpha", type=float, required=True)
-
-    p = sub.add_parser("singular-series", parents=[common], help="truncated series at n")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--cutoff", type=int, default=10_000)
-
-    p = sub.add_parser("singular-integral", parents=[common], help="integral estimate at n")
-    p.add_argument("--n", type=int)
-    p.add_argument("--i", type=int, default=1, choices=(1, 2))
-    p.add_argument(
-        "--method",
-        choices=("closed_form", "monte_carlo", "exact_lattice"),
-        default="monte_carlo",
-    )
-    p.add_argument("--samples", type=int, default=1_000_000)
-    p.add_argument("--u", type=int, help="lattice block scale (exact_lattice)")
-    p.add_argument("--v", type=int, help="lattice block scale (exact_lattice)")
-
-    p = sub.add_parser("xi", parents=[common], help="admissible window values")
-    p.add_argument("--n", "--N", dest="n", type=int, required=True)
-    p.add_argument("--vmax", type=float, required=True)
-
-    p = sub.add_parser("measure", parents=[common], help="level-set measure of the binary sum")
-    p.add_argument("--l", type=float, default=20.0)
-    p.add_argument("--grid", type=int, default=1 << 20)
-
-    p = sub.add_parser("jsum", parents=[common], help="exact shift-quadruple pair sum")
-    p.add_argument("--lcap", type=int, required=True)
-
-    p = sub.add_parser("rho", parents=[common], help="cube-difference counts")
-    p.add_argument("--u", type=int, required=True)
-    p.add_argument("--v", type=int, required=True)
-
-    p = sub.add_parser("search", parents=[common], help="representation witness for one target")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--mode", choices=("free", "paper_ranges"), default="free")
-
-    p = sub.add_parser("pair-search", parents=[common], help="shared-shift witnesses for a pair")
-    p.add_argument("--mode", choices=("free", "paper_ranges"), default="free")
-
-    p = sub.add_parser("k-threshold", parents=[common], help="least admissible shift count")
-    p.add_argument("--c1", type=float)
-    p.add_argument("--c2", type=float)
-
-    sub.add_parser("report", parents=[common], help="end-to-end report")
+    for name, help_text, flags, handler in SUBCOMMANDS:
+        p = sub.add_parser(name, parents=[common], help=help_text)
+        for names, kwargs in flags:
+            p.add_argument(*names, **kwargs)
+        p.set_defaults(run=handler)
     return parser
-
-
-def _load_config(args) -> RunConfig:
-    cfg = RunConfig()
-    if getattr(args, "config", None):
-        cfg = RunConfig.from_text(Path(args.config).read_text(encoding="utf-8"))
-    overrides = {}
-    for key, typ in _CONFIG_KEYS:
-        val = getattr(args, f"cfg_{key}", None)
-        if val is None:
-            continue
-        overrides[RunConfig._field_name(key)] = (val == "true") if typ is bool else val
-    cfg = dataclasses.replace(cfg, **overrides)
-    cfg.validate()
-    return cfg
-
-
-def _emit(payload, args, csv_rows=None, csv_header=None) -> None:
-    if getattr(args, "csv", False):
-        if csv_rows is None:
-            raise DomainError(f"--csv is not supported for {args.command!r}")
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(csv_header)
-        writer.writerows(csv_rows)
-        text = buf.getvalue()
-    else:
-        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
-    if getattr(args, "out", None):
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
-
-
-def _cmd_sieve(args, cfg: RunConfig):
-    cache_file = args.cache_file
-    table = None
-    if cache_file and cfg.cache and cache_file.exists():
-        cached = read_prime_cache(cache_file)
-        if cached.lo == args.lo and cached.hi == args.hi:
-            table = cached
-    if table is None:
-        table = sieve_range(args.lo, args.hi, threads=cfg.effective_threads())
-        if cache_file and cfg.cache:
-            write_prime_cache(cache_file, table)
-    payload = {
-        "lo": table.lo,
-        "hi": table.hi,
-        "count": len(table),
-        "primes": [int(p) for p in table.primes],
-    }
-    return payload, [(int(p),) for p in table.primes], ("p",)
-
-
-def _eval_source(kind: str, cfg: RunConfig, i: int):
-    params = cfg.params()
-    if kind == "linear":
-        return params, linear_table(params, i)
-    if kind == "cube_u":
-        return params, dyadic_table(params.u(i))
-    if kind == "cube_v":
-        return params, dyadic_table(params.v(i))
-    return params, params.L
-
-
-def _cmd_eval(args, cfg: RunConfig):
-    if (args.alpha is None) == (args.grid is None):
-        raise DomainError("eval needs exactly one of --alpha or --grid")
-    params, source = _eval_source(args.kind, cfg, args.i)
-    if args.grid is not None:
-        grid = eval_grid(args.kind, source, args.grid)
-        rows = list(grid_rows(args.kind, grid))
-        payload = {
-            "kind": args.kind,
-            "grid": args.grid,
-            "rows": [[j, a, re, im] for j, a, re, im in rows],
-        }
-        return payload, rows, ("j", "alpha", "re", "im")
-    if args.kind == "linear":
-        value = eval_linear(params, args.i, args.alpha, table=source)
-    elif args.kind == "binary":
-        value = eval_G(source, args.alpha)
-    else:
-        value = eval_cube(source, args.alpha)
-    payload = {"kind": args.kind, "alpha": args.alpha, "re": value.real, "im": value.imag}
-    return payload, None, None
-
-
-def _cmd_arcs(args, cfg: RunConfig):
-    label = classify_arc(cfg.params(), args.i, args.alpha)
-    return {"alpha": args.alpha, "arc": label.kind, "a": label.a, "q": label.q}, None, None
-
-
-def _cmd_singular_series(args, cfg: RunConfig):
-    ts = singular_series(args.n, args.cutoff)
-    payload = {
-        "n": ts.n,
-        "cutoff": ts.prime_cutoff,
-        "value": ts.value,
-        "factors": [[p, f] for p, f in ts.factors],
-        "anomalies": [[p, f] for p, f in ts.anomalies],
-    }
-    return payload, None, None
-
-
-def _cmd_singular_integral(args, cfg: RunConfig):
-    params = cfg.params()
-    N = params.n(args.i)
-    n = args.n if args.n is not None else N
-    if args.method == "closed_form":
-        est = SingularIntegralEstimate(
-            n=args.n,
-            N=N,
-            value=None,
-            normalized=jn_closed_form(params.delta),
-            method="closed_form",
-            stderr=0.0,
-        )
-    elif args.method == "exact_lattice":
-        if args.u is None or args.v is None:
-            raise DomainError("exact_lattice needs --u and --v")
-        value = jn_exact_small(n, args.u, args.v, (params.omega * n, float(n)))
-        est = SingularIntegralEstimate(
-            n=n,
-            N=N,
-            value=value,
-            normalized=value / N ** (11.0 / 9.0),
-            method="exact_lattice",
-            stderr=0.0,
-        )
-    else:
-        est = jn_monte_carlo(
-            n, params, args.i, args.samples, cfg.seed, threads=cfg.effective_threads()
-        )
-    return dataclasses.asdict(est), None, None
-
-
-def _cmd_xi(args, cfg: RunConfig):
-    xi = enum_Xi(args.n, cfg.k, cfg.eta, args.vmax)
-    payload = {
-        "n": xi.N,
-        "k": xi.k,
-        "eta": xi.eta,
-        "vmax": xi.L,
-        "values": list(xi.values),
-        "entries": [[n, c] for n, c in xi.entries],
-        "total_multiplicity": xi.total_multiplicity(),
-    }
-    return payload, [(n, c) for n, c in xi.entries], ("n", "count")
-
-
-def _cmd_measure(args, cfg: RunConfig):
-    est = measure_sigma(cfg.lam, args.l, args.grid)
-    payload = {
-        "lambda": est.lam,
-        "l": est.L,
-        "grid": est.grid,
-        "measure": est.measure,
-        "empirical_exponent": est.empirical_exponent,
-    }
-    return payload, None, None
-
-
-def _cmd_jsum(args, cfg: RunConfig):
-    res = j_sum_exact(cfg.params(), args.lcap, threads=cfg.effective_threads())
-    return {**dataclasses.asdict(res), "asserted": False}, None, None
-
-
-def _cmd_rho(args, cfg: RunConfig):
-    res = rho_counts(args.u, args.v)
-    payload = {
-        "u": res.U,
-        "v": res.V,
-        "quadruples": res.quadruples,
-        "max_count": res.max_count,
-        "bound_ratio": res.bound_ratio,
-        "counts": [[n, c] for n, c in sorted(res.counts.items())],
-        "asserted": False,
-    }
-    return payload, None, None
-
-
-def _witness_payload(w) -> dict | None:
-    if w is None:
-        return None
-    return {
-        "n": w.N,
-        "p1": w.p1,
-        "cubes": list(w.cubes),
-        "powers": list(w.powers),
-        "residual": w.residual(),
-    }
-
-
-def _cmd_search(args, cfg: RunConfig):
-    w = find_witness(args.n, cfg.k, args.mode)
-    return {"n": args.n, "k": cfg.k, "mode": args.mode, "witness": _witness_payload(w)}, None, None
-
-
-def _cmd_pair_search(args, cfg: RunConfig):
-    pw = find_pair_witness(cfg.n1, cfg.n2, cfg.k, args.mode)
-    payload = {
-        "n1": cfg.n1,
-        "n2": cfg.n2,
-        "k": cfg.k,
-        "mode": args.mode,
-        "witness1": _witness_payload(pw.w1 if pw else None),
-        "witness2": _witness_payload(pw.w2 if pw else None),
-    }
-    return payload, None, None
-
-
-def _cmd_k_threshold(args, cfg: RunConfig):
-    ledger = ConstantsLedger()
-    c1 = args.c1 if args.c1 is not None else ledger.r1_coeff
-    c2 = args.c2 if args.c2 is not None else ledger.r3_coeff
-    k = k_threshold(c1, c2, cfg.lam)
-    return {"c1": c1, "c2": c2, "lambda": cfg.lam, "k_threshold": k}, None, None
-
-
-def _cmd_report(args, cfg: RunConfig):
-    payload = full_report(
-        cfg.params(), ReportBudgets(), seed=cfg.seed, threads=cfg.effective_threads()
-    )
-    return payload, None, None
-
-
-_COMMANDS = {
-    "sieve": _cmd_sieve,
-    "eval": _cmd_eval,
-    "arcs": _cmd_arcs,
-    "singular-series": _cmd_singular_series,
-    "singular-integral": _cmd_singular_integral,
-    "xi": _cmd_xi,
-    "measure": _cmd_measure,
-    "jsum": _cmd_jsum,
-    "rho": _cmd_rho,
-    "search": _cmd_search,
-    "pair-search": _cmd_pair_search,
-    "k-threshold": _cmd_k_threshold,
-    "report": _cmd_report,
-}
 
 
 def main(argv=None) -> int:
@@ -497,17 +426,28 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 64
     try:
         cfg = _load_config(args)
-        payload, rows, header = _COMMANDS[args.command](args, cfg)
-        if isinstance(payload, dict):
+        payload, rows = args.run(args, cfg)
+        if not args.csv:
             payload = {**payload, "config": cfg.audit()}
-        _emit(payload, args, rows, header)
+            text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        elif rows is None:
+            raise DomainError(f"--csv is not supported for {args.command!r}")
+        else:
+            buf = io.StringIO()
+            csv.writer(buf).writerows(rows)
+            text = buf.getvalue()
+        if args.out:
+            args.out.write_text(text, encoding="utf-8")
+        else:
+            sys.stdout.write(text)
     except DomainError as exc:
         print(f"glinnik: domain error: {exc}", file=sys.stderr)
         return 1
     except ResourceError as exc:
         print(f"glinnik: resource error: {exc}", file=sys.stderr)
         return 2
-    except ToolkitError as exc:
+    except (ToolkitError, OSError, UnicodeDecodeError) as exc:
+        # I/O on --config, --out and cache files; a config that is not UTF-8
         print(f"glinnik: error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -76,7 +76,9 @@ class ProblemParams:
             raise DomainError("omega must lie in (0, 1)")
         if not 0.0 < self.eta < 1.0:
             raise DomainError("eta must lie in (0, 1)")
-        _require_finite(delta=self.delta, lam=self.lam)
+        _require_finite(delta=self.delta, lam=self.lam, epsilon=self.epsilon)
+        if not 0.0 < self.epsilon < 1.0 / 18.0:  # keeps the exponent of p_max positive
+            raise DomainError(f"epsilon must lie in (0, 1/18), got {self.epsilon}")
         if not self.delta > 0.0:
             raise DomainError(f"delta must be > 0, got {self.delta}")
         if not 0.0 < self.lam <= 1.0:

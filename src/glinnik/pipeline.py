@@ -100,7 +100,8 @@ def k_threshold(c1: float, c2: float, lam: float) -> int:
     if c1 > c2:
         k = 2
     else:
-        k = 2 + max(0, math.floor(math.log(c1 / c2) / math.log(lam)) - 1)
+        # log c1 - log c2, not log(c1 / c2): the quotient can underflow to 0
+        k = 2 + max(0, math.floor((math.log(c1) - math.log(c2)) / math.log(lam)) - 1)
     while not positive(k):
         k += 1
     while k > 2 and positive(k - 1):

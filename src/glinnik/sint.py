@@ -21,6 +21,7 @@ from .expsums import ProblemParams
 from .parallel import map_ordered
 
 MC_BATCH = 1 << 16
+MAX_MC_SAMPLES = 1 << 30
 _MAX_LATTICE_U = 50
 
 
@@ -76,13 +77,21 @@ def jn_monte_carlo_box(
 
     Batches draw from seeds spawned off the master seed and are reduced in
     batch order, so the estimate is identical for every thread count.
+
+    Raises:
+        DomainError: samples < 1, seed < 0, or a box of zero volume
+        ResourceError: samples beyond MAX_MC_SAMPLES
     """
     if samples < 1:
         raise DomainError("samples must be >= 1")
+    if seed < 0:
+        raise DomainError("seed must be >= 0")
     u3_lo, u3_hi, v3_lo, v3_hi = box
     volume = (u3_hi - u3_lo) ** 2 * (v3_hi - v3_lo) ** 2
     if volume <= 0.0:
         raise DomainError("sampling box has zero volume")
+    if samples > MAX_MC_SAMPLES:
+        raise ResourceError(f"samples={samples} exceeds the Monte Carlo budget ({MAX_MC_SAMPLES})")
     counts = [MC_BATCH] * (samples // MC_BATCH)
     if samples % MC_BATCH:
         counts.append(samples % MC_BATCH)

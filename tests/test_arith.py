@@ -153,3 +153,11 @@ def test_prime_cache_rejects_bad_header(tmp_path):
     path.write_text("primes 1 10\n2\n", encoding="utf-8")
     with pytest.raises(DomainError):
         read_prime_cache(path)
+
+
+@pytest.mark.parametrize("entry", ["three", "2.5", "0x7", str(2**64)])
+def test_prime_cache_rejects_an_entry_that_is_not_an_int64(tmp_path, entry):
+    path = tmp_path / "bad.txt"
+    path.write_text(f"# primes lo=2 hi=30\n2\n{entry}\n", encoding="utf-8")
+    with pytest.raises(DomainError, match="line 3|below 2"):
+        read_prime_cache(path)

@@ -13,6 +13,7 @@ from glinnik import (
     measure_sigma,
     sieve_range,
 )
+from glinnik.binary import MAX_SHIFT_COUNT
 
 
 def exhaustive_xi(N, k, eta, v_max):
@@ -69,6 +70,18 @@ def test_enum_xi_validation_and_budget():
             enum_Xi(101, 2, eta, L)
         with pytest.raises(DomainError):
             count_pairs(101, 103, 2, eta, L)
+
+
+def test_shift_count_budget_fails_before_any_work(monkeypatch):
+    def no_factorial(k):
+        raise AssertionError("k! formed before the shift-count budget was checked")
+
+    monkeypatch.setattr(math, "factorial", no_factorial)
+    k = MAX_SHIFT_COUNT + 1
+    with pytest.raises(ResourceError, match="shift-count budget"):
+        enum_Xi(101, k, 0.1, 3.0)
+    with pytest.raises(ResourceError, match="shift-count budget"):
+        count_pairs(101, 103, k, 0.1, 3.0)
 
 
 def test_count_pairs_worked_example():

@@ -8,7 +8,7 @@ import pytest
 
 import glinnik
 from glinnik.arith import sieve_range
-from glinnik.cli import RunConfig, main
+from glinnik.cli import SUBCOMMANDS, RunConfig, main
 
 
 def run_cli(capsys, *argv):
@@ -211,6 +211,8 @@ def test_non_finite_input_is_a_domain_error(capsys, argv):
         ("--epsilon", "nan"),
         ("--k", "0"),
         ("--threads", "-1"),
+        ("--seed", "-1"),
+        ("--epsilon", "1e308"),
     ],
 )
 def test_bad_config_is_a_domain_error_for_every_subcommand(capsys, flags):
@@ -219,6 +221,34 @@ def test_bad_config_is_a_domain_error_for_every_subcommand(capsys, flags):
         code, out, err = run_cli(capsys, *argv, *flags)
         assert code == 1 and "domain error" in err, (argv, flags)
         assert out == "" and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", [row[0] for row in SUBCOMMANDS])
+def test_every_subcommand_has_help_and_rejects_unknown_flags(capsys, name):
+    code, out, _ = run_cli(capsys, name, "--help")
+    assert code == 0 and out.startswith("usage: glinnik " + name)
+    code, out, err = run_cli(capsys, name, "--no-such-flag")
+    assert code == 64 and out == "" and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("k-threshold", "--config", "{tmp}/missing.cfg"),
+        ("k-threshold", "--out", "{tmp}/missing/out.json"),
+        ("k-threshold", "--config", "{tmp}/latin1.cfg"),
+        ("singular-integral", "--samples", "1000", "--seed", "-1"),
+        ("sieve", "--lo", "2", "--hi", "30", "--cache-file", "{tmp}/bad_cache.txt"),
+        ("xi", "--n", "101", "--vmax", "3", "--k", "1000000"),
+        ("singular-integral", "--samples", str(10**15)),
+    ],
+)
+def test_hostile_argv_exits_with_an_error_line_not_a_traceback(tmp_path, capsys, argv):
+    (tmp_path / "latin1.cfg").write_bytes("# caf\xe9\nk = 231\n".encode("latin-1"))
+    (tmp_path / "bad_cache.txt").write_text("# primes lo=2 hi=30\n2\nthree\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, *(arg.format(tmp=tmp_path) for arg in argv))
+    assert code in (1, 2) and out == ""
+    assert err.startswith("glinnik: ") and "Traceback" not in err
 
 
 def test_eval_linear_sieves_once(capsys, monkeypatch):

@@ -77,6 +77,12 @@ def test_params_reject_bad_delta_and_lam(field, value):
         ProblemParams(n1=101, n2=101, **{field: value})
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1e-3, 1.0 / 18.0, 1e308])
+def test_params_reject_bad_epsilon(value):
+    with pytest.raises(DomainError, match="epsilon"):
+        ProblemParams(n1=101, n2=101, epsilon=value)
+
+
 def test_params_accept_edge_lam():
     assert ProblemParams(n1=101, n2=101, lam=1.0).lam == 1.0
 

@@ -66,6 +66,12 @@ def test_k_threshold_direct_evaluation_is_authoritative():
             assert c1 - c2 * lam ** (k - 3) <= 0.0
 
 
+def test_k_threshold_when_c1_over_c2_underflows():
+    c1, c2, lam = 1e-300, 1e308, 0.5  # c1 / c2 is 0.0 in floating point
+    k = k_threshold(c1, c2, lam)
+    assert c1 - c2 * lam ** (k - 2) > 0.0 >= c1 - c2 * lam ** (k - 3)
+
+
 def test_k_threshold_monotonicity_grid():
     c1s = (0.0005, 0.00089051, 0.002)
     c2s = (3.0, 6.2809957, 12.0)

@@ -11,6 +11,7 @@ from glinnik import (
     jn_monte_carlo,
     jn_monte_carlo_box,
 )
+from glinnik.sint import MAX_MC_SAMPLES
 
 
 def test_single_factor_integral_is_three():
@@ -90,6 +91,14 @@ def test_monte_carlo_domain_errors():
     huge_omega = ProblemParams(n1=n, n2=n, omega=0.999)
     with pytest.raises(DomainError, match="zero admissible volume"):
         jn_monte_carlo(n, huge_omega, 1, samples=1000, seed=1)
+
+
+def test_monte_carlo_box_rejects_a_negative_seed_and_too_many_samples():
+    box, m1_range = (1.0, 8.0, 1.0, 8.0), (0.0, 100.0)
+    with pytest.raises(DomainError, match="seed"):
+        jn_monte_carlo_box(50.0, box, m1_range, samples=1000, seed=-1)
+    with pytest.raises(ResourceError, match="Monte Carlo budget"):
+        jn_monte_carlo_box(50.0, box, m1_range, samples=MAX_MC_SAMPLES + 1, seed=1)
 
 
 def test_lattice_separable_product():
