@@ -4,7 +4,8 @@ enum_Xi enumerates n = N - 2^(v1) - ... - 2^(vk) with v_j in 1..floor(L)
 that land in the window [(1-eta) N, N], with exact ordered-tuple
 multiplicities.  measure_sigma estimates the measure of the set where the
 binary sum is large.  j_sum_exact evaluates the exact prime-difference
-pair sum over all shift quadruples at desk scale.
+pair sum over all shift quadruples at desk scale, reading every difference
+count off one FFT autocorrelation whose values must round to integers.
 """
 
 from __future__ import annotations
@@ -15,9 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import sieve_range
-from .errors import DomainError, ResourceError
+from .errors import DomainError, NumericalIntegrityError, ResourceError
 from .expsums import ProblemParams, _half_spectrum, _require_finite, eval_G
-from .parallel import map_ordered
 
 DEFAULT_NODE_BUDGET = 5_000_000
 MAX_SHIFT_COUNT = 1 << 12  # k! is formed before any pruning; the paper's k is 231
@@ -192,69 +192,66 @@ def measure_sigma(lam: float, L: float, grid: int) -> MeasureEstimate:
     return MeasureEstimate(lam=lam, L=L, grid=grid, measure=measure, empirical_exponent=exponent)
 
 
-def _difference_count(isp: np.ndarray, lo: int, hi: int, d: int) -> int:
-    """Pairs p1 - p2 = d with both primes in (lo, hi], d >= 0."""
-    a, b = lo + 1, hi - d
-    if b < a:
-        return 0
-    return int(np.count_nonzero(isp[a : b + 1] & isp[a + d : hi + 1]))
+def _difference_counts(omega: float, n: int, lags: np.ndarray) -> list[int]:
+    """Pairs p1 - p2 = d of primes in (omega n, n], for each d >= 0 in lags.
+
+    The indicator of the window, zero-padded to a fast FFT length of at
+    least the window plus the largest lag below it (so no such lag wraps
+    round), goes through rfft, |X|^2 and irfft; lags at or beyond the
+    window have no pairs.
+
+    Raises:
+        NumericalIntegrityError: a count is further than 0.25 from an integer
+    """
+    lo = math.floor(omega * n)
+    top = min(int(lags.max()), n - lo - 1) + 1
+    m = n - lo + top
+    odd = (3**b * 5**c for b in range(m.bit_length()) for c in range(m.bit_length()))
+    nf = min(k << (-(-m // k) - 1).bit_length() for k in odd)  # the least 5-smooth nf >= m
+    x = np.zeros(nf)
+    x[sieve_range(max(2, lo + 1), n).primes - (lo + 1)] = 1.0
+    spec = np.fft.rfft(x)
+    del x
+    np.multiply(spec, spec.conj(), out=spec)
+    corr = np.fft.irfft(spec, nf)[:top]
+    counts = np.rint(corr)
+    if np.max(np.abs(corr - counts)) > 0.25:
+        raise NumericalIntegrityError("an autocorrelation count is over 0.25 from an integer")
+    return np.where(lags < top, counts[np.minimum(lags, top - 1)], 0).astype(np.int64).tolist()
 
 
-def j_sum_exact(params: ProblemParams, L_cap: int, *, threads: int = 1) -> JSumExact:
+def j_sum_exact(params: ProblemParams, L_cap: int) -> JSumExact:
     """Exact shift-quadruple pair sum over both prime ranges.
 
     For every (m1..m4) in [1, L_cap]^4 the term is the product over i of
-    the number of prime pairs in (omega N_i, N_i] differing by
-    2^m1 + 2^m2 - 2^m3 - 2^m4; tuples are grouped by difference value and
-    the counts come from sliced-AND lookups on prime indicator bitsets.
+    the number r_i(d) of prime pairs in (omega N_i, N_i] differing by
+    d = 2^m1 + 2^m2 - 2^m3 - 2^m4.  Tuples are grouped by d; all r_i(d)
+    come from one FFT autocorrelation of the range's prime indicator,
+    computed once when both ranges are equal, and each must round to an
+    integer within 0.25.  Terms are added in ascending order of signed d.
     The ratio against N1 N2 L^4 / (log N1 log N2)^2 is reported only,
     never asserted (L here is L_cap, the actual shift range used).
+
+    Raises:
+        ResourceError: N_i above MAX_JSUM_N, or L_cap outside [1, MAX_JSUM_LCAP]
+        NumericalIntegrityError: an autocorrelation count fails to round
     """
     if params.n(1) > MAX_JSUM_N or params.n(2) > MAX_JSUM_N:
         raise ResourceError(f"pair-sum tables need N_i <= {MAX_JSUM_N}")
     if not 1 <= L_cap <= MAX_JSUM_LCAP:
         raise ResourceError(f"L_cap must be in [1, {MAX_JSUM_LCAP}]")
 
-    tables = {}
-    for i in (1, 2):
-        n = params.n(i)
-        lo = math.floor(params.omega * n)
-        isp = np.zeros(n + 1, dtype=bool)
-        isp[sieve_range(max(2, lo + 1), n).primes] = True
-        tables[i] = (isp, lo, n)
-
-    pair_sums: dict[int, int] = {}
-    for m1 in range(1, L_cap + 1):
-        for m2 in range(m1, L_cap + 1):
-            s = (1 << m1) + (1 << m2)
-            pair_sums[s] = pair_sums.get(s, 0) + (1 if m1 == m2 else 2)
-
-    diff_counts: dict[int, int] = {}
-    for s1, c1 in pair_sums.items():
-        for s2, c2 in pair_sums.items():
-            d = s1 - s2
-            diff_counts[d] = diff_counts.get(d, 0) + c1 * c2
-
-    r_cache: dict[tuple[int, int], int] = {}
-
-    def r(i: int, d: int) -> int:
-        key = (i, abs(d))
-        val = r_cache.get(key)
-        if val is None:
-            isp, lo, n = tables[i]
-            val = _difference_count(isp, lo, n, abs(d))
-            r_cache[key] = val
-        return val
-
-    distinct = sorted(diff_counts)
-    counts1 = map_ordered(lambda d: r(1, d), distinct, threads)
-    total = 0.0
-    for d, c1 in zip(distinct, counts1):
-        total += diff_counts[d] * c1 * r(2, d)
-
-    m = L_cap
-    diagonal = float((2 * m * m - m) * r(1, 0) * r(2, 0))
+    powers = 1 << np.arange(1, L_cap + 1)
+    pair_sums = (powers[:, None] + powers).ravel()
+    distinct, mult = np.unique(pair_sums[:, None] - pair_sums, return_counts=True)
     n1, n2 = params.n(1), params.n(2)
+    r = {n: _difference_counts(params.omega, n, np.abs(distinct)) for n in {n1, n2}}
+    total = 0.0
+    for c, c1, c2 in zip(mult.tolist(), r[n1], r[n2]):
+        total += c * c1 * c2
+
+    m, zero = L_cap, int(np.searchsorted(distinct, 0))
+    diagonal = float((2 * m * m - m) * r[n1][zero] * r[n2][zero])
     ratio = total * (math.log(n1) * math.log(n2)) ** 2 / (n1 * n2 * float(L_cap) ** 4)
     return JSumExact(
         n1=n1,

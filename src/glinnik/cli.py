@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import os
@@ -285,7 +286,7 @@ def _cmd_measure(args, cfg: RunConfig):
 
 
 def _cmd_jsum(args, cfg: RunConfig):
-    res = j_sum_exact(cfg.params(), args.lcap, threads=cfg.effective_threads())
+    res = j_sum_exact(cfg.params(), args.lcap)
     return {**dataclasses.asdict(res), "asserted": False}, None
 
 
@@ -399,6 +400,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(64)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="glinnik", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
@@ -428,7 +430,7 @@ def main(argv=None) -> int:
         cfg = _load_config(args)
         payload, rows = args.run(args, cfg)
         if not args.csv:
-            payload = {**payload, "config": cfg.audit()}
+            payload = {**payload, "config": {**payload.get("config", {}), **cfg.audit()}}
             text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
         elif rows is None:
             raise DomainError(f"--csv is not supported for {args.command!r}")

@@ -181,7 +181,7 @@ def full_report(
     measures = [measure_sigma(lam, b.measure_L, b.measure_grid) for lam in b.measure_lambdas]
 
     jsum_params = ProblemParams(n1=b.jsum_n, n2=b.jsum_n, k=params.k)
-    jsum = binary.j_sum_exact(jsum_params, b.jsum_l_cap, threads=threads)
+    jsum = binary.j_sum_exact(jsum_params, b.jsum_l_cap)
 
     rho = search.rho_counts(b.rho_u, b.rho_v)
 
@@ -280,7 +280,7 @@ def full_report(
                 "bound_const": ledger.jsum_const,
                 "asserted": False,
             },
-            method="bitset_difference_counts",
+            method="fft_autocorrelation",
         ),
         "rho": _annotate(
             {

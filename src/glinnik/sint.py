@@ -153,10 +153,11 @@ def _block_weights(x: int) -> np.ndarray:
     return m ** (-2.0 / 3.0)
 
 
-def _fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    n = len(a) + len(b) - 1
+def _fft_self_convolve(a: np.ndarray) -> np.ndarray:
+    n = 2 * len(a) - 1
     nf = 1 << (n - 1).bit_length()
-    return np.fft.irfft(np.fft.rfft(a, nf) * np.fft.rfft(b, nf), nf)[:n]
+    spec = np.fft.rfft(a, nf)
+    return np.fft.irfft(spec * spec, nf)[:n]
 
 
 def jn_exact_small(n: int, U: int, V: int, m1_range: tuple[float, float]) -> float:
@@ -184,8 +185,8 @@ def jn_exact_small(n: int, U: int, V: int, m1_range: tuple[float, float]) -> flo
         raise DomainError(f"m1 window bounds must not be NaN, got {m1_range}")
     wu = _block_weights(U)
     wv = _block_weights(V)
-    conv_u = _fft_convolve(wu, wu)  # index s - 2*(U^3+1)
-    conv_v = _fft_convolve(wv, wv)
+    conv_u = _fft_self_convolve(wu)  # index s - 2*(U^3+1)
+    conv_v = _fft_self_convolve(wv)
     base_u = 2 * (U**3 + 1)
     base_v = 2 * (V**3 + 1)
     prefix_v = np.concatenate(([0.0], np.cumsum(conv_v)))

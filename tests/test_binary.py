@@ -1,10 +1,13 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 
+import glinnik.binary as binary
 from glinnik import (
     DomainError,
+    NumericalIntegrityError,
     ProblemParams,
     ResourceError,
     count_pairs,
@@ -194,3 +197,48 @@ def test_jsum_resource_limits():
         j_sum_exact(ProblemParams(n1=10**7 + 1, n2=101), 3)
     with pytest.raises(ResourceError):
         j_sum_exact(ProblemParams(n1=101, n2=101), 30)
+
+
+def sliced_and_count(isp, lo, hi, d):
+    """Pairs p1 - p2 = d with both primes in (lo, hi], d >= 0, by one AND."""
+    a, b = lo + 1, hi - d
+    if b < a:
+        return 0
+    return int(np.count_nonzero(isp[a : b + 1] & isp[a + d : hi + 1]))
+
+
+def needed_lags(l_cap):
+    sums = {(1 << a) + (1 << b) for a in range(1, l_cap + 1) for b in range(a, l_cap + 1)}
+    return np.array(sorted({abs(s - t) for s in sums for t in sums}), dtype=np.int64)
+
+
+@pytest.mark.parametrize("n, l_cap", [(100_003, 24), (1_000_003, 24)])
+def test_autocorrelation_counts_match_sliced_and(n, l_cap):
+    omega = ProblemParams(n1=n, n2=n).omega
+    lo = math.floor(omega * n)
+    isp = np.zeros(n + 1, dtype=bool)
+    isp[sieve_range(lo + 1, n).primes] = True
+    lags = needed_lags(l_cap)
+    counts = binary._difference_counts(omega, n, lags)
+    assert counts == [sliced_and_count(isp, lo, n, int(d)) for d in lags]
+
+
+def test_jsum_autocorrelation_residue_check(monkeypatch):
+    irfft = np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft", lambda *a, **kw: irfft(*a, **kw) + 0.3)
+    with pytest.raises(NumericalIntegrityError, match="0.25"):
+        j_sum_exact(ProblemParams(n1=20_001, n2=20_001), 6)
+
+
+def test_jsum_equal_ranges_sieve_once(monkeypatch):
+    calls = []
+
+    def counting_sieve(*args, **kwargs):
+        calls.append(args)
+        return sieve_range(*args, **kwargs)
+
+    monkeypatch.setattr(binary, "sieve_range", counting_sieve)
+    j_sum_exact(ProblemParams(n1=20_001, n2=20_001), 6)
+    assert len(calls) == 1
+    j_sum_exact(ProblemParams(n1=20_003, n2=20_001), 6)
+    assert len(calls) == 3

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -309,6 +310,7 @@ def test_report_bytes_identical_across_thread_counts(tmp_path, capsys):
     payload = json.loads(a.read_text())
     assert payload["k_threshold"] == 231
     assert payload["schema"] == 1
+    assert payload["config"]["budgets"] == json.loads(json.dumps(asdict(glinnik.ReportBudgets())))
 
 
 def test_config_round_trip():
