@@ -9,6 +9,7 @@ by the local-density module.
 
 from __future__ import annotations
 
+import bisect
 import math
 import re
 from dataclasses import dataclass
@@ -79,6 +80,12 @@ def _simple_sieve(limit: int) -> np.ndarray:
 @lru_cache(maxsize=4)
 def _base_primes(limit: int) -> np.ndarray:
     return np.nonzero(_simple_sieve(limit))[0].astype(np.int64)
+
+
+@lru_cache(maxsize=1)
+def _trial_divisors() -> tuple[int, ...]:
+    """Base primes below 2^14 as Python ints, so `n % p` is exact for any n."""
+    return tuple(_base_primes(1 << 14).tolist())
 
 
 def _round_pow2(n: int) -> int:
@@ -237,15 +244,11 @@ def multiplicative(n: int) -> tuple[Factorization, int, int]:
         raise DomainError(f"multiplicative() requires n >= 1, got {n}")
     found: dict[int, int] = {}
     m = n
-    for p in _base_primes(1 << 14):
-        p = int(p)
-        if p * p > m:
-            break
+    base = _trial_divisors()
+    for p in [p for p in base[: bisect.bisect_right(base, math.isqrt(n))] if n % p == 0]:
         while m % p == 0:
             found[p] = found.get(p, 0) + 1
             m //= p
-        if m == 1:
-            break
     if m > 1:
         _factor_into(m, found)
     factors = tuple(sorted(found.items()))

@@ -3,26 +3,26 @@
 Every subcommand parses flags (optionally seeded from a `key = value`
 config file, flags winning), calls exactly one library operation, and
 emits JSON (default) or CSV (--csv) carrying the full effective
-configuration.  Exit codes: 0 ok, 1 domain error, 2 resource error,
-64 usage.
+configuration, byte-identical to json.dumps(sort_keys=True, indent=2) or
+csv.writer.  Exit codes: 0 ok, 1 domain error, 2 resource error, 64 usage.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import functools
-import io
-import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .arith import read_prime_cache, sieve_range, write_prime_cache
 from .binary import enum_Xi, j_sum_exact, measure_sigma
-from .errors import DomainError, ResourceError, ToolkitError
+from .errors import DomainError, NumericalIntegrityError, ResourceError, ToolkitError
 from .expsums import (
     ProblemParams,
     _require_finite,
@@ -32,7 +32,6 @@ from .expsums import (
     eval_cube,
     eval_grid,
     eval_linear,
-    grid_rows,
     linear_table,
 )
 from .local import singular_series
@@ -162,30 +161,31 @@ def _load_config(args) -> RunConfig:
     return cfg
 
 
-# Each handler takes (args, cfg) and returns (JSON payload, CSV rows or None),
-# the CSV header being the first row.  Handlers reach the library through
-# this module's globals, so rebinding one of them reroutes every subcommand.
+MAX_EMIT_VALUES = 1 << 24  # numbers one subcommand may write
+
+
+def _check_emit(count: int) -> None:
+    if count > MAX_EMIT_VALUES:
+        raise ResourceError(f"{count} output numbers exceed the emission budget "
+                            f"MAX_EMIT_VALUES = {MAX_EMIT_VALUES}")
+
+
+# Each handler takes (args, cfg) and returns (JSON payload, CSV (header,
+# columns) or None).  Handlers reach the library through this module's
+# globals, so rebinding one of them reroutes every subcommand.
 
 
 def _cmd_sieve(args, cfg: RunConfig):
-    cache_file = args.cache_file
-    table = None
-    if cache_file and cfg.cache and cache_file.exists():
-        cached = read_prime_cache(cache_file)
-        if cached.lo == args.lo and cached.hi == args.hi:
-            table = cached
-    if table is None:
+    cache_file = args.cache_file if cfg.cache else None
+    table = read_prime_cache(cache_file) if cache_file and cache_file.exists() else None
+    fresh = table is None or (table.lo, table.hi) != (args.lo, args.hi)
+    if fresh:
         table = sieve_range(args.lo, args.hi, threads=cfg.effective_threads())
-        if cache_file and cfg.cache:
-            write_prime_cache(cache_file, table)
-    primes = table.primes.tolist()
-    payload = {
-        "lo": table.lo,
-        "hi": table.hi,
-        "count": len(table),
-        "primes": primes,
-    }
-    return payload, [("p",), *zip(primes)]
+    _check_emit(len(table))
+    if fresh and cache_file:
+        write_prime_cache(cache_file, table)
+    payload = {"lo": table.lo, "hi": table.hi, "count": len(table), "primes": table.primes}
+    return payload, (("p",), (table.primes,))
 
 
 def _cmd_eval(args, cfg: RunConfig):
@@ -199,13 +199,12 @@ def _cmd_eval(args, cfg: RunConfig):
     else:
         source = dyadic_table(params.u(args.i) if kind == "cube_u" else params.v(args.i))
     if args.grid is not None:
-        rows = list(grid_rows(kind, eval_grid(kind, source, args.grid)))
-        payload = {
-            "kind": kind,
-            "grid": args.grid,
-            "rows": rows,
-        }
-        return payload, [("j", "alpha", "re", "im"), *rows]
+        _check_emit(4 * args.grid)
+        grid = eval_grid(kind, source, args.grid)
+        j = np.arange(args.grid)
+        columns = Columns((j, j / args.grid, grid.real, grid.imag))
+        payload = {"kind": kind, "grid": args.grid, "rows": columns}
+        return payload, (("j", "alpha", "re", "im"), columns)
     if kind == "linear":
         value = eval_linear(params, args.i, args.alpha, table=source)
     elif kind == "binary":
@@ -226,8 +225,8 @@ def _cmd_singular_series(args, cfg: RunConfig):
         "n": ts.n,
         "cutoff": ts.prime_cutoff,
         "value": ts.value,
-        "factors": ts.factors,
-        "anomalies": ts.anomalies,
+        "factors": Columns(zip(*ts.factors)),
+        "anomalies": Columns(zip(*ts.anomalies)),
     }
     return payload, None
 
@@ -267,10 +266,10 @@ def _cmd_xi(args, cfg: RunConfig):
         "eta": xi.eta,
         "vmax": xi.L,
         "values": xi.values,
-        "entries": xi.entries,
+        "entries": Columns(zip(*xi.entries)),
         "total_multiplicity": xi.total_multiplicity(),
     }
-    return payload, [("n", "count"), *xi.entries]
+    return payload, (("n", "count"), payload["entries"])
 
 
 def _cmd_measure(args, cfg: RunConfig):
@@ -298,7 +297,7 @@ def _cmd_rho(args, cfg: RunConfig):
         "quadruples": res.quadruples,
         "max_count": res.max_count,
         "bound_ratio": res.bound_ratio,
-        "counts": sorted(res.counts.items()),
+        "counts": Columns(zip(*sorted(res.counts.items()))),
         "asserted": False,
     }
     return payload, None
@@ -394,6 +393,72 @@ SUBCOMMANDS = (
 )
 
 
+class Columns(tuple):
+    """Equal-length number columns, which JSON output writes as a list of rows."""
+
+
+_NON_FINITE = frozenset(("nan", "inf", "-inf"))
+
+
+def _finite(texts):
+    if not _NON_FINITE.isdisjoint(texts):
+        raise NumericalIntegrityError("the output holds a NaN or an infinity")
+    return texts
+
+
+def _numbers(col) -> list[str] | None:
+    """repr (JSON's and csv's number text) of each int or finite float in col, else None."""
+    if isinstance(col, np.ndarray):
+        col = col.tolist()
+    if not {int, float}.issuperset(map(type, col)):
+        return None
+    return _finite(list(map(repr, col)))
+
+
+_SCALARS = {
+    str: encode_basestring_ascii,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+    int: int.__repr__,
+    float: lambda x: _finite((float.__repr__(x),))[0],
+}
+
+
+def _json_text(obj, nl: str = "\n") -> str:
+    """json.dumps(obj, sort_keys=True, indent=2, allow_nan=False), byte for byte.
+
+    nl is the newline and indent before obj's closing bracket.  1-D arrays, Columns
+    (written as rows) and lists of plain numbers are formatted a column at a time.
+    """
+    scalar = _SCALARS.get(type(obj))
+    if scalar is not None:
+        return scalar(obj)
+    inner = nl + "  "
+    if isinstance(obj, dict):
+        items = [encode_basestring_ascii(key if isinstance(key, str) else _json_text(key))
+                 + ": " + _json_text(value, inner) for key, value in sorted(obj.items())]
+    elif isinstance(obj, Columns):
+        deeper = inner + "  "  # the column texts are freed as soon as the rows exist
+        items = ["[" + deeper + row + inner + "]"
+                 for row in map(("," + deeper).join, zip(*map(_numbers, obj)))]
+    elif isinstance(obj, (list, tuple, np.ndarray)):
+        items = _numbers(obj)
+        if items is None:
+            items = [_json_text(item, inner) for item in obj]
+    elif isinstance(obj, (str, int, float)):  # a subclass, such as np.float64
+        return next(_SCALARS[base](obj) for base in type(obj).__mro__ if base in _SCALARS)
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    brackets = "{}" if isinstance(obj, dict) else "[]"
+    return brackets[0] + inner + ("," + inner).join(items) + nl + brackets[1] if items else brackets
+
+
+def _csv_text(header, columns) -> str:
+    """csv.writer's text for plain header names over equal-length number columns."""
+    lines = [",".join(header), *map(",".join, zip(*map(_numbers, columns))), ""]
+    return "\r\n".join(lines)
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage problems exit 64
         self.print_usage(sys.stderr)
@@ -428,16 +493,14 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 64
     try:
         cfg = _load_config(args)
-        payload, rows = args.run(args, cfg)
+        payload, table = args.run(args, cfg)
         if not args.csv:
             payload = {**payload, "config": {**payload.get("config", {}), **cfg.audit()}}
-            text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
-        elif rows is None:
+            text = _json_text(payload) + "\n"
+        elif table is None:
             raise DomainError(f"--csv is not supported for {args.command!r}")
         else:
-            buf = io.StringIO()
-            csv.writer(buf).writerows(rows)
-            text = buf.getvalue()
+            text = _csv_text(*table)
         if args.out:
             args.out.write_text(text, encoding="utf-8")
         else:

@@ -336,13 +336,6 @@ def eval_grid(kind: str, source, M: int, *, budget: int = DEFAULT_GRID_BUDGET) -
     return out
 
 
-def grid_rows(kind: str, grid: np.ndarray):
-    """(j, alpha, re, im) rows for CSV output."""
-    M = len(grid)
-    for j, z in enumerate(grid):
-        yield j, j / M, float(z.real), float(z.imag)
-
-
 # ---------------------------------------------------------------------------
 # rational approximation and arc dissection
 

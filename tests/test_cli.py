@@ -1,15 +1,25 @@
+import csv
+import io
 import json
+import math
 import os
 import subprocess
 import sys
 from dataclasses import asdict
 from pathlib import Path
 
+import hypothesis.extra.numpy as hnp
+import hypothesis.strategies as st
+import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import glinnik
+import glinnik.cli as cli
 from glinnik.arith import sieve_range
 from glinnik.cli import SUBCOMMANDS, RunConfig, main
+from glinnik.cli import Columns, _csv_text, _json_text
+from glinnik.errors import NumericalIntegrityError
 
 
 def run_cli(capsys, *argv):
@@ -363,3 +373,219 @@ def test_csv_unsupported_command(capsys):
     code, _, err = run_cli(capsys, "k-threshold", "--csv")
     assert code == 1
     assert "not supported" in err
+
+
+# ---------------------------------------------------------------------------
+# the writer against json.dumps and csv.writer
+
+
+def plain(obj):
+    """The payload with arrays and Columns turned into the lists they stand for."""
+    if isinstance(obj, Columns):
+        return [list(row) for row in zip(*map(plain, obj))]
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, dict):
+        return {key: plain(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [plain(item) for item in obj]
+    return obj
+
+
+def json_oracle(payload) -> str:
+    return json.dumps(plain(payload), sort_keys=True, indent=2, allow_nan=False)
+
+
+def csv_oracle(header, columns) -> str:
+    buf = io.StringIO()
+    csv.writer(buf).writerows([header, *zip(*map(plain, columns))])
+    return buf.getvalue()
+
+
+SMALL_ARGV = {
+    "sieve": ("sieve", "--lo", "1", "--hi", "200"),
+    "eval": ("eval", "--kind", "cube_u", "--grid", "16", "--n1", "100003", "--n2", "100003"),
+    "arcs": ("arcs", "--alpha", "0.5"),
+    "singular-series": ("singular-series", "--n", "5", "--cutoff", "100"),
+    "singular-integral": ("singular-integral", "--samples", "2000", "--seed", "3"),
+    "xi": ("xi", "--N", "101", "--k", "2", "--eta", "0.1", "--vmax", "3"),
+    "measure": ("measure", "--lambda", "0.5", "--l", "12", "--grid", "1024"),
+    "jsum": ("jsum", "--lcap", "3", "--n1", "101", "--n2", "101"),
+    "rho": ("rho", "--u", "3", "--v", "2"),
+    "search": ("search", "--n", "37", "--k", "1"),
+    "pair-search": ("pair-search", "--n1", "111", "--n2", "109", "--k", "2"),
+    "k-threshold": ("k-threshold",),
+    "report": ("report", "--threads", "1"),
+}
+CSV_SUBCOMMANDS = ("sieve", "eval", "xi")
+
+
+def test_small_argv_cover_every_subcommand():
+    assert set(SMALL_ARGV) == {row[0] for row in SUBCOMMANDS}
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_ARGV))
+@pytest.mark.parametrize("as_csv", [False, True])
+def test_output_is_byte_identical_to_json_dumps_and_csv_writer(capsys, monkeypatch, name, as_csv):
+    seen = []
+
+    def spy(writer):
+        def run(*args):
+            seen.append(args)
+            return writer(*args)
+        return run
+
+    monkeypatch.setattr(cli, "_json_text", spy(_json_text))
+    monkeypatch.setattr(cli, "_csv_text", spy(_csv_text))
+    code, out, err = run_cli(capsys, *SMALL_ARGV[name], *(("--csv",) if as_csv else ()))
+    if as_csv and name not in CSV_SUBCOMMANDS:
+        assert code == 1 and "not supported" in err and seen == []
+        return
+    assert code == 0, err
+    args = seen[0]  # the outermost call; _json_text recurses through the spy
+    assert out == (csv_oracle(*args) if as_csv else json_oracle(*args) + "\n")
+
+
+def test_eval_grid_columns_equal_the_per_point_rows(capsys):
+    M = 24
+    doc = run_json(capsys, "eval", "--kind", "binary", "--grid", str(M))
+    grid = cli.eval_grid("binary", RunConfig().params().L, M)
+    expected = [[j, j / M, float(z.real), float(z.imag)] for j, z in enumerate(grid)]
+    assert doc["rows"] == expected
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {},
+        [],
+        (),
+        np.array([], dtype=np.int64),
+        np.array([], dtype=np.float64),
+        {"a": {}, "b": [], "c": [[], {}], "d": [[[]]], "e": Columns(()), "f": Columns(([], []))},
+        {3: "three", -1: [1], 10**30: None},
+        {1.5: 1, -0.0: 2, 1e16: 3},
+        {True: 1, False: 2},
+        {None: 3},
+        (1, (2, 3), [4.5, (6,)]),
+        [(1, 2.5), (3, -0.0), (5, 5e-324)],
+        [(1, 2), (3,)],
+        [(1, "x"), (2, "y")],
+        [(), ()],
+        [-0.0, 5e-324, 1e16, 1e-7, 123456789.0, 2**64, -(2**70), 0.1 + 0.2],
+        [True, False, None, 1, 1.0],
+        {"nested": [{"x": np.arange(3), "y": np.linspace(0, 1, 4)}, Columns((np.arange(2), [0.5, 1e300]))]},
+        ["caf\xe9", "\u2603 snow", "tab\t\"quote\"\\", "\U0001f600", "\x00\x1f"],
+        {"\xe9": 1, "e": 2, "": 3},
+        [np.float64(0.25), np.float64(-1e-300)],
+        np.arange(5, dtype=np.uint8),
+        np.array([[1, 2], [3, 4]]),
+    ],
+)
+def test_json_text_matches_json_dumps(payload):
+    assert _json_text(payload) == json_oracle(payload)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        [float("nan")],
+        {"x": float("inf")},
+        np.array([1.0, -np.inf]),
+        Columns((np.arange(2), np.array([0.0, np.nan]))),
+        [(1, 2.0), (2, float("nan"))],
+        {float("nan"): 1},
+        np.float64("nan"),
+    ],
+)
+def test_json_text_rejects_non_finite_numbers(payload):
+    with pytest.raises(NumericalIntegrityError):
+        _json_text(payload)
+    with pytest.raises(ValueError):
+        json_oracle(payload)
+
+
+def test_csv_text_rejects_non_finite_numbers():
+    with pytest.raises(NumericalIntegrityError):
+        _csv_text(("a", "b"), (np.arange(2), np.array([1.0, np.inf])))
+
+
+def test_non_finite_output_is_an_error_line_not_a_traceback(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "eval_G", lambda source, alpha: complex(math.nan, 0.0))
+    code, out, err = run_cli(capsys, "eval", "--kind", "binary", "--alpha", "0.1")
+    assert code == 1 and out == ""
+    assert err.startswith("glinnik: error: ") and "Traceback" not in err
+    monkeypatch.setattr(cli, "eval_grid", lambda kind, source, M: np.full(M, complex(0.0, math.inf)))
+    code, out, err = run_cli(capsys, "eval", "--kind", "binary", "--grid", "4", "--csv")
+    assert code == 1 and out == ""
+    assert err.startswith("glinnik: error: ") and "Traceback" not in err
+
+
+def test_sieve_emission_budget(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_EMIT_VALUES", 24)
+    cache = tmp_path / "primes.txt"
+    code, out, err = run_cli(capsys, "sieve", "--lo", "1", "--hi", "100", "--cache-file", str(cache))
+    assert code == 2 and out == "" and "MAX_EMIT_VALUES" in err  # 25 primes
+    assert not cache.exists()
+    code, _, _ = run_cli(capsys, "sieve", "--lo", "3", "--hi", "100")
+    assert code == 0  # 24 primes fit
+
+
+def test_eval_grid_emission_budget_is_checked_before_the_dft(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_EMIT_VALUES", 16)
+
+    def no_dft(*args, **kwargs):
+        raise AssertionError("eval_grid ran over the emission budget")
+
+    monkeypatch.setattr(cli, "eval_grid", no_dft)
+    code, out, err = run_cli(capsys, "eval", "--kind", "binary", "--grid", "5")
+    assert code == 2 and out == ""
+    assert "resource error" in err and "MAX_EMIT_VALUES" in err
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "MAX_EMIT_VALUES", 16)
+    assert len(run_json(capsys, "eval", "--kind", "binary", "--grid", "4")["rows"]) == 4
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+int64s = st.integers(-(2**63), 2**63 - 1)
+number = st.one_of(st.integers(), finite)
+
+
+def column(n):
+    return st.one_of(
+        hnp.arrays(np.int64, n, elements=int64s),
+        hnp.arrays(np.float64, n, elements=finite),
+        st.lists(number, min_size=n, max_size=n),
+    )
+
+
+columns = st.integers(0, 5).flatmap(lambda n: st.lists(column(n), min_size=1, max_size=4))
+rows = st.integers(1, 3).flatmap(lambda k: st.lists(st.tuples(*[number] * k), max_size=5))
+leaves = st.one_of(
+    st.none(), st.booleans(), number, st.text(max_size=8),
+    hnp.arrays(np.int64, st.integers(0, 5), elements=int64s),
+    hnp.arrays(np.float64, st.integers(0, 5), elements=finite),
+    columns.map(Columns), rows,
+)
+payloads = st.recursive(
+    leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=6), inner, max_size=4),
+        st.dictionaries(st.integers(), inner, max_size=3),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(payloads)
+def test_json_text_property(payload):
+    assert _json_text(payload) == json_oracle(payload)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(columns, st.lists(st.text("abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=6), max_size=4))
+def test_csv_text_property(cols, header):
+    assert _csv_text(header, cols) == csv_oracle(header, cols)
