@@ -398,6 +398,7 @@ class Columns(tuple):
 
 
 _NON_FINITE = frozenset(("nan", "inf", "-inf"))
+_EMIT_BLOCK = 1 << 16  # table rows formatted at a time
 
 
 def _finite(texts):
@@ -427,8 +428,9 @@ _SCALARS = {
 def _json_text(obj, nl: str = "\n") -> str:
     """json.dumps(obj, sort_keys=True, indent=2, allow_nan=False), byte for byte.
 
-    nl is the newline and indent before obj's closing bracket.  1-D arrays, Columns
-    (written as rows) and lists of plain numbers are formatted a column at a time.
+    nl is the newline and indent before obj's closing bracket.  1-D arrays and lists
+    of plain numbers are formatted a column at a time, Columns (written as rows)
+    a block of rows at a time.
     """
     scalar = _SCALARS.get(type(obj))
     if scalar is not None:
@@ -438,9 +440,10 @@ def _json_text(obj, nl: str = "\n") -> str:
         items = [encode_basestring_ascii(key if isinstance(key, str) else _json_text(key))
                  + ": " + _json_text(value, inner) for key, value in sorted(obj.items())]
     elif isinstance(obj, Columns):
-        deeper = inner + "  "  # the column texts are freed as soon as the rows exist
-        items = ["[" + deeper + row + inner + "]"
-                 for row in map(("," + deeper).join, zip(*map(_numbers, obj)))]
+        deeper = inner + "  "
+        comma = "," + deeper
+        items = _row_blocks(obj, lambda row: "[" + deeper + comma.join(row) + inner + "]",
+                            "," + inner)
     elif isinstance(obj, (list, tuple, np.ndarray)):
         items = _numbers(obj)
         if items is None:
@@ -455,8 +458,18 @@ def _json_text(obj, nl: str = "\n") -> str:
 
 def _csv_text(header, columns) -> str:
     """csv.writer's text for plain header names over equal-length number columns."""
-    lines = [",".join(header), *map(",".join, zip(*map(_numbers, columns))), ""]
-    return "\r\n".join(lines)
+    return "\r\n".join([",".join(header), *_row_blocks(columns, ",".join, "\r\n"), ""])
+
+
+def _row_blocks(columns, row, sep: str) -> list[str]:
+    """sep-joined texts row(number texts) of the rows of equal-length number columns.
+
+    One text per block of _EMIT_BLOCK rows, so the number texts of only one
+    block exist at a time; joined by sep, the blocks give every row.
+    """
+    rows = len(columns[0]) if columns else 0
+    return [sep.join(map(row, zip(*(_numbers(col[i : i + _EMIT_BLOCK]) for col in columns))))
+            for i in range(0, rows, _EMIT_BLOCK)]
 
 
 class _Parser(argparse.ArgumentParser):

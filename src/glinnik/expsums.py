@@ -8,15 +8,16 @@ exp(2*pi*i*x):
     cube_v   same with the smaller dyadic scale V = U^(5/6)
     binary   sum of e(2^v a)            over integer v = 1 .. floor(L)
 
-Phase reduction is exact up to the last rounding.  The few-term sums
-(cube, binary) treat a float argument as the dyadic rational it is and
-reduce m*a mod 1 in integer arithmetic.  The long linear sums split
-a = A/2^s + a_lo with s the bit length of the largest argument m (at most
-31; larger m are cut into 31-bit limbs): frac(m A / 2^s) is exact in
-int64 and m a_lo < 1 carries one rounding, so each phase is within a few
-ulp of 1.  A rational point a/q is entry a of the length-q grid and is
-read from the residue buckets of the primes mod q.  The periodicity and
-conjugacy property tests rely on this accuracy.
+Every phase m*a mod 1 goes through one reduction, _phases, and one
+cos/sin/dot pass.  A rational a/q is exact up to the final division at any
+q: (m mod q)(a mod q) mod q runs in int64 for q <= 2^31, on Python ints
+above.  A float a = A/2^s + a_lo, with s the bit length of the largest m
+(at most 31; larger m are cut into 31-bit limbs), gives frac(m A / 2^s)
+exactly in int64 plus m a_lo < 1 with one rounding: within a few ulp of 1.
+m is int64, so cube tables end below MAX_CUBE_HI = 2^21; 2^v is not, so
+the binary sum reduces 2^v mod q or doubles a float exactly.  A rational
+a/q with q at most the linear table's size is read from the q residue
+buckets of its primes.  The property tests rely on this accuracy.
 """
 
 from __future__ import annotations
@@ -36,10 +37,11 @@ KINDS = ("linear", "cube_u", "cube_v", "binary")
 DEFAULT_GRID_BUDGET = 1 << 24
 DEFAULT_PAIR_BUDGET = 1 << 24
 MAX_BINARY_TERMS = 1 << 12  # most terms floor(L) of the binary sum; ProblemParams.L < 64
+MAX_CUBE_HI = 1 << 21  # cube-sum tables end below this, so every p^3 fits in int64
 
 _TWO_PI = 2.0 * math.pi
 _LIMB_BITS = 31  # m * A stays below 2^62 for m, A < 2^31
-_CHUNK = 1 << 19  # terms per cos/sin/dot pass of the linear sum
+_CHUNK = 1 << 19  # terms per cos/sin/dot pass
 
 
 @dataclass(frozen=True)
@@ -66,6 +68,7 @@ class ProblemParams:
     max_ratio: float = 1e6
 
     def __post_init__(self):
+        _require_int(n1=self.n1, n2=self.n2, k=self.k)
         if self.n1 % 2 == 0 or self.n2 % 2 == 0:
             raise DomainError("n1 and n2 must be odd")
         if self.n1 < self.n2:
@@ -172,22 +175,11 @@ def _require_finite(**values) -> None:
             raise DomainError(f"{name} must be finite, got {x!r}")
 
 
-def _frac_exact(m: int, num: int, den: int) -> float:
-    # (m * num/den) mod 1, exact until the final correctly-rounded division
-    return ((m * num) % den) / den
-
-
-def _alpha_fraction(alpha) -> tuple[int, int]:
-    fr = alpha if isinstance(alpha, Fraction) else Fraction(alpha)
-    return fr.numerator, fr.denominator
-
-
-def _phase_sum_exact(args, weights, alpha) -> complex:
-    num, den = _alpha_fraction(alpha)
-    acc = 0j
-    for m, w in zip(args, weights):
-        acc += w * np.exp(2j * math.pi * _frac_exact(int(m), num, den))
-    return complex(acc)
+def _require_int(**values) -> None:
+    """Raise DomainError naming the first value that is not an int or a numpy integer."""
+    for name, x in values.items():
+        if not isinstance(x, (int, np.integer)):
+            raise DomainError(f"{name} must be an integer, got {x!r}")
 
 
 def _split_phases(m: np.ndarray, alpha: float, top: int) -> np.ndarray:
@@ -212,18 +204,32 @@ def _split_phases(m: np.ndarray, alpha: float, top: int) -> np.ndarray:
     return f
 
 
-def _weighted_phase_sum(m: np.ndarray, w: np.ndarray, alpha: float) -> complex:
-    """sum of w e(m alpha) for int64 m >= 0, in chunks of _CHUNK terms."""
-    alpha = float(alpha)
+def _phases(m: np.ndarray, alpha, top: int) -> np.ndarray:
+    """(m * alpha) mod 1 for 0 <= m <= top, m int64 (or Python ints for a rational).
+
+    A Fraction or int a/q never becomes a float (hundreds of turns off for m
+    near 2^63): int64 for q <= 2^31, Python ints above; a float goes through _split_phases.
+    """
+    if not isinstance(alpha, (int, Fraction)):
+        return _split_phases(m, float(alpha), top)
+    q = alpha.denominator
+    r = m.astype(np.int64 if q <= 1 << _LIMB_BITS else object, copy=False) % q
+    return np.asarray(r * (alpha.numerator % q) % q / q, dtype=np.float64)
+
+
+def _dot_turns(w: np.ndarray, turns: np.ndarray) -> complex:
+    """sum of w e(turns): the one cos/sin/dot pass.  Overwrites turns."""
+    theta = np.multiply(turns, _TWO_PI, out=turns)
+    return complex(np.dot(w, np.cos(theta)), np.dot(w, np.sin(theta, out=theta)))
+
+
+def _weighted_phase_sum(m: np.ndarray, w: np.ndarray, alpha) -> complex:
+    """sum of w e(m alpha) for m >= 0 as _phases takes them, in chunks of _CHUNK terms."""
     top = int(m.max(initial=0))
-    re = im = 0.0
+    total = 0j
     for i in range(0, m.size, _CHUNK):
-        theta = _split_phases(m[i : i + _CHUNK], alpha, top)
-        theta *= _TWO_PI
-        wi = w[i : i + _CHUNK]
-        re += float(np.dot(wi, np.cos(theta)))
-        im += float(np.dot(wi, np.sin(theta, out=theta)))
-    return complex(re, im)
+        total += _dot_turns(w[i : i + _CHUNK], _phases(m[i : i + _CHUNK], alpha, top))
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -242,30 +248,24 @@ def eval_linear(params: ProblemParams, i: int, alpha, *, table: PrimeTable | Non
     _require_finite(alpha=alpha)
     if table is None:
         table = linear_table(params, i)
-    if len(table) == 0:
-        return 0j
-    if isinstance(alpha, Fraction):
-        num, den = alpha.numerator, alpha.denominator
-        if den <= len(table):
-            # a/q is entry a of the length-q grid: the q residue buckets suffice
-            w, res = _grid_buckets("linear", table, den), np.arange(den, dtype=np.int64)
-        elif den <= 1 << 31 and table.hi * den < (1 << 62):
-            w, res = table.log_weights(), table.primes % den
-        else:
-            return _weighted_phase_sum(table.primes, table.log_weights(), alpha)
-        # exact reduction stays inside int64
-        theta = _TWO_PI * (res * (num % den) % den / den)
-        return complex(np.dot(w, np.cos(theta)), np.dot(w, np.sin(theta)))
+    if isinstance(alpha, Fraction) and alpha.denominator <= len(table):
+        # a/q is entry a of the length-q grid: the q residue buckets suffice
+        q = alpha.denominator
+        return _weighted_phase_sum(np.arange(q), _grid_buckets("linear", table, q), alpha)
     return _weighted_phase_sum(table.primes, table.log_weights(), alpha)
 
 
 def eval_cube(table: PrimeTable, alpha) -> complex:
-    """sum of (log p) e(p^3 alpha) over the table's primes."""
+    """sum of (log p) e(p^3 alpha) over the table's primes.
+
+    Raises:
+        DomainError: alpha not finite
+        ResourceError: table.hi at or above MAX_CUBE_HI, where p^3 can leave int64
+    """
     _require_finite(alpha=alpha)
-    if len(table) == 0:
-        return 0j
-    cubes = [int(p) ** 3 for p in table.primes]
-    return _phase_sum_exact(cubes, table.log_weights(), alpha)
+    if table.hi >= MAX_CUBE_HI:
+        raise ResourceError(f"cube table hi={table.hi} reaches MAX_CUBE_HI = {MAX_CUBE_HI}")
+    return _weighted_phase_sum(table.primes**3, table.log_weights(), alpha)
 
 
 def eval_G(L: float, alpha) -> complex:
@@ -277,7 +277,13 @@ def eval_G(L: float, alpha) -> complex:
     """
     m = _binary_terms(L)
     _require_finite(alpha=alpha)
-    return _phase_sum_exact([1 << v for v in range(1, m + 1)], np.ones(m), alpha)
+    if isinstance(alpha, (int, Fraction)):
+        res = np.array([pow(2, v, alpha.denominator) for v in range(1, m + 1)], dtype=object)
+        return _weighted_phase_sum(res, np.ones(m), alpha)
+    # ldexp overflows only once 2^v alpha is an integer, whose phase is 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        turns = np.fmod(np.ldexp(float(alpha), np.arange(1, m + 1)), 1.0)
+    return _dot_turns(np.ones(m), np.nan_to_num(turns, nan=0.0))
 
 
 def _binary_terms(L) -> int:
@@ -314,6 +320,7 @@ def _grid_buckets(kind: str, source, M: int) -> np.ndarray:
 
 def _half_spectrum(kind: str, source, M: int, budget: int = DEFAULT_GRID_BUDGET) -> np.ndarray:
     """Real DFT of the length-M buckets: the conjugates of the values at j/M, j <= M//2."""
+    _require_int(M=M)
     if M < 2:
         raise DomainError(f"grid size must be >= 2, got {M}")
     if M > budget:
@@ -359,9 +366,10 @@ def dirichlet_approx(alpha, Q: int) -> DirichletApprox:
     arithmetic.
 
     Raises:
-        DomainError: Q < 1, alpha not finite or outside [1/Q, 1 + 1/Q]
+        DomainError: Q not an integer or < 1, alpha not finite or outside [1/Q, 1 + 1/Q]
     """
     _require_finite(alpha=alpha)
+    _require_int(Q=Q)
     if Q < 1:
         raise DomainError(f"Q must be >= 1, got {Q}")
     fr = alpha if isinstance(alpha, Fraction) else Fraction(alpha)
@@ -495,7 +503,13 @@ def minor_arc_diagnostic(
 
     Purely diagnostic: nothing is asserted about the ratios; they are
     recorded so regressions can be spotted against a frozen baseline.
+
+    Raises:
+        DomainError: i, samples, seed or threads not an integer, samples < 1,
+            c not finite
     """
+    _require_int(i=i, samples=samples, seed=seed, threads=threads)
+    _require_finite(c=c)
     if samples < 1:
         raise DomainError("samples must be >= 1")
     n = params.n(i)

@@ -299,6 +299,15 @@ def test_exit_code_resource_error(capsys):
     assert code == 2 and "term budget" in err
 
 
+def test_cube_sum_budget_exits_2(capsys):
+    # u(1) passes 2^20 here, so the cube table reaches 2^21 and p^3 could leave int64
+    n = str(18_500_000_000_000_000_001)
+    argv = ("eval", "--kind", "cube_u", "--alpha", "0.3", "--n1", n, "--n2", n)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "MAX_CUBE_HI" in err and "Traceback" not in err
+
+
 def test_singular_series_cutoff_budget(capsys):
     code, out, err = run_cli(capsys, "singular-series", "--n", "5", "--cutoff", "1000000000")
     assert code == 2 and out == ""
@@ -503,6 +512,21 @@ def test_json_text_rejects_non_finite_numbers(payload):
         _json_text(payload)
     with pytest.raises(ValueError):
         json_oracle(payload)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3])
+def test_tables_written_in_blocks_of_rows_match_the_oracles(monkeypatch, block):
+    monkeypatch.setattr(cli, "_EMIT_BLOCK", block)
+    for n in range(8):
+        cols = (np.arange(n), np.arange(n) / 7, list(range(-n, 0)), tuple(k / 2 for k in range(n)))
+        assert _csv_text(("a", "b", "c", "d"), cols) == csv_oracle(("a", "b", "c", "d"), cols)
+        payload = {"rows": Columns(cols), "one": Columns(cols[:1]), "n": n}
+        assert _json_text(payload) == json_oracle(payload)
+    late_nan = (np.arange(7), np.array([0.0] * 6 + [math.nan]))
+    with pytest.raises(NumericalIntegrityError):
+        _csv_text(("j", "x"), late_nan)
+    with pytest.raises(NumericalIntegrityError):
+        _json_text(Columns(late_nan))
 
 
 def test_csv_text_rejects_non_finite_numbers():

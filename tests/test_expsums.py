@@ -55,6 +55,10 @@ def test_params_validation():
         ProblemParams(n1=101, n2=101, eta=0.1)
     with pytest.raises(DomainError, match="max_ratio"):
         ProblemParams(n1=10**9 + 1, n2=3, max_ratio=10.0)
+    bad_ints = ({"n1": math.nan, "n2": 3}, {"n1": 5.0, "n2": 3}, {"n1": 101, "n2": 101, "k": 2.5})
+    for kwargs in bad_ints:
+        with pytest.raises(DomainError, match="integer"):
+            ProblemParams(**kwargs)
 
 
 @pytest.mark.parametrize(
@@ -96,6 +100,8 @@ def test_linear_at_zero_is_chebyshev_sum():
     value = eval_linear(PARAMS_1E6, 1, 0.0, table=table)
     assert value.imag == 0.0
     assert value.real == pytest.approx(float(table.log_weights().sum()), rel=1e-12)
+    # an int argument is reduced exactly, however large
+    assert eval_linear(PARAMS_1E6, 1, 10**400, table=table) == value
 
 
 def test_linear_periodicity_at_one():
@@ -117,6 +123,7 @@ def test_cube_at_zero_and_parity():
     table = dyadic_table(50)
     mass = float(table.log_weights().sum())
     assert eval_cube(table, 0.0) == pytest.approx(mass, rel=1e-13)
+    assert eval_cube(table, 10**400) == pytest.approx(mass, rel=1e-13)
     # p^3 has the parity of p, and every prime in (50, 100] is odd
     assert eval_cube(table, 0.5).real == pytest.approx(-mass, rel=1e-13)
 
@@ -140,6 +147,7 @@ def test_linear_peak_at_zero():
 
 def test_binary_sum_examples():
     assert eval_G(10.5, 0.0) == pytest.approx(10.0)
+    assert eval_G(10.5, 10**400) == pytest.approx(10.0)
     # floor(L) even at alpha = 1/3: shifts alternate between thirds of a turn
     assert eval_G(10.0, Fraction(1, 3)) == pytest.approx(-5.0, abs=1e-12)
     assert eval_G(20.0, Fraction(1, 3)) == pytest.approx(-10.0, abs=1e-12)
@@ -250,6 +258,8 @@ def test_grid_budget_and_domain_errors():
         eval_grid("cube_u", table, 1 << 22, budget=1 << 20)
     with pytest.raises(DomainError):
         eval_grid("cube_u", table, 1)
+    with pytest.raises(DomainError, match="integer"):
+        eval_grid("binary", 12.0, 1024.0)
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +309,8 @@ def test_dirichlet_domain_errors():
         dirichlet_approx(1.5, 100)
     with pytest.raises(DomainError):
         dirichlet_approx(0.5, 0)
+    with pytest.raises(DomainError, match="integer"):
+        dirichlet_approx(0.3, 2.5)
 
 
 def test_dirichlet_invariants_random():
@@ -353,10 +365,13 @@ def test_non_finite_alpha_is_a_domain_error():
             lambda: eval_G(bad, 0.25),
             lambda: classify_arc(PARAMS_1E6, 1, bad),
             lambda: dirichlet_approx(bad, 100),
+            lambda: minor_arc_diagnostic(PARAMS_1E6, 1, 1, 0, c=bad),
         ]
         for call in calls:
             with pytest.raises(DomainError, match="finite"):
                 call()
+    with pytest.raises(DomainError, match="integer"):
+        minor_arc_diagnostic(PARAMS_1E6, 1, 2.5, 0)
 
 
 def test_binary_term_budget(monkeypatch):
@@ -551,3 +566,67 @@ def test_rational_point_buckets_match_residue_branch(monkeypatch):
         assert abs(value - reference) <= 1e-12 * mass, (a, q)
     # residue buckets are read only while they are no larger than the table
     assert sizes == [q for _, q in cases if q <= n]
+
+
+# ---------------------------------------------------------------------------
+# one exact phase reduction for the linear, cube and binary sums
+
+
+def _near_half(q: int) -> Fraction:
+    """a/q within 2/q of 1/2, whose float would be hundreds of turns off for m near 2^63."""
+    return Fraction(q // 2 - 1, q)
+
+
+_BIG_DENOMINATORS = (2**31 + 11, 2**40 + 15, 2**61 - 1, 3 * 2**64 + 1)
+
+
+def test_cube_sum_with_cubes_near_2_63_against_fraction_oracle():
+    table = sieve_range(2**21 - 300, 2**21 - 1)
+    assert int(table.primes[-1]) ** 3 > 2**62
+    w = table.log_weights()
+    cubes = [int(p) ** 3 for p in table.primes]
+    mass = float(w.sum())
+    Q = PARAMS_1E6.q_max(1)
+    floats = [-0.3, -2.0**40 - 0.625, 1.0, 1.75, 2.0**45 + 0.1, 0.5, 0.375, 3.0 / 1024,
+              1.0 / Q, 1.0 / Q + 1e-13, 1.0 + 1.0 / Q]
+    for alpha in floats:
+        direct = direct_weighted_sum(cubes, w, Fraction(alpha))
+        assert abs(eval_cube(table, alpha) - direct) <= 1e-12 * mass, alpha
+    for alpha in [_near_half(q) for q in _BIG_DENOMINATORS] + [Fraction(-5, 7)]:
+        direct = direct_weighted_sum(cubes, w, alpha)
+        assert abs(eval_cube(table, alpha) - direct) <= 1e-12 * mass, alpha
+
+
+def test_linear_and_binary_sums_at_large_denominators_near_one_half():
+    big = _big_prime_table()
+    params = ProblemParams(n1=101, n2=101)
+    w = big.log_weights()
+    for q in _BIG_DENOMINATORS:
+        alpha = _near_half(q)
+        direct = direct_weighted_sum([int(p) for p in big.primes], w, alpha)
+        assert abs(eval_linear(params, 1, alpha, table=big) - direct) <= 1e-12 * float(w.sum())
+        for L in (63.5, 200.0):
+            m = math.floor(L)
+            direct = direct_weighted_sum([2**v for v in range(1, m + 1)], [1.0] * m, alpha)
+            assert abs(eval_G(L, alpha) - direct) <= 1e-13 * m, (q, L)
+
+
+def test_binary_sum_of_4096_terms_against_fraction_oracle():
+    powers = [2**v for v in range(1, 4097)]
+    ones = [1.0] * 4096
+    # ldexp(alpha, v) overflows for the larger v at every one of these floats
+    for alpha in (0.3, -0.7, 1.0 / 3.0, 2.0**-30 + 2.0**-1000, 1e-300, 5e-324, 2.0**40 + 0.5):
+        direct = direct_weighted_sum(powers, ones, Fraction(alpha))
+        assert abs(eval_G(4096.0, alpha) - direct) <= 1e-13 * 4096, alpha
+    for alpha in (Fraction(1, 3), Fraction(5, 4097), _near_half(2**61 - 1)):
+        direct = direct_weighted_sum(powers, ones, alpha)
+        assert abs(eval_G(4096.0, alpha) - direct) <= 1e-13 * 4096, alpha
+
+
+def test_cube_sum_budget_is_checked_before_any_cube():
+    top = PrimeTable(2**21 - 9, 2**21, np.array([2**21 - 9], dtype=np.int64))
+    for table in (top, PrimeTable(2**40, 2**40 + 100, np.empty(0, dtype=np.int64))):
+        with pytest.raises(ResourceError, match="MAX_CUBE_HI"):
+            eval_cube(table, 0.3)
+    below = PrimeTable(2**21 - 9, 2**21 - 1, np.array([2**21 - 9], dtype=np.int64))
+    assert eval_cube(below, 0.0) == pytest.approx(math.log(2**21 - 9), rel=1e-15)
