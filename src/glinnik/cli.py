@@ -20,11 +20,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .arith import read_prime_cache, sieve_range, write_prime_cache
+from .arith import dyadic_range, read_prime_cache, sieve_range, write_prime_cache
 from .binary import enum_Xi, j_sum_exact, measure_sigma
 from .errors import DomainError, NumericalIntegrityError, ResourceError, ToolkitError
 from .expsums import (
     ProblemParams,
+    _check_cube_hi,
     _require_finite,
     classify_arc,
     dyadic_table,
@@ -197,7 +198,10 @@ def _cmd_eval(args, cfg: RunConfig):
     elif kind == "binary":
         source = params.L
     else:
-        source = dyadic_table(params.u(args.i) if kind == "cube_u" else params.v(args.i))
+        x = params.u(args.i) if kind == "cube_u" else params.v(args.i)
+        if args.alpha is not None:
+            _check_cube_hi(dyadic_range(x)[1])  # before the sieve
+        source = dyadic_table(x)
     if args.grid is not None:
         _check_emit(4 * args.grid)
         grid = eval_grid(kind, source, args.grid)

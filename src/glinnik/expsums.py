@@ -15,9 +15,10 @@ above.  A float a = A/2^s + a_lo, with s the bit length of the largest m
 (at most 31; larger m are cut into 31-bit limbs), gives frac(m A / 2^s)
 exactly in int64 plus m a_lo < 1 with one rounding: within a few ulp of 1.
 m is int64, so cube tables end below MAX_CUBE_HI = 2^21; 2^v is not, so
-the binary sum reduces 2^v mod q or doubles a float exactly.  A rational
-a/q with q at most the linear table's size is read from the q residue
-buckets of its primes.  The property tests rely on this accuracy.
+the binary sum reduces 2^v mod q, reading a float as the dyadic rational
+it stores.  A rational a/q with q at most the linear table's size is read
+from the q residue buckets of its primes.  The property tests rely on
+this accuracy.
 """
 
 from __future__ import annotations
@@ -217,18 +218,15 @@ def _phases(m: np.ndarray, alpha, top: int) -> np.ndarray:
     return np.asarray(r * (alpha.numerator % q) % q / q, dtype=np.float64)
 
 
-def _dot_turns(w: np.ndarray, turns: np.ndarray) -> complex:
-    """sum of w e(turns): the one cos/sin/dot pass.  Overwrites turns."""
-    theta = np.multiply(turns, _TWO_PI, out=turns)
-    return complex(np.dot(w, np.cos(theta)), np.dot(w, np.sin(theta, out=theta)))
-
-
 def _weighted_phase_sum(m: np.ndarray, w: np.ndarray, alpha) -> complex:
-    """sum of w e(m alpha) for m >= 0 as _phases takes them, in chunks of _CHUNK terms."""
+    """The one cos/sin/dot pass: sum of w e(m alpha), in chunks of _CHUNK terms."""
     top = int(m.max(initial=0))
     total = 0j
     for i in range(0, m.size, _CHUNK):
-        total += _dot_turns(w[i : i + _CHUNK], _phases(m[i : i + _CHUNK], alpha, top))
+        theta = _phases(m[i : i + _CHUNK], alpha, top)
+        theta *= _TWO_PI
+        wi = w[i : i + _CHUNK]
+        total += complex(np.dot(wi, np.cos(theta)), np.dot(wi, np.sin(theta, out=theta)))
     return total
 
 
@@ -263,9 +261,14 @@ def eval_cube(table: PrimeTable, alpha) -> complex:
         ResourceError: table.hi at or above MAX_CUBE_HI, where p^3 can leave int64
     """
     _require_finite(alpha=alpha)
-    if table.hi >= MAX_CUBE_HI:
-        raise ResourceError(f"cube table hi={table.hi} reaches MAX_CUBE_HI = {MAX_CUBE_HI}")
+    _check_cube_hi(table.hi)
     return _weighted_phase_sum(table.primes**3, table.log_weights(), alpha)
+
+
+def _check_cube_hi(hi: int) -> None:
+    """Raise ResourceError if a cube table ending at hi reaches MAX_CUBE_HI."""
+    if hi >= MAX_CUBE_HI:
+        raise ResourceError(f"cube table hi={hi} reaches MAX_CUBE_HI = {MAX_CUBE_HI}")
 
 
 def eval_G(L: float, alpha) -> complex:
@@ -277,13 +280,10 @@ def eval_G(L: float, alpha) -> complex:
     """
     m = _binary_terms(L)
     _require_finite(alpha=alpha)
-    if isinstance(alpha, (int, Fraction)):
-        res = np.array([pow(2, v, alpha.denominator) for v in range(1, m + 1)], dtype=object)
-        return _weighted_phase_sum(res, np.ones(m), alpha)
-    # ldexp overflows only once 2^v alpha is an integer, whose phase is 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        turns = np.fmod(np.ldexp(float(alpha), np.arange(1, m + 1)), 1.0)
-    return _dot_turns(np.ones(m), np.nan_to_num(turns, nan=0.0))
+    if not isinstance(alpha, (int, Fraction)):
+        alpha = Fraction(float(alpha))  # the dyadic rational a float stores
+    res = np.array([pow(2, v, alpha.denominator) for v in range(1, m + 1)], dtype=object)
+    return _weighted_phase_sum(res, np.ones(m), alpha)
 
 
 def _binary_terms(L) -> int:

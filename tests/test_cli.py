@@ -299,13 +299,18 @@ def test_exit_code_resource_error(capsys):
     assert code == 2 and "term budget" in err
 
 
-def test_cube_sum_budget_exits_2(capsys):
-    # u(1) passes 2^20 here, so the cube table reaches 2^21 and p^3 could leave int64
-    n = str(18_500_000_000_000_000_001)
-    argv = ("eval", "--kind", "cube_u", "--alpha", "0.3", "--n1", n, "--n2", n)
-    code, out, err = run_cli(capsys, *argv)
-    assert code == 2 and out == ""
-    assert "MAX_CUBE_HI" in err and "Traceback" not in err
+def test_cube_sum_budget_exits_2(capsys, monkeypatch):
+    # u(1) passes 2^20 here, so the cube table reaches 2^21 and p^3 could leave int64;
+    # at 10^28 + 1 the dyadic block is a span the sieve allows, but takes seconds
+    def no_sieve(*args, **kwargs):
+        raise AssertionError("the cube-sum budget is checked before the sieve")
+
+    monkeypatch.setattr(cli, "dyadic_table", no_sieve)
+    for n in (str(18_500_000_000_000_000_001), str(10**28 + 1)):
+        argv = ("eval", "--kind", "cube_u", "--alpha", "0.3", "--n1", n, "--n2", n)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "MAX_CUBE_HI" in err and "Traceback" not in err
 
 
 def test_singular_series_cutoff_budget(capsys):
