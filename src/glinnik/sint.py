@@ -7,6 +7,12 @@ The object is the weighted count over m1 + m2 + m3 + m4 + m5 = n of
 the four factors separate and each contributes the integral of u^(-2/3)
 over one dyadic block, which is 3 U (resp. 3 V); dividing by N^(11/9)
 then leaves the pure constant computed by jn_closed_form.
+
+The Monte Carlo estimate draws batches of MC_BATCH samples, each from its
+own seed spawned off the master seed.  The batch list is split into one
+contiguous group per worker; a worker allocates its buffers once and runs
+its group in place, and the per-batch sums are reduced in batch order, so
+the estimate does not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ResourceError
-from .expsums import ProblemParams
+from .expsums import ProblemParams, _require_finite, _require_int
 from .parallel import map_ordered
 
 MC_BATCH = 1 << 16
@@ -49,19 +55,53 @@ def jn_closed_form(delta: float) -> float:
     return 81.0 * (16.0 * (1.0 + delta)) ** (-11.0 / 9.0)
 
 
-def _mc_batch(args) -> tuple[float, float, int]:
-    seed, count, n, box, m1_range = args
-    u3_lo, u3_hi, v3_lo, v3_hi = box
+def _fill_uniform(rng: np.random.Generator, lo: float, hi: float, out: np.ndarray) -> None:
+    """Draw U(lo, hi) into out in place, bit for bit what rng.uniform(lo, hi, len(out)) gives."""
+    rng.random(out=out)
+    out *= hi - lo
+    out += lo
+
+
+def _mc_batches(jobs, n, box, m1_range) -> list[tuple[float, float]]:
+    """(sum f, sum f^2) for each (seed, count) batch, in order, on buffers reused across batches.
+
+    Sums are numpy's pairwise sums; no BLAS call is made, so concurrent
+    workers do not contend for a BLAS thread pool.
+    """
+    u3_lo, u3_hi, v3_lo, v3_hi = map(float, box)
     m1_lo, m1_hi = m1_range
-    rng = np.random.default_rng(seed)
-    m2 = rng.uniform(u3_lo, u3_hi, count)
-    m3 = rng.uniform(u3_lo, u3_hi, count)
-    m4 = rng.uniform(v3_lo, v3_hi, count)
-    m5 = rng.uniform(v3_lo, v3_hi, count)
-    f = (m2 * m3 * m4 * m5) ** (-2.0 / 3.0)
-    m1 = n - (m2 + m3 + m4 + m5)
-    f *= (m1 > m1_lo) & (m1 <= m1_hi)
-    return float(f.sum()), float(np.dot(f, f)), count
+    width = max(count for _, count in jobs)
+    rows = np.empty((6, width))
+    masks = np.empty((2, width), dtype=bool)
+    out = []
+    for seed, count in jobs:
+        rng = np.random.default_rng(seed)
+        m2, m3, m4, m5, f, m1 = rows[:, :count]
+        inside, below = masks[:, :count]
+        for row, lo, hi in ((m2, u3_lo, u3_hi), (m3, u3_lo, u3_hi), (m4, v3_lo, v3_hi), (m5, v3_lo, v3_hi)):
+            _fill_uniform(rng, lo, hi, row)
+        # f = (m2 m3 m4 m5)^(-2/3) and m1 = n - (m2 + m3 + m4 + m5), left to right
+        np.multiply(m2, m3, out=f)
+        f *= m4
+        f *= m5
+        np.power(f, -2.0 / 3.0, out=f)
+        np.add(m2, m3, out=m1)
+        m1 += m4
+        m1 += m5
+        np.subtract(n, m1, out=m1)
+        np.greater(m1, m1_lo, out=inside)
+        np.less_equal(m1, m1_hi, out=below)
+        inside &= below
+        f *= inside
+        out.append((float(f.sum()), float(np.square(f, out=m1).sum())))
+    return out
+
+
+def _check_window(m1_range: tuple[float, float]) -> tuple[float, float]:
+    m1_lo, m1_hi = m1_range
+    if math.isnan(m1_lo) or math.isnan(m1_hi):
+        raise DomainError(f"m1 window bounds must not be NaN, got {m1_range}")
+    return m1_lo, m1_hi
 
 
 def jn_monte_carlo_box(
@@ -75,38 +115,51 @@ def jn_monte_carlo_box(
 ) -> tuple[float, float]:
     """Unbiased (value, stderr) for the box integral with the m1 indicator.
 
-    Batches draw from seeds spawned off the master seed and are reduced in
-    batch order, so the estimate is identical for every thread count.
+    The samples are cut into batches of MC_BATCH, each drawing from its own
+    seed spawned off the master seed.  The batch list is split into at
+    most `threads` contiguous groups, one per worker, and each worker runs
+    its group on buffers it allocates once (six float64 rows and two bool
+    rows of MC_BATCH).  The per-batch sums are reduced in batch order, so
+    the estimate is identical for every thread count.
 
     Raises:
-        DomainError: samples < 1, seed < 0, or a box of zero volume
+        DomainError: samples, seed or threads not an integer; n or a box
+            entry NaN or infinite; a NaN m1 bound; samples < 1; seed < 0;
+            a block with lo >= hi or a width beyond the float range
         ResourceError: samples beyond MAX_MC_SAMPLES
     """
+    _require_int(samples=samples, seed=seed, threads=threads)
+    u3_lo, u3_hi, v3_lo, v3_hi = box
+    _require_finite(n=n, u3_lo=u3_lo, u3_hi=u3_hi, v3_lo=v3_lo, v3_hi=v3_hi)
+    m1_range = _check_window(m1_range)
     if samples < 1:
         raise DomainError("samples must be >= 1")
     if seed < 0:
         raise DomainError("seed must be >= 0")
-    u3_lo, u3_hi, v3_lo, v3_hi = box
+    for lo, hi in ((u3_lo, u3_hi), (v3_lo, v3_hi)):
+        if not 0.0 < float(hi) - float(lo) < math.inf:
+            raise DomainError(f"sampling box {box} needs lo < hi at a finite width in each block")
     volume = (u3_hi - u3_lo) ** 2 * (v3_hi - v3_lo) ** 2
-    if volume <= 0.0:
-        raise DomainError("sampling box has zero volume")
     if samples > MAX_MC_SAMPLES:
         raise ResourceError(f"samples={samples} exceeds the Monte Carlo budget ({MAX_MC_SAMPLES})")
     counts = [MC_BATCH] * (samples // MC_BATCH)
     if samples % MC_BATCH:
         counts.append(samples % MC_BATCH)
-    seeds = np.random.SeedSequence(seed).spawn(len(counts))
-    work = [(s, c, n, box, m1_range) for s, c in zip(seeds, counts)]
-    parts = map_ordered(_mc_batch, work, threads)
+    jobs = list(zip(np.random.SeedSequence(seed).spawn(len(counts)), counts))
+    groups = max(1, min(threads, len(jobs)))
+    cuts = [len(jobs) * g // groups for g in range(groups + 1)]
+    parts = map_ordered(
+        lambda group: _mc_batches(group, n, box, m1_range),
+        [jobs[a:b] for a, b in zip(cuts, cuts[1:])],
+        groups,
+    )
     s1 = s2 = 0.0
-    total = 0
-    for a, b, c in parts:
+    for a, b in (sums for group in parts for sums in group):
         s1 += a
         s2 += b
-        total += c
-    mean = s1 / total
-    var = max(s2 / total - mean * mean, 0.0)
-    return volume * mean, volume * math.sqrt(var / total)
+    mean = s1 / samples
+    var = max(s2 / samples - mean * mean, 0.0)
+    return volume * mean, volume * math.sqrt(var / samples)
 
 
 def jn_monte_carlo(
@@ -121,9 +174,12 @@ def jn_monte_carlo(
     """Monte Carlo estimate over the dyadic box derived from params.
 
     Raises:
-        DomainError: n outside [(1-eta) N, N], or the m1 indicator is
-            identically zero over the box (zero admissible volume)
+        DomainError: n, samples, seed or threads not an integer; n outside
+            [(1-eta) N, N]; or the m1 indicator is identically zero over the
+            box (zero admissible volume)
+        ResourceError: samples beyond MAX_MC_SAMPLES
     """
+    _require_int(n=n, samples=samples, seed=seed, threads=threads)
     N = params.n(i)
     if not (1.0 - params.eta) * N <= n <= N:
         raise DomainError(f"n={n} outside [(1-eta)N, N] for N={N}")
@@ -173,16 +229,17 @@ def jn_exact_small(n: int, U: int, V: int, m1_range: tuple[float, float]) -> flo
     same float as a loop over su.
 
     Raises:
-        DomainError: U or V below 1, or a NaN window bound
+        DomainError: U or V not an integer or below 1, n NaN or infinite,
+            or a NaN window bound
         ResourceError: U beyond the lattice budget
     """
+    _require_int(U=U, V=V)
+    _require_finite(n=n)
     if U < 1 or V < 1:
         raise DomainError("U and V must be >= 1")
     if U > _MAX_LATTICE_U:
         raise ResourceError(f"U={U} exceeds the lattice budget (U <= {_MAX_LATTICE_U})")
-    m1_lo, m1_hi = m1_range
-    if math.isnan(m1_lo) or math.isnan(m1_hi):
-        raise DomainError(f"m1 window bounds must not be NaN, got {m1_range}")
+    m1_lo, m1_hi = _check_window(m1_range)
     wu = _block_weights(U)
     wv = _block_weights(V)
     conv_u = _fft_self_convolve(wu)  # index s - 2*(U^3+1)

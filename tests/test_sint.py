@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from glinnik import (
@@ -11,7 +12,8 @@ from glinnik import (
     jn_monte_carlo,
     jn_monte_carlo_box,
 )
-from glinnik.sint import MAX_MC_SAMPLES
+from glinnik import sint
+from glinnik.sint import MAX_MC_SAMPLES, MC_BATCH
 
 
 def test_single_factor_integral_is_three():
@@ -99,6 +101,84 @@ def test_monte_carlo_box_rejects_a_negative_seed_and_too_many_samples():
         jn_monte_carlo_box(50.0, box, m1_range, samples=1000, seed=-1)
     with pytest.raises(ResourceError, match="Monte Carlo budget"):
         jn_monte_carlo_box(50.0, box, m1_range, samples=MAX_MC_SAMPLES + 1, seed=1)
+
+
+# jn_monte_carlo_box values as float hex, captured from the one-batch-per-task
+# kernel it replaced; the m1 window (0, 20] cuts into the box's sums [4, 32]
+MC_BOX, MC_WINDOW = (1.0, 8.0, 1.0, 8.0), (0.0, 20.0)
+MC_PINS = [
+    (1, "0x1.cd4967a1f6d84p+7"),
+    (65_535, "0x1.20fa71e487de6p+6"),
+    (65_536, "0x1.20e028d05fcadp+6"),
+    (65_537, "0x1.20e06ccf24e1ap+6"),
+    (200_001, "0x1.20ecb4e9c3e67p+6"),
+]
+
+
+@pytest.mark.parametrize("samples, pinned", MC_PINS)
+def test_monte_carlo_box_pinned_and_thread_invariant(samples, pinned):
+    # 64 workers is more than the batches of every case here
+    results = {
+        threads: jn_monte_carlo_box(30.0, MC_BOX, MC_WINDOW, samples=samples, seed=5, threads=threads)
+        for threads in (0, 1, 2, 3, 8, 64)
+    }
+    assert {value.hex() for value, _ in results.values()} == {pinned}
+    assert len({stderr.hex() for _, stderr in results.values()}) == 1
+
+
+def test_fill_uniform_is_rng_uniform_bit_for_bit():
+    for lo, hi in ((1.0, 8.0), (62499375006.24994, 499995000049.9995), (-3.5, 1e-3)):
+        out = np.empty(10_001)
+        sint._fill_uniform(np.random.default_rng(9), lo, hi, out)
+        ref = np.random.default_rng(9).uniform(lo, hi, out.size)
+        assert out.tobytes() == ref.tobytes()
+
+
+def test_mc_batches_match_a_uniform_and_fsum_oracle():
+    n, box, window = 30.0, MC_BOX, MC_WINDOW
+    jobs = list(zip(np.random.SeedSequence(17).spawn(3), (MC_BATCH, MC_BATCH, 1_000)))
+    for (seed, count), (s1, s2) in zip(jobs, sint._mc_batches(jobs, n, box, window)):
+        rng = np.random.default_rng(seed)
+        m2, m3 = rng.uniform(box[0], box[1], count), rng.uniform(box[0], box[1], count)
+        m4, m5 = rng.uniform(box[2], box[3], count), rng.uniform(box[2], box[3], count)
+        f = (m2 * m3 * m4 * m5) ** (-2.0 / 3.0)
+        m1 = n - (m2 + m3 + m4 + m5)
+        f *= (m1 > window[0]) & (m1 <= window[1])
+        assert s1 == float(f.sum())
+        oracle = math.fsum(float(x) * float(x) for x in f)
+        assert abs(s2 - oracle) <= 4 * math.ulp(oracle)
+
+
+def test_monte_carlo_box_makes_no_blas_call(monkeypatch):
+    def no_dot(*args, **kwargs):
+        raise AssertionError("np.dot reached")
+
+    monkeypatch.setattr(np, "dot", no_dot)
+    for threads in (1, 2):
+        jn_monte_carlo_box(30.0, MC_BOX, MC_WINDOW, samples=3 * MC_BATCH, seed=5, threads=threads)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: jn_monte_carlo_box(30.0, (1.0, math.inf, 1.0, 8.0), MC_WINDOW, 100, 1),
+        lambda: jn_monte_carlo_box(30.0, (math.nan, 8.0, 1.0, 8.0), MC_WINDOW, 100, 1),
+        lambda: jn_monte_carlo_box(30.0, (-1e308, 1e308, 1.0, 8.0), MC_WINDOW, 100, 1),
+        lambda: jn_monte_carlo_box(30.0, (8.0, 1.0, 1.0, 8.0), MC_WINDOW, 100, 1),
+        lambda: jn_monte_carlo_box(math.nan, MC_BOX, MC_WINDOW, 100, 1),
+        lambda: jn_monte_carlo_box(30.0, MC_BOX, (math.nan, 20.0), 100, 1),
+        lambda: jn_monte_carlo_box(30.0, MC_BOX, MC_WINDOW, 2.5, 1),
+        lambda: jn_monte_carlo_box(30.0, MC_BOX, MC_WINDOW, 100, 1.5),
+        lambda: jn_monte_carlo_box(30.0, MC_BOX, MC_WINDOW, 100, 1, threads=1.5),
+        lambda: jn_exact_small(math.nan, 1, 1, (0.0, 1.0)),
+        lambda: jn_exact_small(100, 2.5, 1, (0.0, 1.0)),
+        lambda: jn_monte_carlo(10**12 + 0.5, ProblemParams(n1=10**12 + 1, n2=10**12 + 1), 1, 100, 1),
+        lambda: jn_monte_carlo(10**12 + 1, ProblemParams(n1=10**12 + 1, n2=10**12 + 1), 1, 2.5, 1),
+    ],
+)
+def test_hostile_sint_inputs_are_domain_errors(call):
+    with pytest.raises(DomainError):
+        call()
 
 
 def test_lattice_separable_product():
