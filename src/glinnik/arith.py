@@ -18,11 +18,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError, ResourceError
+from .errors import DomainError, ResourceError, _require_finite, _require_int
 from .parallel import map_ordered
 
-DEFAULT_SEGMENT_SIZE = 1 << 20
-DEFAULT_MAX_SPAN = 1 << 31
+SEGMENT_SIZE = 1 << 20  # integers per sieved segment, the unit of parallel work
+MAX_SPAN = 1 << 31  # longest range sieve_range takes
 _MAX_BASE_LIMIT = 1 << 26
 
 # Deterministic for every n < 3.317e24 (Sorenson-Webster witness set),
@@ -107,35 +107,27 @@ def _sieve_segment(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
     return (np.nonzero(flags)[0] + lo).astype(np.int64)
 
 
-def sieve_range(
-    lo: int,
-    hi: int,
-    *,
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
-    max_span: int = DEFAULT_MAX_SPAN,
-    threads: int = 1,
-) -> PrimeTable:
+def sieve_range(lo: int, hi: int, *, threads: int = 1) -> PrimeTable:
     """Sieve every prime in the inclusive range [lo, hi].
 
-    Segments of length `segment_size` are sieved independently (optionally
+    Segments of SEGMENT_SIZE integers are sieved independently (optionally
     in parallel) and merged in ascending order, so the result is
     deterministic for every thread count.
 
     Raises:
-        DomainError: lo/hi outside 0 <= lo <= hi < 2^63
-        ResourceError: range longer than the `max_span` budget
+        DomainError: lo/hi not integers or outside 0 <= lo <= hi < 2^63
+        ResourceError: range longer than MAX_SPAN
     """
+    _require_int(lo=lo, hi=hi)
     if not (0 <= lo <= hi < (1 << 63)):
         raise DomainError(f"sieve bounds must satisfy 0 <= lo <= hi < 2^63, got [{lo}, {hi}]")
     span = hi - lo + 1
-    if span > max_span:
-        raise ResourceError(
-            f"sieve range of {span} integers exceeds the max_span budget ({max_span})"
-        )
+    if span > MAX_SPAN:
+        raise ResourceError(f"sieve range of {span} integers exceeds arith.MAX_SPAN = {MAX_SPAN}")
     root = math.isqrt(hi)
     if root > _MAX_BASE_LIMIT:
         raise ResourceError(
-            f"base sieve up to {root} exceeds the base-prime budget ({_MAX_BASE_LIMIT})"
+            f"base sieve up to {root} exceeds arith._MAX_BASE_LIMIT = {_MAX_BASE_LIMIT}"
         )
     if hi < 2:
         return PrimeTable(lo, hi, np.empty(0, dtype=np.int64))
@@ -144,7 +136,7 @@ def sieve_range(
     bounds = []
     a = max(lo, 2)
     while a <= hi:
-        b = min(a + segment_size - 1, hi)
+        b = min(a + SEGMENT_SIZE - 1, hi)
         bounds.append((a, b))
         a = b + 1
     chunks = map_ordered(lambda ab: _sieve_segment(ab[0], ab[1], base), bounds, threads)
@@ -157,12 +149,15 @@ def dyadic_range(x: float) -> tuple[int, int]:
     return math.floor(x) + 1, math.floor(2 * x)
 
 
-def dyadic_table(x: float, **kwargs) -> PrimeTable:
-    """Primes p with x < p <= 2x."""
+def dyadic_table(x: float) -> PrimeTable:
+    """Primes p with x < p <= 2x; x must be finite and >= 0."""
+    _require_finite(x=x)
+    if x < 0:
+        raise DomainError(f"dyadic block needs x >= 0, got {x}")
     lo, hi = dyadic_range(x)
     if hi < lo:
         return PrimeTable(lo, max(lo, hi), np.empty(0, dtype=np.int64))
-    return sieve_range(lo, hi, **kwargs)
+    return sieve_range(lo, hi)
 
 
 def is_prime(n: int) -> bool:

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import sieve_range
-from .errors import DomainError, NumericalIntegrityError, ResourceError
-from .expsums import ProblemParams, _half_spectrum, _require_finite, eval_G
+from .errors import DomainError, NumericalIntegrityError, ResourceError, _require_finite
+from .expsums import ProblemParams, _half_spectrum, eval_G
 
-DEFAULT_NODE_BUDGET = 5_000_000
+MAX_NODES = 5_000_000  # shift-multiset enumeration nodes, for xi, count_pairs and the searches
 MAX_SHIFT_COUNT = 1 << 12  # k! is formed before any pruning; the paper's k is 231
 MAX_JSUM_N = 10**7
 MAX_JSUM_LCAP = 24
@@ -63,7 +63,7 @@ class JSumExact:
     diagonal: float
 
 
-def _power_multisets(k: int, v_max: int, s_allow: float, node_budget: int):
+def _power_multisets(k: int, v_max: int, s_allow: float):
     """Yield (sum, ordered-count, exponents) per multiset v1 <= ... <= vk.
 
     Exponents range over 1..v_max; branches are pruned once the smallest
@@ -73,7 +73,8 @@ def _power_multisets(k: int, v_max: int, s_allow: float, node_budget: int):
     more copies of v before fewer.
     """
     if k > MAX_SHIFT_COUNT:
-        raise ResourceError(f"k={k} exceeds the shift-count budget (k <= {MAX_SHIFT_COUNT})")
+        raise ResourceError(f"k={k} exceeds the shift-count budget "
+                            f"binary.MAX_SHIFT_COUNT = {MAX_SHIFT_COUNT}")
     fact = math.factorial(k)
     nodes = 0
 
@@ -92,9 +93,9 @@ def _power_multisets(k: int, v_max: int, s_allow: float, node_budget: int):
                 if s > s_allow or (left > 0 and (v == v_max or s + left * (step * 2) > s_allow)):
                     continue  # too large, or cannot finish with exactly c copies of v
                 nodes += 1
-                if nodes > node_budget:
+                if nodes > MAX_NODES:
                     raise ResourceError(
-                        f"shift-multiset enumeration exceeded the node budget ({node_budget})"
+                        f"shift-multiset enumeration exceeded binary.MAX_NODES = {MAX_NODES}"
                     )
                 yield from rec(v + 1, left, s, denom * math.factorial(c), prefix + (v,) * c)
 
@@ -113,14 +114,12 @@ def _shift_cap(k: int, eta: float, L: float) -> int:
     return math.floor(L)
 
 
-def enum_Xi(
-    N: int, k: int, eta: float, L: float, *, node_budget: int = DEFAULT_NODE_BUDGET
-) -> XiSet:
+def enum_Xi(N: int, k: int, eta: float, L: float) -> XiSet:
     """Exact enumeration of window members with ordered multiplicities.
 
     Raises:
         DomainError: invalid N/k/L, eta outside (0, 1], eta or L not finite
-        ResourceError: enumeration exceeds the node budget
+        ResourceError: enumeration beyond MAX_NODES
     """
     if N % 2 == 0:
         raise DomainError("N must be odd")
@@ -128,7 +127,7 @@ def enum_Xi(
     window_lo = (1.0 - eta) * N
     counts: dict[int, int] = {}
     # the +1 slack keeps pruning strictly weaker than the exact window test
-    for s, mult, _ in _power_multisets(k, v_max, eta * N + 1.0, node_budget):
+    for s, mult, _ in _power_multisets(k, v_max, eta * N + 1.0):
         n = N - s
         if n >= window_lo:
             counts[n] = counts.get(n, 0) + mult
@@ -136,22 +135,14 @@ def enum_Xi(
     return XiSet(N=N, k=k, eta=eta, L=L, entries=entries)
 
 
-def count_pairs(
-    N1: int,
-    N2: int,
-    k: int,
-    eta: float,
-    L: float,
-    *,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-) -> int:
-    """Ordered tuples whose shift sum is admissible for both N1 and N2."""
+def count_pairs(N1: int, N2: int, k: int, eta: float, L: float) -> int:
+    """Ordered tuples whose shift sum is admissible for both N1 and N2 (raises as enum_Xi)."""
     if N1 % 2 == 0 or N2 % 2 == 0:
         raise DomainError("N1 and N2 must be odd")
     v_max = _shift_cap(k, eta, L)
     s_allow = min(eta * N1, eta * N2) + 1.0
     total = 0
-    for s, mult, _ in _power_multisets(k, v_max, s_allow, node_budget):
+    for s, mult, _ in _power_multisets(k, v_max, s_allow):
         if N1 - s >= (1.0 - eta) * N1 and N2 - s >= (1.0 - eta) * N2:
             total += mult
     return total
@@ -170,7 +161,7 @@ def measure_sigma(lam: float, L: float, grid: int) -> MeasureEstimate:
     Raises:
         DomainError: lam negative or not finite, L < 1 or not finite,
             grid < 2^10
-        ResourceError: grid above expsums.DEFAULT_GRID_BUDGET
+        ResourceError: grid above expsums.MAX_GRID
     """
     _require_finite(lam=lam, L=L)
     if grid < (1 << 10):
@@ -237,9 +228,9 @@ def j_sum_exact(params: ProblemParams, L_cap: int) -> JSumExact:
         NumericalIntegrityError: an autocorrelation count fails to round
     """
     if params.n(1) > MAX_JSUM_N or params.n(2) > MAX_JSUM_N:
-        raise ResourceError(f"pair-sum tables need N_i <= {MAX_JSUM_N}")
+        raise ResourceError(f"pair-sum tables need N_i <= binary.MAX_JSUM_N = {MAX_JSUM_N}")
     if not 1 <= L_cap <= MAX_JSUM_LCAP:
-        raise ResourceError(f"L_cap must be in [1, {MAX_JSUM_LCAP}]")
+        raise ResourceError(f"L_cap must be in [1, binary.MAX_JSUM_LCAP = {MAX_JSUM_LCAP}]")
 
     powers = 1 << np.arange(1, L_cap + 1)
     pair_sums = (powers[:, None] + powers).ravel()

@@ -23,10 +23,11 @@ from . import __version__
 from .arith import dyadic_range, read_prime_cache, sieve_range, write_prime_cache
 from .binary import enum_Xi, j_sum_exact, measure_sigma
 from .errors import DomainError, NumericalIntegrityError, ResourceError, ToolkitError
+from .errors import _require_finite
 from .expsums import (
+    KINDS,
     ProblemParams,
     _check_cube_hi,
-    _require_finite,
     classify_arc,
     dyadic_table,
     eval_G,
@@ -168,7 +169,7 @@ MAX_EMIT_VALUES = 1 << 24  # numbers one subcommand may write
 def _check_emit(count: int) -> None:
     if count > MAX_EMIT_VALUES:
         raise ResourceError(f"{count} output numbers exceed the emission budget "
-                            f"MAX_EMIT_VALUES = {MAX_EMIT_VALUES}")
+                            f"cli.MAX_EMIT_VALUES = {MAX_EMIT_VALUES}")
 
 
 # Each handler takes (args, cfg) and returns (JSON payload, CSV (header,
@@ -294,7 +295,7 @@ def _cmd_jsum(args, cfg: RunConfig):
 
 
 def _cmd_rho(args, cfg: RunConfig):
-    res = rho_counts(args.u, args.v)
+    res = rho_counts(args.u, args.v, delta=cfg.delta)
     payload = {
         "u": res.U,
         "v": res.V,
@@ -363,7 +364,6 @@ def _req(name: str, typ) -> tuple:
 
 _I = _flag("--i", type=int, default=1, choices=(1, 2))
 _MODE = _flag("--mode", choices=("free", "paper_ranges"), default="free")
-_KINDS = ("linear", "cube_u", "cube_v", "binary")
 _METHODS = ("closed_form", "monte_carlo", "exact_lattice")
 _LATTICE = "lattice block scale (exact_lattice)"
 
@@ -373,7 +373,7 @@ SUBCOMMANDS = (
     ("sieve", "primes in [lo, hi]",
      (_req("--lo", int), _req("--hi", int), _flag("--cache-file", type=Path)), _cmd_sieve),
     ("eval", "evaluate one generating sum",
-     (_flag("--kind", choices=_KINDS, required=True), _I, _flag("--alpha", type=float),
+     (_flag("--kind", choices=KINDS, required=True), _I, _flag("--alpha", type=float),
       _flag("--grid", type=int)), _cmd_eval),
     ("arcs", "classify a point as major/minor", (_I, _req("--alpha", float)), _cmd_arcs),
     ("singular-series", "truncated series at n",

@@ -30,13 +30,13 @@ from fractions import Fraction
 import numpy as np
 
 from .arith import PrimeTable, dyadic_table, sieve_range
-from .errors import DomainError, ResourceError
+from .errors import DomainError, ResourceError, _require_finite, _require_int
 from .parallel import map_ordered
 
 KINDS = ("linear", "cube_u", "cube_v", "binary")
 
-DEFAULT_GRID_BUDGET = 1 << 24
-DEFAULT_PAIR_BUDGET = 1 << 24
+MAX_GRID = 1 << 24  # largest grid size M of a bucketed DFT
+MAX_QUADRUPLES = 1 << 24  # most ordered cube four-tuples one meet-in-the-middle table holds
 MAX_BINARY_TERMS = 1 << 12  # most terms floor(L) of the binary sum; ProblemParams.L < 64
 MAX_CUBE_HI = 1 << 21  # cube-sum tables end below this, so every p^3 fits in int64
 
@@ -169,20 +169,6 @@ class MinorArcReport:
 # phase reduction
 
 
-def _require_finite(**values) -> None:
-    """Raise DomainError naming the first value that is NaN or infinite."""
-    for name, x in values.items():
-        if not isinstance(x, (int, Fraction)) and not math.isfinite(x):
-            raise DomainError(f"{name} must be finite, got {x!r}")
-
-
-def _require_int(**values) -> None:
-    """Raise DomainError naming the first value that is not an int or a numpy integer."""
-    for name, x in values.items():
-        if not isinstance(x, (int, np.integer)):
-            raise DomainError(f"{name} must be an integer, got {x!r}")
-
-
 def _split_phases(m: np.ndarray, alpha: float, top: int) -> np.ndarray:
     """(m * alpha) mod 1 for int64 0 <= m <= top, within a few ulp of 1.
 
@@ -234,11 +220,11 @@ def _weighted_phase_sum(m: np.ndarray, w: np.ndarray, alpha) -> complex:
 # pointwise sums
 
 
-def linear_table(params: ProblemParams, i: int, **kwargs) -> PrimeTable:
+def linear_table(params: ProblemParams, i: int, *, threads: int = 1) -> PrimeTable:
     """Primes p with omega*N_i < p <= N_i."""
     n = params.n(i)
     lo = max(2, math.floor(params.omega * n) + 1)
-    return sieve_range(lo, n, **kwargs)
+    return sieve_range(lo, n, threads=threads)
 
 
 def eval_linear(params: ProblemParams, i: int, alpha, *, table: PrimeTable | None = None) -> complex:
@@ -268,7 +254,7 @@ def eval_cube(table: PrimeTable, alpha) -> complex:
 def _check_cube_hi(hi: int) -> None:
     """Raise ResourceError if a cube table ending at hi reaches MAX_CUBE_HI."""
     if hi >= MAX_CUBE_HI:
-        raise ResourceError(f"cube table hi={hi} reaches MAX_CUBE_HI = {MAX_CUBE_HI}")
+        raise ResourceError(f"cube table hi={hi} reaches expsums.MAX_CUBE_HI = {MAX_CUBE_HI}")
 
 
 def eval_G(L: float, alpha) -> complex:
@@ -293,7 +279,8 @@ def _binary_terms(L) -> int:
         raise DomainError(f"binary sum needs L >= 1, got {L}")
     m = math.floor(L)
     if m > MAX_BINARY_TERMS:
-        raise ResourceError(f"binary sum of {m} terms exceeds the term budget ({MAX_BINARY_TERMS})")
+        raise ResourceError(f"binary sum of {m} terms exceeds the term budget "
+                            f"expsums.MAX_BINARY_TERMS = {MAX_BINARY_TERMS}")
     return m
 
 
@@ -318,25 +305,28 @@ def _grid_buckets(kind: str, source, M: int) -> np.ndarray:
     return np.bincount(idx, weights=w, minlength=M)
 
 
-def _half_spectrum(kind: str, source, M: int, budget: int = DEFAULT_GRID_BUDGET) -> np.ndarray:
+def _half_spectrum(kind: str, source, M: int) -> np.ndarray:
     """Real DFT of the length-M buckets: the conjugates of the values at j/M, j <= M//2."""
     _require_int(M=M)
     if M < 2:
         raise DomainError(f"grid size must be >= 2, got {M}")
-    if M > budget:
-        raise ResourceError(f"grid size {M} exceeds the grid budget ({budget})")
+    if M > MAX_GRID:
+        raise ResourceError(f"grid size {M} exceeds expsums.MAX_GRID = {MAX_GRID}")
     return np.fft.rfft(_grid_buckets(kind, source, M))
 
 
-def eval_grid(kind: str, source, M: int, *, budget: int = DEFAULT_GRID_BUDGET) -> np.ndarray:
+def eval_grid(kind: str, source, M: int) -> np.ndarray:
     """Values at alpha = j/M for j = 0..M-1, as one complex array.
 
     Weights are bucketed by (argument mod M) and transformed with a single
     real DFT; entry j then equals the pointwise sum at j/M exactly (up to
     rounding), because e(b j / M) only depends on b mod M.  The buckets are
     real, so the value at (M - j)/M is the conjugate of the value at j/M.
+
+    Raises:
+        ResourceError: M above MAX_GRID
     """
-    half = _half_spectrum(kind, source, M, budget)
+    half = _half_spectrum(kind, source, M)
     out = np.empty(M, dtype=np.complex128)
     np.conjugate(half, out=out[: M // 2 + 1])
     out[M // 2 + 1 :] = half[1 : (M + 1) // 2][::-1]
@@ -429,20 +419,18 @@ def classify_arc(params: ProblemParams, i: int, alpha) -> ArcLabel:
 # exact moments
 
 
-def moment2_exact(table: PrimeTable, kind: str = "linear") -> float:
+def moment2_exact(table: PrimeTable) -> float:
     """Exact value of the 0..1 mean-square integral of the weighted sum.
 
     By orthogonality this is sum of log^2 p: the frequencies (p for the
-    linear kind, p^3 for the cube kinds) are distinct integers, so the
-    value does not depend on `kind`.
+    linear sum, p^3 for the cube sums) are distinct integers, so one value
+    serves every kind.
     """
-    if kind not in KINDS:
-        raise DomainError(f"unknown sum kind {kind!r}")
     w = table.log_weights()
     return float(np.dot(w, w))
 
 
-def moment_ST4_exact(U: int, V: int, *, pair_budget: int = DEFAULT_PAIR_BUDGET) -> float:
+def moment_ST4_exact(U: int, V: int) -> float:
     """Exact fourth moment of the product of the two cube sums.
 
     Equals the log-weighted count of solutions of
@@ -452,18 +440,19 @@ def moment_ST4_exact(U: int, V: int, *, pair_budget: int = DEFAULT_PAIR_BUDGET) 
     with p_j in (U, 2U] and q_j in (V, 2V], computed by bucketing the
     weighted left-side sums (meet in the middle) and summing the squares
     of the bucket weights.
+
+    Raises:
+        ResourceError: more four-tuples than MAX_QUADRUPLES
     """
     tu = dyadic_table(U)
     tv = dyadic_table(V)
     if len(tu) == 0 or len(tv) == 0:
         return 0.0
-    _, bucket = _quadruple_buckets(
-        tu.primes, tv.primes, pair_budget, (tu.log_weights(), tv.log_weights())
-    )
+    _, bucket = _quadruple_buckets(tu.primes, tv.primes, (tu.log_weights(), tv.log_weights()))
     return float(np.dot(bucket, bucket))
 
 
-def _quadruple_buckets(primes_u, primes_v, pair_budget: int, weights=None):
+def _quadruple_buckets(primes_u, primes_v, weights=None):
     """Distinct sums a^3 + b^3 + c^3 + d^3 and the total weight of each.
 
     a, b run over primes_u and c, d over primes_v, all ordered.  A tuple
@@ -471,8 +460,9 @@ def _quadruple_buckets(primes_u, primes_v, pair_budget: int, weights=None):
     when weights is None, which makes the buckets exact integer counts.
     """
     tuples = (len(primes_u) * len(primes_v)) ** 2
-    if tuples > pair_budget:
-        raise ResourceError(f"{tuples} four-tuples exceed the pair budget ({pair_budget})")
+    if tuples > MAX_QUADRUPLES:
+        raise ResourceError(f"{tuples} four-tuples exceed "
+                            f"expsums.MAX_QUADRUPLES = {MAX_QUADRUPLES}")
     cu = np.asarray(primes_u, dtype=np.int64) ** 3
     cv = np.asarray(primes_v, dtype=np.int64) ** 3
     sums = np.add.outer(np.add.outer(cu, cu).ravel(), np.add.outer(cv, cv).ravel()).ravel()

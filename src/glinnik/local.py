@@ -71,7 +71,8 @@ class TruncatedSeries:
 
 def _check_residues(what: str, m: int) -> None:
     if m > MAX_RESIDUES:
-        raise ResourceError(f"{what} {m} exceeds the residue budget ({MAX_RESIDUES})")
+        raise ResourceError(f"{what} {m} exceeds the residue budget "
+                            f"local.MAX_RESIDUES = {MAX_RESIDUES}")
 
 
 def ramanujan_C1(q: int, a: int) -> int:

@@ -18,8 +18,8 @@ from dataclasses import asdict, dataclass
 
 from . import binary, local, search
 from .binary import count_pairs, enum_Xi, measure_sigma
-from .errors import DomainError
-from .expsums import ProblemParams, _require_finite
+from .errors import DomainError, _require_finite
+from .expsums import ProblemParams
 from .sint import jn_closed_form, jn_monte_carlo
 
 SIGMA_MIN = 0.8842495063
@@ -183,7 +183,7 @@ def full_report(
     jsum_params = ProblemParams(n1=b.jsum_n, n2=b.jsum_n, k=params.k)
     jsum = binary.j_sum_exact(jsum_params, b.jsum_l_cap)
 
-    rho = search.rho_counts(b.rho_u, b.rho_v)
+    rho = search.rho_counts(b.rho_u, b.rho_v, delta=params.delta)
 
     missing = []
     found = 0

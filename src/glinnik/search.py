@@ -21,14 +21,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .arith import _round_pow2, dyadic_table, is_prime, sieve_range
-from .binary import DEFAULT_NODE_BUDGET, _power_multisets
+from .binary import _power_multisets
 from .errors import DomainError, ResourceError
-from .expsums import DEFAULT_PAIR_BUDGET, _quadruple_buckets
+from .expsums import _quadruple_buckets
 
 log = logging.getLogger(__name__)
 
-DEFAULT_N_CAP = 10**7
-DEFAULT_DIFF_BUDGET = 1 << 24
+MAX_WITNESS_N = 10**7  # largest target of a witness search, and of its prime bitset
+MAX_DIFFS = 1 << 24  # entries of the difference table of two quadruple-sum tables
 _MIN_WITNESS = 2 + 4 * 8  # smallest possible p1 + four cubes
 
 
@@ -159,9 +159,7 @@ def _prime_bitset(limit: int) -> np.ndarray:
     return isp
 
 
-def _search(
-    targets: tuple[int, ...], k: int, mode: str, params, n_cap: int
-) -> list[RepWitness] | None:
+def _search(targets: tuple[int, ...], k: int, mode: str, params) -> list[RepWitness] | None:
     """Witnesses for every target sharing one shift multiset, or None.
 
     Shift multisets come in lexicographic order; the first one that every
@@ -171,8 +169,8 @@ def _search(
         raise DomainError(f"unknown search mode {mode!r}")
     if k < 1:
         raise DomainError("k must be >= 1")
-    if max(targets) > n_cap:
-        raise ResourceError(f"witness search needs N <= n_cap ({n_cap})")
+    if max(targets) > MAX_WITNESS_N:
+        raise ResourceError(f"witness search needs N <= search.MAX_WITNESS_N = {MAX_WITNESS_N}")
     if min(targets) < _MIN_WITNESS + 2 * k:
         return None  # every shift is at least 2
     delta = params.delta if params is not None else 1e-4
@@ -180,11 +178,11 @@ def _search(
     sets = [_search_sets(N, mode, delta, omega) for N in targets]
     if not all(t.u_sums and t.v_sums for t in sets):
         return None
-    # one bitset serves every target up to the next power of two, within n_cap
-    isp = _prime_bitset(min(_round_pow2(max(targets)), n_cap))
+    # one bitset serves every target up to the next power of two, within MAX_WITNESS_N
+    isp = _prime_bitset(min(_round_pow2(max(targets)), MAX_WITNESS_N))
     v_max = min(t.v_max for t in sets)
     s_allow = min(targets) - _MIN_WITNESS
-    for s, _, powers in _power_multisets(k, v_max, s_allow, DEFAULT_NODE_BUDGET):
+    for s, _, powers in _power_multisets(k, v_max, s_allow):
         witnesses = []
         for N, t in zip(targets, sets):
             hit = _complete_cubes_and_prime(N - s, t, isp)
@@ -197,14 +195,7 @@ def _search(
     return None
 
 
-def find_witness(
-    N: int,
-    k: int,
-    mode: str = "free",
-    params=None,
-    *,
-    n_cap: int = DEFAULT_N_CAP,
-) -> RepWitness | None:
+def find_witness(N: int, k: int, mode: str = "free", params=None) -> RepWitness | None:
     """A witness for N, or a definitive None (search is exhaustive).
 
     Free mode searches every prime and every shift exponent that fits;
@@ -213,30 +204,24 @@ def find_witness(
     any desk-scale-empty range.
 
     Raises:
-        ResourceError: N beyond the configured cap, or the shift
-            enumeration beyond the node budget
+        ResourceError: N above MAX_WITNESS_N, or the shift enumeration
+            beyond binary.MAX_NODES
     """
     if N % 2 == 0:
         raise DomainError("N must be odd")
-    found = _search((N,), k, mode, params, n_cap)
+    found = _search((N,), k, mode, params)
     return None if found is None else found[0]
 
 
 def find_pair_witness(
-    N1: int,
-    N2: int,
-    k: int,
-    mode: str = "free",
-    params=None,
-    *,
-    n_cap: int = DEFAULT_N_CAP,
+    N1: int, N2: int, k: int, mode: str = "free", params=None
 ) -> PairWitness | None:
-    """Witnesses for N1 and N2 sharing one shift multiset, or None."""
+    """Witnesses for N1 and N2 sharing one shift multiset, or None (raises as find_witness)."""
     if N1 % 2 == 0 or N2 % 2 == 0:
         raise DomainError("N1 and N2 must be odd")
     if N1 < N2:
         raise DomainError("pair search requires N1 >= N2")
-    found = _search((N1, N2), k, mode, params, n_cap)
+    found = _search((N1, N2), k, mode, params)
     return None if found is None else PairWitness(*found)
 
 
@@ -247,22 +232,24 @@ def rho_counts_from_primes(
     U: int | None = None,
     V: int | None = None,
     delta: float = 1e-4,
-    pair_budget: int = DEFAULT_PAIR_BUDGET,
-    diff_budget: int = DEFAULT_DIFF_BUDGET,
 ) -> RhoCounts:
     """Representation counts of n = (a^3+b^3+c^3+d^3) - (a'^3+b'^3+c'^3+d'^3).
 
     a, a' run over primes_u (two per side) and c, c' over primes_v, all
     ordered; quadruple sums are hashed (meet in the middle) and counts of
     every difference of two sums accumulated exactly.
+
+    Raises:
+        ResourceError: over expsums.MAX_QUADRUPLES four-tuples or MAX_DIFFS differences
     """
     pu = np.asarray(sorted(int(p) for p in primes_u), dtype=np.int64)
     pv = np.asarray(sorted(int(p) for p in primes_v), dtype=np.int64)
     if pu.size == 0 or pv.size == 0:
         raise DomainError("both prime sets must be non-empty")
-    values, counts = _quadruple_buckets(pu, pv, pair_budget)
-    if values.size**2 > diff_budget:
-        raise ResourceError(f"difference table exceeds the diff budget ({diff_budget})")
+    values, counts = _quadruple_buckets(pu, pv)
+    if values.size**2 > MAX_DIFFS:
+        raise ResourceError(f"difference table of {values.size**2} entries exceeds "
+                            f"search.MAX_DIFFS = {MAX_DIFFS}")
     diffs = (values[:, None] - values[None, :]).ravel()
     prods = (counts[:, None] * counts[None, :]).ravel()
     dvals, inverse = np.unique(diffs, return_inverse=True)
@@ -285,7 +272,7 @@ def rho_counts_from_primes(
     )
 
 
-def rho_counts(U: int, V: int, **kwargs) -> RhoCounts:
+def rho_counts(U: int, V: int, *, delta: float = 1e-4) -> RhoCounts:
     """rho over the dyadic prime blocks (U, 2U] and (V, 2V].
 
     The reported ratio max rho * (log N)^8 / (U V^4), with N recovered
@@ -296,4 +283,4 @@ def rho_counts(U: int, V: int, **kwargs) -> RhoCounts:
     tv = dyadic_table(V)
     if len(tu) == 0 or len(tv) == 0:
         raise DomainError(f"empty dyadic prime block for U={U} or V={V}")
-    return rho_counts_from_primes(tu.primes, tv.primes, U=U, V=V, **kwargs)
+    return rho_counts_from_primes(tu.primes, tv.primes, U=U, V=V, delta=delta)

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ResourceError
-from .expsums import ProblemParams, _require_finite, _require_int
+from .errors import DomainError, ResourceError, _require_finite, _require_int
+from .expsums import ProblemParams
 from .parallel import map_ordered
 
 MC_BATCH = 1 << 16
@@ -141,7 +141,8 @@ def jn_monte_carlo_box(
             raise DomainError(f"sampling box {box} needs lo < hi at a finite width in each block")
     volume = (u3_hi - u3_lo) ** 2 * (v3_hi - v3_lo) ** 2
     if samples > MAX_MC_SAMPLES:
-        raise ResourceError(f"samples={samples} exceeds the Monte Carlo budget ({MAX_MC_SAMPLES})")
+        raise ResourceError(f"samples={samples} exceeds the Monte Carlo budget "
+                            f"sint.MAX_MC_SAMPLES = {MAX_MC_SAMPLES}")
     counts = [MC_BATCH] * (samples // MC_BATCH)
     if samples % MC_BATCH:
         counts.append(samples % MC_BATCH)
@@ -238,7 +239,8 @@ def jn_exact_small(n: int, U: int, V: int, m1_range: tuple[float, float]) -> flo
     if U < 1 or V < 1:
         raise DomainError("U and V must be >= 1")
     if U > _MAX_LATTICE_U:
-        raise ResourceError(f"U={U} exceeds the lattice budget (U <= {_MAX_LATTICE_U})")
+        raise ResourceError(f"U={U} exceeds the lattice budget "
+                            f"sint._MAX_LATTICE_U = {_MAX_LATTICE_U}")
     m1_lo, m1_hi = _check_window(m1_range)
     wu = _block_weights(U)
     wv = _block_weights(V)

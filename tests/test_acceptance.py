@@ -142,11 +142,11 @@ def test_criterion_07_moment_identities():
     # orthogonality value against an independent direct accumulation
     table = dyadic_table(1000)
     direct = sum(math.log(int(p)) ** 2 for p in table.primes)
-    assert moment2_exact(table, "cube_u") == pytest.approx(direct, rel=1e-12)
+    assert moment2_exact(table) == pytest.approx(direct, rel=1e-12)
     # numerical-integration path on a 2^20 grid
     grid = eval_grid("cube_u", table, 1 << 20)
     riemann = float(np.mean(np.abs(grid) ** 2))
-    assert riemann == pytest.approx(moment2_exact(table, "cube_u"), rel=0.01)
+    assert riemann == pytest.approx(moment2_exact(table), rel=0.01)
     # eighth-moment of the cube-sum product against the 8-fold loop
     assert moment_ST4_exact(10, 5) == pytest.approx(brute_force_st4(10, 5), rel=1e-10)
     # shift-collision identity

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+import glinnik.arith as arith
 from glinnik import (
     DomainError,
     ResourceError,
+    dyadic_table,
     is_prime,
     modpow,
     multiplicative,
@@ -48,21 +50,34 @@ def test_sieve_oracle_agreement_exhaustive():
         assert (n in table) == trial_division_is_prime(n)
 
 
-def test_sieve_segment_boundaries():
+def test_sieve_segment_boundaries(monkeypatch):
     a = sieve_range(1, 40_000).primes
-    b = sieve_range(1, 40_000, segment_size=1_000).primes
+    monkeypatch.setattr(arith, "SEGMENT_SIZE", 1_000)
+    b = sieve_range(1, 40_000).primes
     assert np.array_equal(a, b)
 
 
-def test_sieve_thread_invariance():
-    a = sieve_range(10_000, 200_000, segment_size=4_096, threads=1).primes
-    b = sieve_range(10_000, 200_000, segment_size=4_096, threads=4).primes
+def test_sieve_thread_invariance(monkeypatch):
+    monkeypatch.setattr(arith, "SEGMENT_SIZE", 4_096)
+    a = sieve_range(10_000, 200_000, threads=1).primes
+    b = sieve_range(10_000, 200_000, threads=4).primes
     assert np.array_equal(a, b)
 
 
 def test_sieve_budget_error_names_budget():
-    with pytest.raises(ResourceError, match="max_span"):
-        sieve_range(0, 2**33, max_span=2**31)
+    assert arith.MAX_SPAN == 2**31
+    with pytest.raises(ResourceError, match="arith.MAX_SPAN"):
+        sieve_range(0, 2**33)
+
+
+def test_sieve_and_dyadic_blocks_reject_hostile_bounds():
+    with pytest.raises(DomainError, match="lo must be an integer"):
+        sieve_range(1.5, 9)
+    with pytest.raises(DomainError, match="x >= 0"):
+        dyadic_table(-5)
+    for x in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="finite"):
+            dyadic_table(x)
 
 
 def test_sieve_domain_errors():

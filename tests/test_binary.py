@@ -60,13 +60,14 @@ def test_enum_xi_matches_exhaustive_enumeration():
         assert xi.total_multiplicity() <= v_max**k
 
 
-def test_enum_xi_validation_and_budget():
+def test_enum_xi_validation_and_budget(monkeypatch):
     with pytest.raises(DomainError):
         enum_Xi(100, 2, 0.1, 3.0)
     with pytest.raises(DomainError):
         enum_Xi(101, 0, 0.1, 3.0)
-    with pytest.raises(ResourceError, match="node budget"):
-        enum_Xi(2**40 + 1, 12, 0.9, 30.0, node_budget=1_000)
+    monkeypatch.setattr(binary, "MAX_NODES", 1_000)
+    with pytest.raises(ResourceError, match="MAX_NODES"):
+        enum_Xi(2**40 + 1, 12, 0.9, 30.0)
     bad = [(0.0, 3.0), (-0.1, 3.0), (1.5, 3.0), (math.nan, 3.0), (0.1, math.inf), (0.1, math.nan)]
     for eta, L in bad:
         with pytest.raises(DomainError):
@@ -155,7 +156,7 @@ def test_measure_validation():
     for lam, L in [(math.nan, 14.0), (math.inf, 14.0), (-0.1, 14.0), (0.9, math.nan), (0.9, math.inf)]:
         with pytest.raises(DomainError):
             measure_sigma(lam, L, 1 << 12)
-    with pytest.raises(ResourceError, match="grid budget"):
+    with pytest.raises(ResourceError, match="MAX_GRID"):
         measure_sigma(0.9, 14.0, (1 << 24) + 1)
 
 

@@ -152,6 +152,13 @@ def test_rho_subcommand(capsys):
     assert payload["max_count"] > 0 and payload["asserted"] is False
 
 
+def test_rho_subcommand_reads_delta(capsys):
+    payload = run_json(capsys, "rho", "--u", "10", "--v", "5", "--delta", "0.002")
+    assert payload["config"]["delta"] == 0.002
+    assert payload["bound_ratio"] == glinnik.rho_counts(10, 5, delta=0.002).bound_ratio
+    assert payload["bound_ratio"] != glinnik.rho_counts(10, 5).bound_ratio
+
+
 def test_search_subcommand(capsys):
     payload = run_json(capsys, "search", "--n", "37", "--k", "1")
     w = payload["witness"]

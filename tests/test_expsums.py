@@ -252,10 +252,11 @@ def test_grid_matches_complex_ifft_reference(M):
         assert np.max(np.abs(grid - reference)) <= 1e-12 * float(buckets.sum())
 
 
-def test_grid_budget_and_domain_errors():
+def test_grid_budget_and_domain_errors(monkeypatch):
     table = dyadic_table(10)
-    with pytest.raises(ResourceError, match="budget"):
-        eval_grid("cube_u", table, 1 << 22, budget=1 << 20)
+    monkeypatch.setattr(expsums, "MAX_GRID", 1 << 20)
+    with pytest.raises(ResourceError, match="MAX_GRID"):
+        eval_grid("cube_u", table, 1 << 22)
     with pytest.raises(DomainError):
         eval_grid("cube_u", table, 1)
     with pytest.raises(DomainError, match="integer"):
@@ -398,7 +399,7 @@ def test_moment2_examples():
     assert moment2_exact(sieve_range(3, 3)) == pytest.approx(math.log(3) ** 2)
     assert moment2_exact(sieve_range(24, 28)) == 0.0
     both = sieve_range(2, 3)
-    assert moment2_exact(both, "cube_u") == pytest.approx(
+    assert moment2_exact(both) == pytest.approx(
         math.log(2) ** 2 + math.log(3) ** 2
     )
 
@@ -408,7 +409,7 @@ def test_moment2_riemann_consistency_small():
     table = dyadic_table(100)
     grid = eval_grid("cube_u", table, 1 << 20)
     riemann = float(np.mean(np.abs(grid) ** 2))
-    exact = moment2_exact(table, "cube_u")
+    exact = moment2_exact(table)
     assert riemann == pytest.approx(exact, rel=0.01)
 
 
@@ -452,9 +453,15 @@ def test_moment_st4_diagonal_lower_bound():
     assert moment_ST4_exact(20, 8) >= diag
 
 
-def test_moment_st4_budget_error():
-    with pytest.raises(ResourceError, match="budget"):
-        moment_ST4_exact(1000, 100, pair_budget=10)
+def test_moment_st4_budget_error(monkeypatch):
+    monkeypatch.setattr(expsums, "MAX_QUADRUPLES", 10)
+    with pytest.raises(ResourceError, match="MAX_QUADRUPLES"):
+        moment_ST4_exact(1000, 100)
+
+
+def test_moment_st4_rejects_nan_scale():
+    with pytest.raises(DomainError, match="finite"):
+        moment_ST4_exact(math.nan, 5)
 
 
 # ---------------------------------------------------------------------------

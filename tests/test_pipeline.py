@@ -12,6 +12,7 @@ from glinnik import (
     k_threshold,
     r1_coefficient,
     r3_coefficient,
+    rho_counts,
 )
 
 SMALL_BUDGETS = ReportBudgets(
@@ -116,3 +117,9 @@ def test_full_report_raised_lambda_raises_threshold():
     params = ProblemParams(n1=1_000_003, n2=1_000_003, lam=0.99)
     report = full_report(params, SMALL_BUDGETS, seed=5)
     assert report["k_threshold"] > 231
+
+
+def test_full_report_rho_reads_delta():
+    params = ProblemParams(n1=1_000_003, n2=1_000_003, delta=0.002)
+    rho = full_report(params, SMALL_BUDGETS, seed=5)["rho"]["value"]
+    assert rho["bound_ratio"] == rho_counts(5, 3, delta=0.002).bound_ratio

@@ -1,8 +1,9 @@
 import itertools
+import math
 
 import pytest
 
-from glinnik import search
+from glinnik import binary, expsums, search
 from glinnik import (
     DomainError,
     RepWitness,
@@ -91,7 +92,7 @@ def test_witness_validation_errors():
         find_witness(36, 1)
     with pytest.raises(DomainError):
         find_witness(37, 0)
-    with pytest.raises(ResourceError, match="n_cap"):
+    with pytest.raises(ResourceError, match="MAX_WITNESS_N"):
         find_witness(10**7 + 1, 1)
 
 
@@ -156,12 +157,12 @@ def test_pair_witness_pinned_values():
 def test_witness_search_node_budget(monkeypatch):
     # in paper_ranges mode at k = 2, 433 is reached after 11 enumeration nodes
     w = RepWitness(N=433, p1=109, cubes=(3, 3, 5, 5), powers=(2, 4))
-    monkeypatch.setattr(search, "DEFAULT_NODE_BUDGET", 11)
+    monkeypatch.setattr(binary, "MAX_NODES", 11)
     assert find_witness(433, 2, mode="paper_ranges") == w
-    monkeypatch.setattr(search, "DEFAULT_NODE_BUDGET", 10)
-    with pytest.raises(ResourceError, match="node budget"):
+    monkeypatch.setattr(binary, "MAX_NODES", 10)
+    with pytest.raises(ResourceError, match="MAX_NODES"):
         find_witness(433, 2, mode="paper_ranges")
-    with pytest.raises(ResourceError, match="node budget"):
+    with pytest.raises(ResourceError, match="MAX_NODES"):
         find_pair_witness(433, 433, 2, mode="paper_ranges")
 
 
@@ -234,8 +235,11 @@ def test_rho_matches_brute_force():
     assert res2.counts == brute_force_rho(pu, pv)
 
 
-def test_rho_budget_errors():
-    with pytest.raises(ResourceError):
-        rho_counts(300, 100, pair_budget=100)
+def test_rho_budget_errors(monkeypatch):
+    monkeypatch.setattr(expsums, "MAX_QUADRUPLES", 100)
+    with pytest.raises(ResourceError, match="MAX_QUADRUPLES"):
+        rho_counts(300, 100)
     with pytest.raises(DomainError):
         rho_counts_from_primes([], [3])
+    with pytest.raises(DomainError, match="finite"):
+        rho_counts(math.nan, 3)
