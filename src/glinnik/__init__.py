@@ -17,9 +17,7 @@ from .arith import (
     is_prime,
     modpow,
     multiplicative,
-    read_prime_cache,
     sieve_range,
-    write_prime_cache,
 )
 from .binary import (
     JSumExact,

@@ -11,10 +11,8 @@ from __future__ import annotations
 
 import bisect
 import math
-import re
 from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 
@@ -28,8 +26,6 @@ _MAX_BASE_LIMIT = 1 << 26
 # Deterministic for every n < 3.317e24 (Sorenson-Webster witness set),
 # which covers all 64-bit inputs this toolkit handles.
 MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-_CACHE_HEADER = re.compile(r"^# primes lo=(\d+) hi=(\d+)$")
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,8 +183,6 @@ def is_prime(n: int) -> bool:
 
 def _pollard_brent(n: int) -> int:
     """A nontrivial factor of odd composite n (deterministic parameter scan)."""
-    if n % 2 == 0:
-        return 2
     for c in range(1, 100):
         y, m, g, r, q = 2, 128, 1, 1, 1
         x = ys = y
@@ -216,8 +210,7 @@ def _pollard_brent(n: int) -> int:
 
 
 def _factor_into(n: int, out: dict[int, int]) -> None:
-    if n == 1:
-        return
+    """Add the factorization of n > 1 to out; a composite n has no factor below 2^14."""
     if is_prime(n):
         out[n] = out.get(n, 0) + 1
         return
@@ -266,40 +259,3 @@ def modpow(base: int, exp: int, modulus: int) -> int:
         raise DomainError(f"modpow() requires modulus >= 1, got {modulus}")
     return pow(base, exp, modulus)
 
-
-def write_prime_cache(path: str | Path, table: PrimeTable) -> None:
-    """Write the plain-text cache: header line, then one prime per line."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# primes lo={table.lo} hi={table.hi}\n")
-        for p in table.primes:
-            fh.write(f"{int(p)}\n")
-
-
-def read_prime_cache(path: str | Path) -> PrimeTable:
-    """Read a cache file written by write_prime_cache.
-
-    Raises:
-        DomainError: malformed header, a line that is not an integer, or
-            non-ascending entries
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        m = _CACHE_HEADER.match(header)
-        if m is None:
-            raise DomainError(f"bad prime cache header: {header!r}")
-        lo, hi = int(m.group(1)), int(m.group(2))
-        entries = []
-        for lineno, line in enumerate(fh, 2):
-            try:
-                if line.strip():
-                    entries.append(int(line))
-            except ValueError:
-                msg = f"prime cache line {lineno} is not an integer: {line.strip()!r}"
-                raise DomainError(msg) from None
-    try:
-        primes = np.array(entries, dtype=np.int64)
-    except OverflowError:
-        raise DomainError("prime cache entries must lie below 2^63") from None
-    if primes.size and (np.any(np.diff(primes) <= 0) or primes[0] < lo or primes[-1] > hi):
-        raise DomainError("prime cache entries must be strictly increasing inside [lo, hi]")
-    return PrimeTable(lo, hi, primes)

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .arith import dyadic_range, read_prime_cache, sieve_range, write_prime_cache
+from .arith import dyadic_range, sieve_range
 from .binary import enum_Xi, j_sum_exact, measure_sigma
 from .errors import DomainError, NumericalIntegrityError, ResourceError, ToolkitError
 from .errors import _require_finite
@@ -37,13 +37,7 @@ from .expsums import (
     linear_table,
 )
 from .local import singular_series
-from .pipeline import (
-    LAMBDA_DEFAULT,
-    ConstantsLedger,
-    ReportBudgets,
-    full_report,
-    k_threshold,
-)
+from .pipeline import ConstantsLedger, ReportBudgets, full_report, k_threshold
 from .search import find_pair_witness, find_witness, rho_counts
 from .sint import SingularIntegralEstimate, jn_closed_form, jn_exact_small, jn_monte_carlo
 
@@ -54,19 +48,19 @@ class RunConfig:
 
     The fields are the config keys, in order, each typed by its default;
     a field's `key` metadata is its spelling in files, flags and JSON.
+    The problem's tunables take their defaults from ProblemParams.
     """
 
     n1: int = 1_000_003
     n2: int = 1_000_003
-    delta: float = 1e-4
-    omega: float = 1e-5
-    eta: float = 5e-5
-    lam: float = dataclasses.field(default=LAMBDA_DEFAULT, metadata={"key": "lambda"})
-    epsilon: float = 1e-10
-    k: int = 231
+    delta: float = ProblemParams.delta
+    omega: float = ProblemParams.omega
+    eta: float = ProblemParams.eta
+    lam: float = dataclasses.field(default=ProblemParams.lam, metadata={"key": "lambda"})
+    epsilon: float = ProblemParams.epsilon
+    k: int = ProblemParams.k
     threads: int = 0  # 0 means all available cores
     seed: int = 20240901
-    cache: bool = True
 
     @classmethod
     def config_keys(cls) -> list[tuple[str, str, type]]:
@@ -77,12 +71,7 @@ class RunConfig:
         ]
 
     def to_text(self) -> str:
-        lines = []
-        for key, name, typ in self.config_keys():
-            val = getattr(self, name)
-            text = ("true" if val else "false") if typ is bool else repr(val)
-            lines.append(f"{key} = {text}")
-        return "\n".join(lines) + "\n"
+        return "".join(f"{key} = {getattr(self, name)!r}\n" for key, name, _ in self.config_keys())
 
     @classmethod
     def from_text(cls, text: str) -> "RunConfig":
@@ -98,17 +87,11 @@ class RunConfig:
             if key not in known:
                 raise DomainError(f"unknown config key {key!r} on line {lineno}")
             name, typ = known[key]
-            if typ is bool:
-                if val not in ("true", "false"):
-                    raise DomainError(f"config key {key!r} must be true/false")
-                parsed = val == "true"
-            else:
-                try:
-                    parsed = typ(val)
-                except ValueError:
-                    msg = f"config key {key!r} must be {typ.__name__}, got {val!r}"
-                    raise DomainError(msg) from None
-            kwargs[name] = parsed
+            try:
+                kwargs[name] = typ(val)
+            except ValueError:
+                msg = f"config key {key!r} must be {typ.__name__}, got {val!r}"
+                raise DomainError(msg) from None
         return cls(**kwargs)
 
     def validate(self) -> None:
@@ -154,10 +137,10 @@ def _load_config(args) -> RunConfig:
     if args.config:
         cfg = RunConfig.from_text(args.config.read_text(encoding="utf-8"))
     overrides = {}
-    for key, name, typ in RunConfig.config_keys():
+    for key, name, _ in RunConfig.config_keys():
         val = getattr(args, f"cfg_{key}")
         if val is not None:
-            overrides[name] = (val == "true") if typ is bool else val
+            overrides[name] = val
     cfg = dataclasses.replace(cfg, **overrides)
     cfg.validate()
     return cfg
@@ -178,14 +161,8 @@ def _check_emit(count: int) -> None:
 
 
 def _cmd_sieve(args, cfg: RunConfig):
-    cache_file = args.cache_file if cfg.cache else None
-    table = read_prime_cache(cache_file) if cache_file and cache_file.exists() else None
-    fresh = table is None or (table.lo, table.hi) != (args.lo, args.hi)
-    if fresh:
-        table = sieve_range(args.lo, args.hi, threads=cfg.effective_threads())
+    table = sieve_range(args.lo, args.hi, threads=cfg.effective_threads())
     _check_emit(len(table))
-    if fresh and cache_file:
-        write_prime_cache(cache_file, table)
     payload = {"lo": table.lo, "hi": table.hi, "count": len(table), "primes": table.primes}
     return payload, (("p",), (table.primes,))
 
@@ -321,12 +298,12 @@ def _witness_payload(w) -> dict | None:
 
 
 def _cmd_search(args, cfg: RunConfig):
-    w = find_witness(args.n, cfg.k, args.mode)
+    w = find_witness(args.n, cfg.k, args.mode, delta=cfg.delta, omega=cfg.omega)
     return {"n": args.n, "k": cfg.k, "mode": args.mode, "witness": _witness_payload(w)}, None
 
 
 def _cmd_pair_search(args, cfg: RunConfig):
-    pw = find_pair_witness(cfg.n1, cfg.n2, cfg.k, args.mode)
+    pw = find_pair_witness(cfg.n1, cfg.n2, cfg.k, args.mode, delta=cfg.delta, omega=cfg.omega)
     payload = {
         "n1": cfg.n1,
         "n2": cfg.n2,
@@ -371,7 +348,7 @@ _LATTICE = "lattice block scale (exact_lattice)"
 # (name, help, flags as (names, add_argument kwargs), handler).
 SUBCOMMANDS = (
     ("sieve", "primes in [lo, hi]",
-     (_req("--lo", int), _req("--hi", int), _flag("--cache-file", type=Path)), _cmd_sieve),
+     (_req("--lo", int), _req("--hi", int)), _cmd_sieve),
     ("eval", "evaluate one generating sum",
      (_flag("--kind", choices=KINDS, required=True), _I, _flag("--alpha", type=float),
       _flag("--grid", type=int)), _cmd_eval),
@@ -491,8 +468,7 @@ def _build_parser() -> _Parser:
     common.add_argument("--out", type=Path, help="output path (default stdout)")
     common.add_argument("--csv", action="store_true", help="CSV output where supported")
     for key, _, typ in RunConfig.config_keys():
-        domain = dict(choices=("true", "false")) if typ is bool else dict(type=typ)
-        common.add_argument(f"--{key}", dest=f"cfg_{key}", **domain)
+        common.add_argument(f"--{key}", dest=f"cfg_{key}", type=typ)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text, flags, handler in SUBCOMMANDS:
         p = sub.add_parser(name, parents=[common], help=help_text)
@@ -529,7 +505,7 @@ def main(argv=None) -> int:
         print(f"glinnik: resource error: {exc}", file=sys.stderr)
         return 2
     except (ToolkitError, OSError, UnicodeDecodeError) as exc:
-        # I/O on --config, --out and cache files; a config that is not UTF-8
+        # I/O on --config and --out; a config that is not UTF-8
         print(f"glinnik: error: {exc}", file=sys.stderr)
         return 1
     return 0

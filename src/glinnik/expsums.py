@@ -39,6 +39,7 @@ MAX_GRID = 1 << 24  # largest grid size M of a bucketed DFT
 MAX_QUADRUPLES = 1 << 24  # most ordered cube four-tuples one meet-in-the-middle table holds
 MAX_BINARY_TERMS = 1 << 12  # most terms floor(L) of the binary sum; ProblemParams.L < 64
 MAX_CUBE_HI = 1 << 21  # cube-sum tables end below this, so every p^3 fits in int64
+MAX_RATIO = 1e6  # largest n1/n2 a ProblemParams accepts
 
 _TWO_PI = 2.0 * math.pi
 _LIMB_BITS = 31  # m * A stays below 2^62 for m, A < 2^31
@@ -66,7 +67,6 @@ class ProblemParams:
     lam: float = 0.961917
     epsilon: float = 1e-10
     k: int = 231
-    max_ratio: float = 1e6
 
     def __post_init__(self):
         _require_int(n1=self.n1, n2=self.n2, k=self.k)
@@ -74,8 +74,8 @@ class ProblemParams:
             raise DomainError("n1 and n2 must be odd")
         if self.n1 < self.n2:
             raise DomainError("params require n1 >= n2")
-        if self.n1 > self.max_ratio * self.n2:
-            raise DomainError(f"n1/n2 exceeds the configured max_ratio ({self.max_ratio})")
+        if self.n1 > MAX_RATIO * self.n2:
+            raise DomainError(f"n1/n2 exceeds expsums.MAX_RATIO = {MAX_RATIO}")
         if not 0.0 < self.omega < 1.0:
             raise DomainError("omega must lie in (0, 1)")
         if not 0.0 < self.eta < 1.0:
@@ -106,20 +106,31 @@ class ProblemParams:
         raise DomainError(f"index must be 1 or 2, got {i}")
 
     def u(self, i: int) -> float:
-        return (self.n(i) / (16.0 * (1.0 + self.delta))) ** (1.0 / 3.0)
+        return _cube_scales(self.n(i), self.delta)[0]
 
     def v(self, i: int) -> float:
-        return self.u(i) ** (5.0 / 6.0)
+        return _cube_scales(self.n(i), self.delta)[1]
 
     @property
     def L(self) -> float:
-        return math.log2(self.n1 / math.log(self.n1))
+        return _shift_scale(self.n1)
 
     def p_max(self, i: int) -> float:
         return self.n(i) ** (1.0 / 9.0 - 2.0 * self.epsilon)
 
     def q_max(self, i: int) -> float:
         return self.n(i) ** (8.0 / 9.0 + self.epsilon)
+
+
+def _cube_scales(n: int, delta: float) -> tuple[float, float]:
+    """The cube dyadic scales (u, v) of a target n, as ProblemParams.u and .v."""
+    u = (n / (16.0 * (1.0 + delta))) ** (1.0 / 3.0)
+    return u, u ** (5.0 / 6.0)
+
+
+def _shift_scale(n: int) -> float:
+    """The powers-of-two cutoff log2(n / log n) of a target n, as ProblemParams.L."""
+    return math.log2(n / math.log(n))
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ the derivation).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 from . import binary, local, search
 from .binary import count_pairs, enum_Xi, measure_sigma
@@ -27,7 +27,6 @@ J_CONST = 2.7335671
 JSUM_CONST = 305.8869
 ST_MOMENT_CONST = 0.359127
 CUBE_DIFF_B = 268096
-LAMBDA_DEFAULT = 0.961917
 E_LAMBDA_BOUND = 113.0 / 126.0 + 1e-10
 
 EXPONENT_NOTE = (
@@ -52,7 +51,7 @@ class ConstantsLedger:
     jsum_const: float = JSUM_CONST
     st_moment_const: float = ST_MOMENT_CONST
     b: int = CUBE_DIFF_B
-    lam: float = LAMBDA_DEFAULT
+    lam: float = ProblemParams.lam
     e_lambda_bound: float = E_LAMBDA_BOUND
 
     @property
@@ -120,7 +119,7 @@ class ReportBudgets:
     mc_samples: int = 200_000
     measure_grid: int = 1 << 18
     measure_L: float = 20.0
-    measure_lambdas: tuple[float, ...] = (0.9, LAMBDA_DEFAULT)
+    measure_lambdas: tuple[float, ...] = (0.9, ProblemParams.lam)
     jsum_n: int = 100_003
     jsum_l_cap: int = 10
     rho_u: int = 10
@@ -166,22 +165,12 @@ def full_report(
         if v < ledger.sigma_min - 0.003
     ]
 
-    mc_params = ProblemParams(
-        n1=b.mc_n,
-        n2=b.mc_n,
-        delta=params.delta,
-        omega=params.omega,
-        eta=params.eta,
-        lam=params.lam,
-        epsilon=params.epsilon,
-        k=params.k,
-    )
+    mc_params = replace(params, n1=b.mc_n, n2=b.mc_n)
     mc = jn_monte_carlo(b.mc_n, mc_params, 1, b.mc_samples, seed, threads=threads)
 
     measures = [measure_sigma(lam, b.measure_L, b.measure_grid) for lam in b.measure_lambdas]
 
-    jsum_params = ProblemParams(n1=b.jsum_n, n2=b.jsum_n, k=params.k)
-    jsum = binary.j_sum_exact(jsum_params, b.jsum_l_cap)
+    jsum = binary.j_sum_exact(replace(params, n1=b.jsum_n, n2=b.jsum_n), b.jsum_l_cap)
 
     rho = search.rho_counts(b.rho_u, b.rho_v, delta=params.delta)
 

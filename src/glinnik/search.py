@@ -22,8 +22,8 @@ import numpy as np
 
 from .arith import _round_pow2, dyadic_table, is_prime, sieve_range
 from .binary import _power_multisets
-from .errors import DomainError, ResourceError
-from .expsums import _quadruple_buckets
+from .errors import DomainError, ResourceError, _require_finite
+from .expsums import ProblemParams, _cube_scales, _quadruple_buckets, _shift_scale
 
 log = logging.getLogger(__name__)
 
@@ -137,14 +137,13 @@ def _search_sets(N: int, mode: str, delta: float, omega: float) -> _SearchSets:
         sums, pairs = _cube_pairs(cube_primes)
         v_max = (N - _MIN_WITNESS).bit_length() - 1
         return _SearchSets(sums, pairs, sums, pairs, 0.0, float(N), v_max)
-    u = (N / (16.0 * (1.0 + delta))) ** (1.0 / 3.0)
-    v = u ** (5.0 / 6.0)
+    u, v = _cube_scales(N, delta)
     tu = dyadic_table(u)
     tv = dyadic_table(v)
     for name, t in (("cube-u", tu), ("cube-v", tv)):
         if len(t) == 0:
             log.warning("paper_ranges: %s prime range (%d, %d] is empty", name, t.lo - 1, t.hi)
-    l_cap = max(1, math.floor(math.log2(N / math.log(N))))
+    l_cap = max(1, math.floor(_shift_scale(N)))
     return _SearchSets(
         *_cube_pairs(tu.primes), *_cube_pairs(tv.primes), omega * N, float(N), l_cap
     )
@@ -159,7 +158,9 @@ def _prime_bitset(limit: int) -> np.ndarray:
     return isp
 
 
-def _search(targets: tuple[int, ...], k: int, mode: str, params) -> list[RepWitness] | None:
+def _search(
+    targets: tuple[int, ...], k: int, mode: str, delta: float, omega: float
+) -> list[RepWitness] | None:
     """Witnesses for every target sharing one shift multiset, or None.
 
     Shift multisets come in lexicographic order; the first one that every
@@ -167,14 +168,17 @@ def _search(targets: tuple[int, ...], k: int, mode: str, params) -> list[RepWitn
     """
     if mode not in ("free", "paper_ranges"):
         raise DomainError(f"unknown search mode {mode!r}")
+    _require_finite(delta=delta, omega=omega)
+    if not delta > 0.0:
+        raise DomainError(f"delta must be > 0, got {delta}")
+    if not 0.0 < omega < 1.0:
+        raise DomainError(f"omega must lie in (0, 1), got {omega}")
     if k < 1:
         raise DomainError("k must be >= 1")
     if max(targets) > MAX_WITNESS_N:
         raise ResourceError(f"witness search needs N <= search.MAX_WITNESS_N = {MAX_WITNESS_N}")
     if min(targets) < _MIN_WITNESS + 2 * k:
         return None  # every shift is at least 2
-    delta = params.delta if params is not None else 1e-4
-    omega = params.omega if params is not None else 1e-5
     sets = [_search_sets(N, mode, delta, omega) for N in targets]
     if not all(t.u_sums and t.v_sums for t in sets):
         return None
@@ -195,33 +199,48 @@ def _search(targets: tuple[int, ...], k: int, mode: str, params) -> list[RepWitn
     return None
 
 
-def find_witness(N: int, k: int, mode: str = "free", params=None) -> RepWitness | None:
+def find_witness(
+    N: int,
+    k: int,
+    mode: str = "free",
+    *,
+    delta: float = ProblemParams.delta,
+    omega: float = ProblemParams.omega,
+) -> RepWitness | None:
     """A witness for N, or a definitive None (search is exhaustive).
 
     Free mode searches every prime and every shift exponent that fits;
-    paper_ranges mode restricts the cube primes to their dyadic blocks,
-    p1 to (omega N, N], and shift exponents to the log-scale cap, logging
-    any desk-scale-empty range.
+    paper_ranges mode restricts the cube primes to their dyadic blocks
+    (U, 2U] and (V, 2V] at delta, p1 to (omega N, N], and shift exponents
+    to the log-scale cap, logging any desk-scale-empty range.
 
     Raises:
+        DomainError: N even, k < 1, an unknown mode, delta or omega not
+            finite, delta <= 0, or omega outside (0, 1)
         ResourceError: N above MAX_WITNESS_N, or the shift enumeration
             beyond binary.MAX_NODES
     """
     if N % 2 == 0:
         raise DomainError("N must be odd")
-    found = _search((N,), k, mode, params)
+    found = _search((N,), k, mode, delta, omega)
     return None if found is None else found[0]
 
 
 def find_pair_witness(
-    N1: int, N2: int, k: int, mode: str = "free", params=None
+    N1: int,
+    N2: int,
+    k: int,
+    mode: str = "free",
+    *,
+    delta: float = ProblemParams.delta,
+    omega: float = ProblemParams.omega,
 ) -> PairWitness | None:
     """Witnesses for N1 and N2 sharing one shift multiset, or None (raises as find_witness)."""
     if N1 % 2 == 0 or N2 % 2 == 0:
         raise DomainError("N1 and N2 must be odd")
     if N1 < N2:
         raise DomainError("pair search requires N1 >= N2")
-    found = _search((N1, N2), k, mode, params)
+    found = _search((N1, N2), k, mode, delta, omega)
     return None if found is None else PairWitness(*found)
 
 
@@ -229,9 +248,9 @@ def rho_counts_from_primes(
     primes_u,
     primes_v,
     *,
-    U: int | None = None,
-    V: int | None = None,
-    delta: float = 1e-4,
+    U: int,
+    V: int,
+    delta: float = ProblemParams.delta,
 ) -> RhoCounts:
     """Representation counts of n = (a^3+b^3+c^3+d^3) - (a'^3+b'^3+c'^3+d'^3).
 
@@ -256,8 +275,7 @@ def rho_counts_from_primes(
     dcounts = np.bincount(inverse, weights=prods.astype(np.float64)).astype(np.int64)
     table = {int(n): int(c) for n, c in zip(dvals, dcounts)}
 
-    u_scale = float(U) if U is not None else float(pu[0])
-    v_scale = float(V) if V is not None else float(pv[0])
+    u_scale, v_scale = float(U), float(V)
     n_ref = 16.0 * (1.0 + delta) * u_scale**3
     max_count = int(dcounts.max())
     bound_ratio = max_count * math.log(n_ref) ** 8 / (u_scale * v_scale**4)
@@ -272,7 +290,7 @@ def rho_counts_from_primes(
     )
 
 
-def rho_counts(U: int, V: int, *, delta: float = 1e-4) -> RhoCounts:
+def rho_counts(U: int, V: int, *, delta: float = ProblemParams.delta) -> RhoCounts:
     """rho over the dyadic prime blocks (U, 2U] and (V, 2V].
 
     The reported ratio max rho * (log N)^8 / (U V^4), with N recovered

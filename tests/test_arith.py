@@ -11,9 +11,7 @@ from glinnik import (
     is_prime,
     modpow,
     multiplicative,
-    read_prime_cache,
     sieve_range,
-    write_prime_cache,
 )
 
 
@@ -151,28 +149,3 @@ def test_is_prime_large_known():
     assert not is_prime(2**61 + 1)
     assert not is_prime(3825123056546413051)  # strong pseudoprime to small bases
 
-
-def test_prime_cache_round_trip(tmp_path):
-    table = sieve_range(100, 5_000)
-    path = tmp_path / "primes.txt"
-    write_prime_cache(path, table)
-    first = path.read_text(encoding="utf-8").splitlines()[0]
-    assert first == "# primes lo=100 hi=5000"
-    back = read_prime_cache(path)
-    assert back.lo == table.lo and back.hi == table.hi
-    assert np.array_equal(back.primes, table.primes)
-
-
-def test_prime_cache_rejects_bad_header(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("primes 1 10\n2\n", encoding="utf-8")
-    with pytest.raises(DomainError):
-        read_prime_cache(path)
-
-
-@pytest.mark.parametrize("entry", ["three", "2.5", "0x7", str(2**64)])
-def test_prime_cache_rejects_an_entry_that_is_not_an_int64(tmp_path, entry):
-    path = tmp_path / "bad.txt"
-    path.write_text(f"# primes lo=2 hi=30\n2\n{entry}\n", encoding="utf-8")
-    with pytest.raises(DomainError, match="line 3|below 2"):
-        read_prime_cache(path)

@@ -61,15 +61,6 @@ def test_sieve_csv(capsys):
     assert [int(x) for x in out.splitlines()[1:]] == [2, 3, 5, 7]
 
 
-def test_sieve_cache_identical_results(tmp_path, capsys):
-    cache = tmp_path / "primes.txt"
-    first = run_json(capsys, "sieve", "--lo", "5", "--hi", "50", "--cache-file", str(cache))
-    assert cache.exists()
-    second = run_json(capsys, "sieve", "--lo", "5", "--hi", "50", "--cache-file", str(cache))
-    third = run_json(capsys, "sieve", "--lo", "5", "--hi", "50", "--cache", "false")
-    assert first["primes"] == second["primes"] == third["primes"]
-
-
 def test_xi_worked_example(capsys):
     payload = run_json(
         capsys, "xi", "--N", "101", "--k", "2", "--eta", "0.1", "--vmax", "3"
@@ -105,6 +96,13 @@ def test_eval_requires_exactly_one_mode(capsys):
     assert "domain error" in err
 
 
+def test_eval_cube_point(capsys):
+    payload = run_json(capsys, "eval", "--kind", "cube_u", "--alpha", "0.3")
+    params = glinnik.ProblemParams(n1=1_000_003, n2=1_000_003)
+    value = glinnik.eval_cube(glinnik.dyadic_table(params.u(1)), 0.3)
+    assert (payload["re"], payload["im"]) == (value.real, value.imag)
+
+
 def test_arcs_classification(capsys):
     payload = run_json(
         capsys, "arcs", "--alpha", "0.5", "--n1", "1000003", "--n2", "1000003"
@@ -135,6 +133,17 @@ def test_singular_integral_monte_carlo(capsys):
     assert payload["method"] == "monte_carlo"
     assert payload["samples"] == 5000 and payload["seed"] == 9
     assert payload["stderr"] > 0
+
+
+def test_singular_integral_exact_lattice(capsys):
+    argv = ("singular-integral", "--method", "exact_lattice", "--n1", "1001", "--n2", "1001")
+    payload = run_json(capsys, *argv, "--u", "3", "--v", "2")
+    value = glinnik.jn_exact_small(1001, 3, 2, (glinnik.ProblemParams.omega * 1001, 1001.0))
+    assert value > 0 and payload["value"] == value
+    assert payload["normalized"] == value / 1001 ** (11 / 9)
+    for flag in ("--u", "--v"):
+        code, out, err = run_cli(capsys, *argv, flag, "3")
+        assert code == 1 and out == "" and "needs --u and --v" in err
 
 
 def test_measure_subcommand(capsys):
@@ -178,6 +187,25 @@ def test_pair_search_subcommand(capsys):
     assert payload["witness1"]["residual"] == 0
     assert payload["witness2"]["residual"] == 0
     assert sorted(payload["witness1"]["powers"]) == sorted(payload["witness2"]["powers"])
+
+
+def test_search_paper_ranges_reads_delta_and_omega(capsys):
+    # the default witness has p1 = 109, outside omega = 0.5's window (216.5, 433]
+    argv = ("search", "--n", "433", "--k", "2", "--mode", "paper_ranges")
+    assert run_json(capsys, *argv)["witness"]["p1"] == 109
+    assert run_json(capsys, *argv, "--omega", "0.5")["witness"] is None
+    w = glinnik.find_witness(433, 2, "paper_ranges", delta=0.05)
+    got = run_json(capsys, *argv, "--delta", "0.05")["witness"]
+    assert (got["p1"], tuple(got["cubes"]), tuple(got["powers"])) == (w.p1, w.cubes, w.powers)
+    assert w.p1 == 223
+
+
+def test_pair_search_paper_ranges_reads_omega(capsys):
+    argv = ("pair-search", "--n1", "435", "--n2", "433", "--k", "2", "--mode", "paper_ranges")
+    payload = run_json(capsys, *argv)
+    assert (payload["witness1"]["p1"], payload["witness2"]["p1"]) == (13, 109)
+    payload = run_json(capsys, *argv, "--omega", "0.5")
+    assert payload["witness1"] is None and payload["witness2"] is None
 
 
 def test_exit_code_usage_error(capsys):
@@ -256,14 +284,13 @@ def test_every_subcommand_has_help_and_rejects_unknown_flags(capsys, name):
         ("k-threshold", "--out", "{tmp}/missing/out.json"),
         ("k-threshold", "--config", "{tmp}/latin1.cfg"),
         ("singular-integral", "--samples", "1000", "--seed", "-1"),
-        ("sieve", "--lo", "2", "--hi", "30", "--cache-file", "{tmp}/bad_cache.txt"),
+        ("sieve", "--lo", "2", "--hi", str(2**63)),
         ("xi", "--n", "101", "--vmax", "3", "--k", "1000000"),
         ("singular-integral", "--samples", str(10**15)),
     ],
 )
 def test_hostile_argv_exits_with_an_error_line_not_a_traceback(tmp_path, capsys, argv):
     (tmp_path / "latin1.cfg").write_bytes("# caf\xe9\nk = 231\n".encode("latin-1"))
-    (tmp_path / "bad_cache.txt").write_text("# primes lo=2 hi=30\n2\nthree\n", encoding="utf-8")
     code, out, err = run_cli(capsys, *(arg.format(tmp=tmp_path) for arg in argv))
     assert code in (1, 2) and out == ""
     assert err.startswith("glinnik: ") and "Traceback" not in err
@@ -345,7 +372,7 @@ def test_report_bytes_identical_across_thread_counts(tmp_path, capsys):
 
 
 def test_config_round_trip():
-    cfg = RunConfig(n1=55_555, delta=2e-4, lam=0.95, threads=2, cache=False)
+    cfg = RunConfig(n1=55_555, delta=2e-4, lam=0.95, threads=2)
     text = cfg.to_text()
     assert RunConfig.from_text(text) == cfg
     assert RunConfig.from_text(text).to_text() == text  # canonical form is a fixed point
@@ -557,12 +584,10 @@ def test_non_finite_output_is_an_error_line_not_a_traceback(capsys, monkeypatch)
     assert err.startswith("glinnik: error: ") and "Traceback" not in err
 
 
-def test_sieve_emission_budget(tmp_path, capsys, monkeypatch):
+def test_sieve_emission_budget(capsys, monkeypatch):
     monkeypatch.setattr(cli, "MAX_EMIT_VALUES", 24)
-    cache = tmp_path / "primes.txt"
-    code, out, err = run_cli(capsys, "sieve", "--lo", "1", "--hi", "100", "--cache-file", str(cache))
+    code, out, err = run_cli(capsys, "sieve", "--lo", "1", "--hi", "100")
     assert code == 2 and out == "" and "MAX_EMIT_VALUES" in err  # 25 primes
-    assert not cache.exists()
     code, _, _ = run_cli(capsys, "sieve", "--lo", "3", "--hi", "100")
     assert code == 0  # 24 primes fit
 

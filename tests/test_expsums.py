@@ -53,8 +53,8 @@ def test_params_validation():
         ProblemParams(n1=101, n2=103)
     with pytest.raises(DomainError, match="eta < delta"):
         ProblemParams(n1=101, n2=101, eta=0.1)
-    with pytest.raises(DomainError, match="max_ratio"):
-        ProblemParams(n1=10**9 + 1, n2=3, max_ratio=10.0)
+    with pytest.raises(DomainError, match="MAX_RATIO"):
+        ProblemParams(n1=10**9 + 1, n2=3)
     bad_ints = ({"n1": math.nan, "n2": 3}, {"n1": 5.0, "n2": 3}, {"n1": 101, "n2": 101, "k": 2.5})
     for kwargs in bad_ints:
         with pytest.raises(DomainError, match="integer"):

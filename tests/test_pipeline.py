@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -9,6 +10,7 @@ from glinnik import (
     ProblemParams,
     ReportBudgets,
     full_report,
+    j_sum_exact,
     k_threshold,
     r1_coefficient,
     r3_coefficient,
@@ -123,3 +125,11 @@ def test_full_report_rho_reads_delta():
     params = ProblemParams(n1=1_000_003, n2=1_000_003, delta=0.002)
     rho = full_report(params, SMALL_BUDGETS, seed=5)["rho"]["value"]
     assert rho["bound_ratio"] == rho_counts(5, 3, delta=0.002).bound_ratio
+
+
+def test_full_report_jsum_reads_omega():
+    params = ProblemParams(n1=1_000_003, n2=1_000_003, omega=0.3)
+    jsum = full_report(params, SMALL_BUDGETS, seed=5)["jsum"]["value"]
+    n, l_cap = SMALL_BUDGETS.jsum_n, SMALL_BUDGETS.jsum_l_cap
+    assert jsum["value"] == j_sum_exact(replace(params, n1=n, n2=n), l_cap).value
+    assert jsum["value"] != j_sum_exact(ProblemParams(n1=n, n2=n), l_cap).value

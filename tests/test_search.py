@@ -166,6 +166,30 @@ def test_witness_search_node_budget(monkeypatch):
         find_pair_witness(433, 433, 2, mode="paper_ranges")
 
 
+def test_paper_ranges_reads_delta_and_omega():
+    # omega = 0.5 puts p1 in (216.5, 433], which excludes the default witness's p1 = 109;
+    # delta = 0.05 moves the cube blocks and the first witness
+    assert find_witness(433, 2, mode="paper_ranges").p1 == 109
+    assert find_witness(433, 2, mode="paper_ranges", omega=0.5) is None
+    w = find_witness(433, 2, mode="paper_ranges", delta=0.05)
+    assert w == RepWitness(N=433, p1=223, cubes=(3, 3, 3, 5), powers=(1, 1))
+    assert find_pair_witness(435, 433, 2, mode="paper_ranges").w1.p1 == 13
+    assert find_pair_witness(435, 433, 2, mode="paper_ranges", omega=0.5) is None
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [{"delta": math.nan}, {"delta": math.inf}, {"delta": 0.0}, {"delta": -1e-4},
+     {"omega": math.nan}, {"omega": -math.inf}, {"omega": 0.0}, {"omega": 1.0}],
+)
+def test_witness_search_rejects_hostile_delta_and_omega(bad):
+    for mode in ("free", "paper_ranges"):
+        with pytest.raises(DomainError, match="delta|omega"):
+            find_witness(433, 2, mode, **bad)
+        with pytest.raises(DomainError, match="delta|omega"):
+            find_pair_witness(435, 433, 2, mode, **bad)
+
+
 def test_witness_below_minimum_is_none_in_both_modes():
     for n in (1, 3, 33, 35, 37):
         assert find_witness(n, 2) is None
@@ -240,6 +264,6 @@ def test_rho_budget_errors(monkeypatch):
     with pytest.raises(ResourceError, match="MAX_QUADRUPLES"):
         rho_counts(300, 100)
     with pytest.raises(DomainError):
-        rho_counts_from_primes([], [3])
+        rho_counts_from_primes([], [3], U=2, V=2)
     with pytest.raises(DomainError, match="finite"):
         rho_counts(math.nan, 3)
