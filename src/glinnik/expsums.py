@@ -8,17 +8,25 @@ exp(2*pi*i*x):
     cube_v   same with the smaller dyadic scale V = U^(5/6)
     binary   sum of e(2^v a)            over integer v = 1 .. floor(L)
 
-Every phase m*a mod 1 goes through one reduction, _phases, and one
-cos/sin/dot pass.  A rational a/q is exact up to the final division at any
-q: (m mod q)(a mod q) mod q runs in int64 for q <= 2^31, on Python ints
-above.  A float a = A/2^s + a_lo, with s the bit length of the largest m
-(at most 31; larger m are cut into 31-bit limbs), gives frac(m A / 2^s)
-exactly in int64 plus m a_lo < 1 with one rounding: within a few ulp of 1.
+Every phase m*a mod 1 goes through one reduction, _phases.  A rational
+a/q is exact up to the final division at any q: (m mod q)(a mod q) mod q
+runs in int64 for q <= 2^31, on Python ints above.  A float
+a = A/2^s + a_lo, with s the bit length of the largest m (at most 31;
+larger m are cut into 31-bit limbs), gives frac(m A / 2^s) exactly in
+int64 plus m a_lo < 1 with one rounding: within a few ulp of 1.
 m is int64, so cube tables end below MAX_CUBE_HI = 2^21; 2^v is not, so
 the binary sum reduces 2^v mod q, reading a float as the dyadic rational
 it stores.  A rational a/q with q at most the linear table's size is read
-from the q residue buckets of its primes.  The property tests rely on
-this accuracy.
+from the q residue buckets of its primes.
+
+The sum over ascending int64 m >= 0 (a table of primes, or the buckets'
+0..q-1) splits each term by angle addition: with k = ceil(bits(max m)/2),
+e(m a) = e((m >> k) 2^k a) e((m & (2^k - 1)) a).  _phases reduces only the
+2^k low and about max(m)/2^k high arguments, and each term costs one
+gather and one multiply, at most a few ulp more rounding per term.  This
+runs whenever the two tables are together smaller than m; otherwise, and
+always for the sparse cubes p^3 and the short binary sum, one cos/sin/dot
+pass covers every term.  The property tests rely on this accuracy.
 """
 
 from __future__ import annotations
@@ -44,6 +52,7 @@ MAX_RATIO = 1e6  # largest n1/n2 a ProblemParams accepts
 _TWO_PI = 2.0 * math.pi
 _LIMB_BITS = 31  # m * A stays below 2^62 for m, A < 2^31
 _CHUNK = 1 << 19  # terms per cos/sin/dot pass
+_BLOCK_CHUNK = 1 << 16  # terms per gather and block sum of _blocked_phase_sum
 
 
 @dataclass(frozen=True)
@@ -216,14 +225,84 @@ def _phases(m: np.ndarray, alpha, top: int) -> np.ndarray:
 
 
 def _weighted_phase_sum(m: np.ndarray, w: np.ndarray, alpha) -> complex:
-    """The one cos/sin/dot pass: sum of w e(m alpha), in chunks of _CHUNK terms."""
-    top = int(m.max(initial=0))
+    """sum of w e(m alpha): from two root tables when _root_split allows, else term by term.
+
+    The root tables add at most a few ulp per term to the direct pass's
+    rounding, so the two agree to well within 1e-13 * sum |w|.
+    """
+    k = _root_split(m)
+    if k:
+        return _blocked_phase_sum(m, w, alpha, k)
+    return _direct_phase_sum(m, w, alpha, int(m.max(initial=0)))
+
+
+def _direct_phase_sum(m: np.ndarray, w: np.ndarray, alpha, top: int) -> complex:
+    """The one cos/sin/dot pass over every term, in chunks of _CHUNK terms."""
     total = 0j
     for i in range(0, m.size, _CHUNK):
         theta = _phases(m[i : i + _CHUNK], alpha, top)
         theta *= _TWO_PI
         wi = w[i : i + _CHUNK]
         total += complex(np.dot(wi, np.cos(theta)), np.dot(wi, np.sin(theta, out=theta)))
+    return total
+
+
+def _root_split(m: np.ndarray) -> int:
+    """The split k of _blocked_phase_sum for m, or 0 where the direct pass must run.
+
+    k = ceil(bits(max m) / 2); the tables hold 2^k low roots and one high
+    root per block h from m[0] >> k to m[-1] >> k.  They pay only when
+    together smaller than m, which needs m ascending int64 from m[0] >= 0:
+    a table of primes or np.arange(q), never the sparse cubes p^3.
+    """
+    if m.dtype != np.int64 or m.size < 2 or m[0] < 0:
+        return 0
+    top = int(m[-1])  # the largest, once m is found ascending
+    k = (top.bit_length() + 1) // 2
+    if (1 << k) + (top >> k) - (int(m[0]) >> k) + 1 >= m.size:
+        return 0
+    return k if bool(np.all(m[1:] >= m[:-1])) else 0
+
+
+def _unit_roots(m: np.ndarray, alpha, top: int) -> np.ndarray:
+    """e(m alpha) for 0 <= m <= top, through _phases."""
+    theta = _phases(m, alpha, top)
+    theta *= _TWO_PI
+    roots = np.empty(m.size, dtype=np.complex128)
+    np.cos(theta, out=roots.real)
+    np.sin(theta, out=roots.imag)
+    return roots
+
+
+def _blocked_phase_sum(m: np.ndarray, w: np.ndarray, alpha, k: int) -> complex:
+    """sum of w e(m alpha) for ascending int64 m >= 0, by angle addition.
+
+    With h = m >> k and l = m & (2^k - 1), e(m alpha) = e(h 2^k alpha) e(l alpha).
+    Both tables of roots come from _phases, exact for a rational alpha and
+    within a few ulp of a turn for a float, so each product adds at most a
+    few ulp.  Per term: one gather from the low table and one weight
+    multiply; per block of equal h (contiguous, as m ascends): one sum;
+    then one short sum of block sums times high roots.  Chunks of _BLOCK_CHUNK
+    terms keep the temporaries small; a block cut by a chunk edge gives two
+    partial sums against the same high root.
+    """
+    mask = (1 << k) - 1
+    heads = np.arange(int(m[0]) >> k, (int(m[-1]) >> k) + 1) << k  # h 2^k, block by block
+    low = _unit_roots(np.arange(mask + 1), alpha, mask)
+    high = _unit_roots(heads, alpha, int(heads[-1]))
+    starts = np.searchsorted(m, heads)  # where each block begins
+    full = np.diff(starts, append=m.size) > 0
+    starts, high = starts[full], high[full]  # strictly increasing from 0
+    total = 0j
+    for a in range(0, m.size, _BLOCK_CHUNK):
+        b = min(a + _BLOCK_CHUNK, m.size)
+        j0 = int(np.searchsorted(starts, a, side="right"))
+        j1 = int(np.searchsorted(starts, b))  # blocks that begin before b
+        edges = starts[j0 - 1 : j1] - a
+        edges[0] = 0  # the block holding term a
+        terms = low.take(m[a:b] & mask)
+        terms *= w[a:b]
+        total += complex((np.add.reduceat(terms, edges) * high[j0 - 1 : j1]).sum())
     return total
 
 
@@ -362,9 +441,10 @@ def _convergents(num: int, den: int):
 def dirichlet_approx(alpha, Q: int) -> DirichletApprox:
     """Best rational a/q with 1 <= a <= q <= Q and |alpha - a/q| <= 1/(qQ).
 
-    Computed from the continued-fraction convergents of the exact value of
-    alpha; validity of the returned pair is checked in exact rational
-    arithmetic.
+    Computed from the continued-fraction convergents of the exact value
+    num/den of alpha; validity of the returned pair is checked exactly in
+    integers, |num q - p den| Q <= den, and theta = (num q - p den)/(den q)
+    is the correctly rounded quotient.
 
     Raises:
         DomainError: Q not an integer or < 1, alpha not finite or outside [1/Q, 1 + 1/Q]
@@ -373,32 +453,29 @@ def dirichlet_approx(alpha, Q: int) -> DirichletApprox:
     _require_int(Q=Q)
     if Q < 1:
         raise DomainError(f"Q must be >= 1, got {Q}")
-    fr = alpha if isinstance(alpha, Fraction) else Fraction(alpha)
-    lo, hi = Fraction(1, Q), 1 + Fraction(1, Q)
-    # a float that is the rounded endpoint counts as the endpoint
-    if fr != lo and math.isclose(float(fr), 1.0 / Q, rel_tol=4e-16, abs_tol=0.0):
-        fr = lo
-    elif fr != hi and math.isclose(float(fr), 1.0 + 1.0 / Q, rel_tol=4e-16, abs_tol=0.0):
-        fr = hi
-    if not lo <= fr <= hi:
-        raise DomainError(f"alpha={float(fr)} outside [1/Q, 1+1/Q] for Q={Q}")
+    num, den = Fraction(alpha).as_integer_ratio()
+    x = num / den
+    # a float that is the rounded endpoint 1/Q or (Q + 1)/Q counts as the endpoint
+    if num * Q != den and math.isclose(x, 1.0 / Q, rel_tol=4e-16, abs_tol=0.0):
+        num, den = 1, Q
+    elif num * Q != (Q + 1) * den and math.isclose(x, 1.0 + 1.0 / Q, rel_tol=4e-16, abs_tol=0.0):
+        num, den = Q + 1, Q
+    if not den <= num * Q <= (Q + 1) * den:
+        raise DomainError(f"alpha={num / den} outside [1/Q, 1+1/Q] for Q={Q}")
 
     def valid(p: int, q: int) -> bool:
-        return 1 <= p <= q <= Q and abs(fr - Fraction(p, q)) <= Fraction(1, q * Q)
+        return 1 <= p <= q <= Q and abs(num * q - p * den) * Q <= den
 
     seen: list[tuple[int, int]] = []
-    for p, q in _convergents(fr.numerator, fr.denominator):
+    for p, q in _convergents(num, den):
         if q > Q:
             break
         seen.append((p, q))
-    for p, q in reversed(seen):
-        if valid(p, q):
-            theta = float(fr - Fraction(p, q))
-            return DirichletApprox(a=p, q=q, theta=theta, Q=Q)
     # alpha in (1, 1+1/Q] can leave only the trivial approximation valid
-    if valid(1, 1):
-        return DirichletApprox(a=1, q=1, theta=float(fr - 1), Q=Q)
-    raise DomainError(f"no admissible rational approximation for alpha={float(fr)}, Q={Q}")
+    for p, q in reversed([(1, 1)] + seen):
+        if valid(p, q):
+            return DirichletApprox(a=p, q=q, theta=(num * q - p * den) / (den * q), Q=Q)
+    raise DomainError(f"no admissible rational approximation for alpha={num / den}, Q={Q}")
 
 
 def classify_arc(params: ProblemParams, i: int, alpha) -> ArcLabel:
@@ -410,18 +487,16 @@ def classify_arc(params: ProblemParams, i: int, alpha) -> ArcLabel:
     """
     _require_finite(alpha=alpha)
     q_cap = params.q_max(i)
-    fr = alpha if isinstance(alpha, Fraction) else Fraction(alpha)
-    lo, hi = 1.0 / q_cap, 1.0 + 1.0 / q_cap
-    x = float(fr)
-    if not (lo <= x <= hi):
+    num, den = Fraction(alpha).as_integer_ratio()
+    x = num / den
+    if not (1.0 / q_cap <= x <= 1.0 + 1.0 / q_cap):
         raise DomainError(f"alpha={x} outside [1/Q_{i}, 1+1/Q_{i}]")
     p_cap = math.floor(params.p_max(i))
-    for p, q in _convergents(fr.numerator, fr.denominator):
+    for p, q in _convergents(num, den):
         if q > p_cap:
             break
-        if p < 1 or p > q:
-            continue
-        if abs(float(fr - Fraction(p, q))) <= 1.0 / (q * q_cap):
+        # |alpha - p/q|, correctly rounded, against the float arc radius
+        if 1 <= p <= q and abs((num * q - p * den) / (den * q)) <= 1.0 / (q * q_cap):
             return ArcLabel("major", a=p, q=q)
     return ArcLabel("minor")
 
@@ -522,7 +597,7 @@ def minor_arc_diagnostic(
         if not classify_arc(params, i, x).is_major:
             alphas.append(float(x))
 
-    lin = linear_table(params, i)
+    lin = linear_table(params, i, threads=threads)
     cube = dyadic_table(params.u(i))
     w = lin.log_weights()
 

@@ -154,6 +154,7 @@ def full_report(
     """
     b = budgets or ReportBudgets()
     ledger = ConstantsLedger(lam=params.lam)
+    closed_form = jn_closed_form(params.delta)  # its delta domain fails before any block runs
 
     rng_step = max(1, (b.sigma_window[1] - b.sigma_window[0]) // max(1, b.sigma_samples))
     sigma_ns = [b.sigma_window[0] + j * rng_step for j in range(b.sigma_samples)]
@@ -232,7 +233,7 @@ def full_report(
             method="euler_product",
         ),
         "singular_integral": {
-            "closed_form": _annotate(jn_closed_form(params.delta), method="closed_form"),
+            "closed_form": _annotate(closed_form, method="closed_form"),
             "monte_carlo": _annotate(
                 {
                     "n": mc.n,

@@ -259,8 +259,11 @@ def rho_counts_from_primes(
     every difference of two sums accumulated exactly.
 
     Raises:
+        DomainError: an empty prime set, delta not finite or <= 0, or
+            16 (1 + delta) U^3 not a finite float
         ResourceError: over expsums.MAX_QUADRUPLES four-tuples or MAX_DIFFS differences
     """
+    n_ref = _reference_target(U, delta)
     pu = np.asarray(sorted(int(p) for p in primes_u), dtype=np.int64)
     pv = np.asarray(sorted(int(p) for p in primes_v), dtype=np.int64)
     if pu.size == 0 or pv.size == 0:
@@ -276,7 +279,6 @@ def rho_counts_from_primes(
     table = {int(n): int(c) for n, c in zip(dvals, dcounts)}
 
     u_scale, v_scale = float(U), float(V)
-    n_ref = 16.0 * (1.0 + delta) * u_scale**3
     max_count = int(dcounts.max())
     bound_ratio = max_count * math.log(n_ref) ** 8 / (u_scale * v_scale**4)
     return RhoCounts(
@@ -290,13 +292,31 @@ def rho_counts_from_primes(
     )
 
 
+def _reference_target(U, delta: float) -> float:
+    """N = 16 (1 + delta) U^3, the target whose cube scale is U, as a finite float."""
+    _require_finite(delta=delta)
+    if not delta > 0.0:
+        raise DomainError(f"delta must be > 0, got {delta}")
+    try:
+        n_ref = 16.0 * (1.0 + delta) * float(U) ** 3
+    except OverflowError:
+        n_ref = math.inf
+    if not math.isfinite(n_ref):
+        raise DomainError(f"16 (1 + delta) U^3 is not a finite float at U={U}, delta={delta}")
+    return n_ref
+
+
 def rho_counts(U: int, V: int, *, delta: float = ProblemParams.delta) -> RhoCounts:
     """rho over the dyadic prime blocks (U, 2U] and (V, 2V].
 
     The reported ratio max rho * (log N)^8 / (U V^4), with N recovered
     from the cube-scale relation N = 16 (1 + delta) U^3, is diagnostic
     only; the density constant it shadows is asymptotic.
+
+    Raises:
+        DomainError: as rho_counts_from_primes, checked before either block is sieved
     """
+    _reference_target(U, delta)
     tu = dyadic_table(U)
     tv = dyadic_table(V)
     if len(tu) == 0 or len(tv) == 0:

@@ -21,7 +21,7 @@ from glinnik import (
     moment_ST4_exact,
     sieve_range,
 )
-from glinnik import expsums
+from glinnik import arith, expsums
 from glinnik.arith import PrimeTable, dyadic_table, is_prime
 
 PARAMS_1E6 = ProblemParams(n1=1_000_003, n2=1_000_003)
@@ -327,6 +327,52 @@ def test_dirichlet_invariants_random():
         assert abs((d.a / d.q + d.theta) - alpha) <= 1e-15 * max(1.0, alpha)
 
 
+def _dirichlet_oracle(alpha: Fraction, Q: int) -> tuple[int, int, float]:
+    """The deepest admissible convergent of alpha (else 1/1), all in Fraction arithmetic."""
+    best = (1, 1)
+    for p, q in expsums._convergents(alpha.numerator, alpha.denominator):
+        if q > Q:
+            break
+        if 1 <= p <= q and abs(alpha - Fraction(p, q)) <= Fraction(1, q * Q):
+            best = (p, q)
+    return best[0], best[1], float(alpha - Fraction(*best))
+
+
+def test_integer_arc_tests_match_fraction_oracle_on_the_edges():
+    points = []
+    for Q in (1, 2, 7, 100, 10**6, 2**40 + 1):
+        lo, hi = Fraction(1, Q), 1 + Fraction(1, Q)
+        # a float endpoint counts as the exact endpoint
+        points += [(lo, lo, Q), (hi, hi, Q), (1.0 / Q, lo, Q), (1.0 + 1.0 / Q, hi, Q)]
+        for a, q in ((1, 1), (1, 2), (2, 7), (13, 99), (1, Q), (Q - 1, Q)):
+            if 1 <= a <= q <= Q and math.gcd(a, q) == 1:
+                for side in (-1, 1):  # exactly on the arc edge, and just outside it
+                    edge = Fraction(a, q) + side * Fraction(1, q * Q)
+                    outside = edge + side * Fraction(1, 2**80)
+                    points += [(edge, edge, Q), (outside, outside, Q)]
+    checked = 0
+    for alpha, exact, Q in points:
+        if not Fraction(1, Q) <= exact <= 1 + Fraction(1, Q):
+            continue
+        d = dirichlet_approx(alpha, Q)
+        assert (d.a, d.q, d.theta) == _dirichlet_oracle(exact, Q), (alpha, Q)
+        checked += 1
+    assert checked >= 100
+
+    params = PARAMS_1E6
+    q_cap, p_cap = params.q_max(1), math.floor(params.p_max(1))
+    for a, q in ((1, 1), (1, 2), (1, 3), (3, 4)):
+        for side in (-1, 1):
+            edge = Fraction(a, q) + side * Fraction(1, q) / Fraction(q_cap)
+            for alpha in (edge, edge + side * Fraction(1, 2**80), float(edge)):
+                exact = Fraction(alpha)
+                major = [(p, r) for p, r in expsums._convergents(exact.numerator, exact.denominator)
+                         if r <= p_cap and 1 <= p <= r
+                         and abs(float(exact - Fraction(p, r))) <= 1.0 / (r * q_cap)]
+                label = classify_arc(params, 1, alpha)
+                assert (label.a, label.q) == (major[0] if major else (None, None)), alpha
+
+
 # ---------------------------------------------------------------------------
 # arc classification
 
@@ -481,11 +527,21 @@ def test_minor_arc_diagnostic_deterministic_and_minor_only():
     assert r3.alphas != r1.alphas
 
 
-def test_minor_arc_diagnostic_thread_invariance():
+def test_minor_arc_diagnostic_thread_invariance(monkeypatch):
+    sieve_threads = []
+
+    def recording_sieve(lo, hi, *, threads=1):
+        sieve_threads.append(threads)
+        return sieve_range(lo, hi, threads=threads)
+
+    monkeypatch.setattr(arith, "SEGMENT_SIZE", 1 << 14)  # several segments per sieve
+    monkeypatch.setattr(expsums, "sieve_range", recording_sieve)
     params = ProblemParams(n1=100_003, n2=100_003)
     r1 = minor_arc_diagnostic(params, 1, samples=6, seed=9, threads=1)
     r2 = minor_arc_diagnostic(params, 1, samples=6, seed=9, threads=2)
     assert r1 == r2 and r1.alphas == r2.alphas
+    assert r1.linear_ratio_max.hex() == r2.linear_ratio_max.hex()
+    assert sieve_threads == [1, 2]
 
 
 # ---------------------------------------------------------------------------
@@ -637,3 +693,68 @@ def test_cube_sum_budget_is_checked_before_any_cube():
             eval_cube(table, 0.3)
     below = PrimeTable(2**21 - 9, 2**21 - 1, np.array([2**21 - 9], dtype=np.int64))
     assert eval_cube(below, 0.0) == pytest.approx(math.log(2**21 - 9), rel=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# linear sums from two root tables
+
+
+def _ascending(rng, lo: int, span: int, size: int) -> np.ndarray:
+    """size ascending int64 from lo to lo + span - 1, both ends included, repeats allowed."""
+    m = np.sort(rng.integers(lo, lo + span, size, dtype=np.int64))
+    m[0], m[-1] = lo, lo + span - 1
+    return m
+
+
+def _root_alphas(rng) -> list:
+    return ([float(x) for x in rng.uniform(-2.0, 2.0, 3)] + [2.0**40 + 0.375, 1e-12]
+            + [Fraction(int(rng.integers(1, q)), q) for q in (7, 65_537, 2**31 - 1)]
+            + [_near_half(q) for q in (2**31 + 11, 2**61 - 1)])
+
+
+def test_blocked_sum_matches_direct_sum():
+    rng = np.random.default_rng(41)
+    cases = [
+        _ascending(rng, 2**32 - 2**18, 2**19, 140_000),  # high roots above 2^31: limb split
+        _ascending(rng, 0, 10**6, 50_000),  # m[0] = 0
+        np.arange(5_000),
+        _ascending(rng, 0, 2**20, 2_049),  # one term past the switch: 2^10 + 2^10 roots
+    ]
+    for m in cases:
+        top = int(m[-1])
+        k = expsums._root_split(m)
+        assert k == (top.bit_length() + 1) // 2 > 0
+        w = rng.uniform(0.5, 2.0, m.size)
+        mass = float(w.sum())
+        for alpha in _root_alphas(rng):
+            blocked = expsums._blocked_phase_sum(m, w, alpha, k)
+            assert blocked == expsums._weighted_phase_sum(m, w, alpha)
+            direct = expsums._direct_phase_sum(m, w, alpha, top)
+            assert abs(blocked - direct) <= 1e-13 * mass, (m.size, alpha)
+
+
+def test_root_split_needs_ascending_int64_and_small_tables(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("blocked path taken")
+
+    rng = np.random.default_rng(43)
+    at_switch = _ascending(rng, 0, 2**20, 2_048)  # exactly as many roots as terms
+    shuffled = rng.permutation(_ascending(rng, 0, 10**6, 50_000))
+    cubes = linear_table(PARAMS_1E6, 1).primes[:2_000] ** 3
+    for m in (at_switch, shuffled, cubes, at_switch[::-1], np.array([-1, 5, 9] + [10] * 100)):
+        assert expsums._root_split(m) == 0
+    monkeypatch.setattr(expsums, "_blocked_phase_sum", refuse)
+    w = rng.uniform(0.5, 2.0, shuffled.size)
+    assert (expsums._weighted_phase_sum(shuffled, w, 0.3)
+            == expsums._direct_phase_sum(shuffled, w, 0.3, int(shuffled.max())))
+
+
+def test_linear_sum_at_integer_alpha_is_real():
+    table = linear_table(PARAMS_1E6, 1)
+    assert expsums._root_split(table.primes) > 0
+    few = PrimeTable(2, 7, np.array([2, 3, 5, 7], dtype=np.int64))  # the direct pass
+    for t in (table, few):
+        mass = float(t.log_weights().sum())
+        for alpha in (0, 0.0, -0.0, 3, -2.0, 2.0**40, Fraction(5), Fraction(0)):
+            value = eval_linear(PARAMS_1E6, 1, alpha, table=t)
+            assert value.imag == 0.0 and abs(value.real - mass) <= 1e-13 * mass, alpha

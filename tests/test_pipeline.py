@@ -14,6 +14,7 @@ from glinnik import (
     k_threshold,
     r1_coefficient,
     r3_coefficient,
+    local,
     rho_counts,
 )
 
@@ -133,3 +134,13 @@ def test_full_report_jsum_reads_omega():
     n, l_cap = SMALL_BUDGETS.jsum_n, SMALL_BUDGETS.jsum_l_cap
     assert jsum["value"] == j_sum_exact(replace(params, n1=n, n2=n), l_cap).value
     assert jsum["value"] != j_sum_exact(ProblemParams(n1=n, n2=n), l_cap).value
+
+
+def test_full_report_checks_delta_before_any_block(monkeypatch):
+    def first_block(*args, **kwargs):
+        raise AssertionError("a block ran before delta was checked")
+
+    monkeypatch.setattr(local, "singular_series", first_block)
+    params = ProblemParams(n1=1_000_003, n2=1_000_003, delta=0.05)
+    with pytest.raises(DomainError, match="delta"):
+        full_report(params, SMALL_BUDGETS, seed=5)

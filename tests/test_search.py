@@ -267,3 +267,19 @@ def test_rho_budget_errors(monkeypatch):
         rho_counts_from_primes([], [3], U=2, V=2)
     with pytest.raises(DomainError, match="finite"):
         rho_counts(math.nan, 3)
+
+
+@pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf, 0.0, -2.0, 1e308])
+def test_rho_rejects_hostile_delta(delta):
+    with pytest.raises(DomainError, match="delta"):
+        rho_counts(10, 5, delta=delta)
+    with pytest.raises(DomainError, match="delta"):
+        rho_counts_from_primes([3], [2, 3], U=2, V=2, delta=delta)
+
+
+def test_rho_cli_reports_overflowing_delta_as_a_domain_error(capsys):
+    from glinnik.cli import main
+
+    assert main(["rho", "--u", "10", "--v", "5", "--delta", "1e308"]) == 1
+    err = capsys.readouterr().err
+    assert "domain error" in err and "delta" in err and "NaN" not in err
