@@ -16,8 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import sieve_range
-from .errors import DomainError, NumericalIntegrityError, ResourceError, _require_finite
-from .expsums import ProblemParams, _half_spectrum, eval_G
+from .errors import DomainError, NumericalIntegrityError, ResourceError
+from .errors import _require_finite, _require_in
+from .expsums import DOMAINS, ProblemParams, _half_spectrum, eval_G
 
 MAX_NODES = 5_000_000  # shift-multiset enumeration nodes, for xi, count_pairs and the searches
 MAX_SHIFT_COUNT = 1 << 12  # k! is formed before any pruning; the paper's k is 231
@@ -104,13 +105,11 @@ def _power_multisets(k: int, v_max: int, s_allow: float):
 
 def _shift_cap(k: int, eta: float, L: float) -> int:
     """The largest shift exponent floor(L), after checking k, eta and L."""
-    _require_finite(eta=eta, L=L)
-    if k < 1:
-        raise DomainError("k must be >= 1")
+    _require_in("k", k, DOMAINS["k"])
+    _require_in("eta", eta, DOMAINS["eta"])
+    _require_finite(L=L)
     if L < 1:
         raise DomainError("L must be >= 1")
-    if not 0.0 < eta <= 1.0:
-        raise DomainError(f"eta must lie in (0, 1], got {eta}")
     return math.floor(L)
 
 
@@ -118,7 +117,7 @@ def enum_Xi(N: int, k: int, eta: float, L: float) -> XiSet:
     """Exact enumeration of window members with ordered multiplicities.
 
     Raises:
-        DomainError: invalid N/k/L, eta outside (0, 1], eta or L not finite
+        DomainError: N even, k or eta outside expsums.DOMAINS, L < 1 or not finite
         ResourceError: enumeration beyond MAX_NODES
     """
     if N % 2 == 0:

@@ -23,11 +23,13 @@ from . import __version__
 from .arith import dyadic_range, sieve_range
 from .binary import enum_Xi, j_sum_exact, measure_sigma
 from .errors import DomainError, NumericalIntegrityError, ResourceError, ToolkitError
-from .errors import _require_finite
+from .errors import _require_in
 from .expsums import (
+    DOMAINS,
     KINDS,
     ProblemParams,
     _check_cube_hi,
+    _require_targets,
     classify_arc,
     dyadic_table,
     eval_G,
@@ -97,26 +99,16 @@ class RunConfig:
     def validate(self) -> None:
         """Check each key against its own domain, whatever the subcommand.
 
-        Constraints between keys (eta < delta/(1+delta), the arc dissection)
-        and k >= 2 belong to ProblemParams, checked where a subcommand builds one.
+        Tunables read expsums.DOMAINS.  Constraints between keys (eta <
+        delta/(1+delta), the arc dissection) belong to ProblemParams.
         """
-        _require_finite(delta=self.delta, omega=self.omega, eta=self.eta, lam=self.lam,
-                        epsilon=self.epsilon)
-        checks = (
-            (self.n1 % 2 == 1 and self.n2 % 2 == 1, "n1 and n2 must be odd"),
-            (self.n1 >= self.n2 >= 1, "n1 >= n2 >= 1 is required"),
-            (self.delta > 0.0, "delta must be > 0"),
-            (0.0 < self.omega < 1.0, "omega must lie in (0, 1)"),
-            (0.0 < self.eta <= 1.0, "eta must lie in (0, 1]"),
-            (self.lam >= 0.0, "lambda must be >= 0"),
-            (0.0 < self.epsilon < 1.0 / 18.0, "epsilon must lie in (0, 1/18)"),
-            (self.k >= 1, "k must be >= 1"),
-            (self.threads >= 0, "threads must be >= 0"),
-            (self.seed >= 0, "seed must be >= 0"),
-        )
-        for ok, message in checks:
-            if not ok:
-                raise DomainError(f"config: {message}")
+        _require_targets(self.n1, self.n2)
+        for key, name, _ in self.config_keys():
+            if name in DOMAINS:
+                _require_in(key, getattr(self, name), DOMAINS[name])
+        for key in ("threads", "seed"):
+            if getattr(self, key) < 0:
+                raise DomainError(f"{key} must be >= 0")
 
     def params(self) -> ProblemParams:
         shared = {f.name for f in dataclasses.fields(ProblemParams)}

@@ -29,6 +29,18 @@ def _require_finite(**values) -> None:
             raise DomainError(f"{name} must be finite, got {x!r}")
 
 
+def _require_in(name: str, value, domain: tuple) -> None:
+    """Raise DomainError unless value lies in domain = (lo, hi, ends).
+
+    ends holds interval notation's brackets, "(" or "[" then ")" or "]", for an
+    open or a closed end.  NaN fails every comparison, so it lies in no domain.
+    """
+    lo, hi, ends = domain
+    if not ((lo < value if ends[0] == "(" else lo <= value)
+            and (value < hi if ends[1] == ")" else value <= hi)):
+        raise DomainError(f"{name} must lie in {ends[0]}{lo}, {hi}{ends[1]}, got {value!r}")
+
+
 def _require_int(**values) -> None:
     """Raise DomainError naming the first value that is not an int or a numpy integer."""
     for name, x in values.items():

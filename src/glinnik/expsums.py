@@ -16,11 +16,10 @@ larger m are cut into 31-bit limbs), gives frac(m A / 2^s) exactly in
 int64 plus m a_lo < 1 with one rounding: within a few ulp of 1.
 m is int64, so cube tables end below MAX_CUBE_HI = 2^21; 2^v is not, so
 the binary sum reduces 2^v mod q, reading a float as the dyadic rational
-it stores.  A rational a/q with q at most the linear table's size is read
-from the q residue buckets of its primes.
+it stores.
 
-The sum over ascending int64 m >= 0 (a table of primes, or the buckets'
-0..q-1) splits each term by angle addition: with k = ceil(bits(max m)/2),
+The sum over a table of primes, ascending int64 m >= 0, splits each term
+by angle addition: with k = ceil(bits(max m)/2),
 e(m a) = e((m >> k) 2^k a) e((m & (2^k - 1)) a).  _phases reduces only the
 2^k low and about max(m)/2^k high arguments, and each term costs one
 gather and one multiply, at most a few ulp more rounding per term.  This
@@ -38,7 +37,7 @@ from fractions import Fraction
 import numpy as np
 
 from .arith import PrimeTable, dyadic_table, sieve_range
-from .errors import DomainError, ResourceError, _require_finite, _require_int
+from .errors import DomainError, ResourceError, _require_finite, _require_in, _require_int
 from .parallel import map_ordered
 
 KINDS = ("linear", "cube_u", "cube_v", "binary")
@@ -48,6 +47,17 @@ MAX_QUADRUPLES = 1 << 24  # most ordered cube four-tuples one meet-in-the-middle
 MAX_BINARY_TERMS = 1 << 12  # most terms floor(L) of the binary sum; ProblemParams.L < 64
 MAX_CUBE_HI = 1 << 21  # cube-sum tables end below this, so every p^3 fits in int64
 MAX_RATIO = 1e6  # largest n1/n2 a ProblemParams accepts
+
+# Each tunable's domain (lo, hi, ends) for errors._require_in, stated only here: read by
+# ProblemParams, the CLI's config and every function that takes the tunable itself.
+DOMAINS = {
+    "delta": (0, math.inf, "()"),
+    "omega": (0, 1, "()"),
+    "eta": (0, 1, "(]"),  # ProblemParams also needs eta < delta/(1+delta)
+    "lam": (0, 1, "()"),  # lam^(k-2) must decay for the k threshold to exist
+    "epsilon": (0, 1.0 / 18.0, "()"),  # keeps the exponent of p_max positive
+    "k": (1, math.inf, "[)"),
+}
 
 _TWO_PI = 2.0 * math.pi
 _LIMB_BITS = 31  # m * A stays below 2^62 for m, A < 2^31
@@ -79,30 +89,16 @@ class ProblemParams:
 
     def __post_init__(self):
         _require_int(n1=self.n1, n2=self.n2, k=self.k)
-        if self.n1 % 2 == 0 or self.n2 % 2 == 0:
-            raise DomainError("n1 and n2 must be odd")
-        if self.n1 < self.n2:
-            raise DomainError("params require n1 >= n2")
+        _require_targets(self.n1, self.n2)
         if self.n1 > MAX_RATIO * self.n2:
             raise DomainError(f"n1/n2 exceeds expsums.MAX_RATIO = {MAX_RATIO}")
-        if not 0.0 < self.omega < 1.0:
-            raise DomainError("omega must lie in (0, 1)")
-        if not 0.0 < self.eta < 1.0:
-            raise DomainError("eta must lie in (0, 1)")
-        _require_finite(delta=self.delta, lam=self.lam, epsilon=self.epsilon)
-        if not 0.0 < self.epsilon < 1.0 / 18.0:  # keeps the exponent of p_max positive
-            raise DomainError(f"epsilon must lie in (0, 1/18), got {self.epsilon}")
-        if not self.delta > 0.0:
-            raise DomainError(f"delta must be > 0, got {self.delta}")
-        if not 0.0 < self.lam <= 1.0:
-            raise DomainError(f"lam must lie in (0, 1], got {self.lam}")
+        for name, domain in DOMAINS.items():
+            _require_in(name, getattr(self, name), domain)
         if not self.eta < self.delta / (1.0 + self.delta):
             raise DomainError(
                 "constraint violated: eta < delta/(1+delta) "
                 f"(eta={self.eta}, delta/(1+delta)={self.delta / (1 + self.delta)})"
             )
-        if self.k < 2:
-            raise DomainError("k must be >= 2")
         for i in (1, 2):
             if 2.0 * self.p_max(i) > self.q_max(i):
                 raise DomainError(f"arc dissection needs 2 P_{i} <= Q_{i}")
@@ -129,6 +125,14 @@ class ProblemParams:
 
     def q_max(self, i: int) -> float:
         return self.n(i) ** (8.0 / 9.0 + self.epsilon)
+
+
+def _require_targets(n1: int, n2: int) -> None:
+    """Raise DomainError unless the two targets are odd with n1 >= n2 >= 1."""
+    if n1 % 2 == 0 or n2 % 2 == 0:
+        raise DomainError("n1 and n2 must be odd")
+    if not n1 >= n2 >= 1:
+        raise DomainError("n1 >= n2 >= 1 is required")
 
 
 def _cube_scales(n: int, delta: float) -> tuple[float, float]:
@@ -253,7 +257,7 @@ def _root_split(m: np.ndarray) -> int:
     k = ceil(bits(max m) / 2); the tables hold 2^k low roots and one high
     root per block h from m[0] >> k to m[-1] >> k.  They pay only when
     together smaller than m, which needs m ascending int64 from m[0] >= 0:
-    a table of primes or np.arange(q), never the sparse cubes p^3.
+    a table of primes, never the sparse cubes p^3.
     """
     if m.dtype != np.int64 or m.size < 2 or m[0] < 0:
         return 0
@@ -322,10 +326,6 @@ def eval_linear(params: ProblemParams, i: int, alpha, *, table: PrimeTable | Non
     _require_finite(alpha=alpha)
     if table is None:
         table = linear_table(params, i)
-    if isinstance(alpha, Fraction) and alpha.denominator <= len(table):
-        # a/q is entry a of the length-q grid: the q residue buckets suffice
-        q = alpha.denominator
-        return _weighted_phase_sum(np.arange(q), _grid_buckets("linear", table, q), alpha)
     return _weighted_phase_sum(table.primes, table.log_weights(), alpha)
 
 

@@ -18,8 +18,8 @@ from dataclasses import asdict, dataclass, replace
 
 from . import binary, local, search
 from .binary import count_pairs, enum_Xi, measure_sigma
-from .errors import DomainError, _require_finite
-from .expsums import ProblemParams
+from .errors import DomainError, _require_finite, _require_in
+from .expsums import DOMAINS, ProblemParams
 from .sint import jn_closed_form, jn_monte_carlo
 
 SIGMA_MIN = 0.8842495063
@@ -69,6 +69,7 @@ class ConstantsLedger:
 
 def r1_coefficient(sigma_min: float, j_const: float) -> float:
     """(sigma_min * j_const)^2 / 3^8."""
+    _require_finite(sigma_min=sigma_min, j_const=j_const)
     if sigma_min <= 0 or j_const <= 0:
         raise DomainError("coefficient inputs must be positive")
     return (sigma_min * j_const) ** 2 / 3**8
@@ -76,6 +77,7 @@ def r1_coefficient(sigma_min: float, j_const: float) -> float:
 
 def r3_coefficient(jsum_const: float, st_moment_const: float) -> float:
     """sqrt(jsum_const) * st_moment_const."""
+    _require_finite(jsum_const=jsum_const, st_moment_const=st_moment_const)
     if jsum_const <= 0 or st_moment_const <= 0:
         raise DomainError("coefficient inputs must be positive")
     return math.sqrt(jsum_const) * st_moment_const
@@ -90,8 +92,7 @@ def k_threshold(c1: float, c2: float, lam: float) -> int:
     _require_finite(c1=c1, c2=c2)
     if c1 <= 0 or c2 <= 0:
         raise DomainError("coefficients must be positive")
-    if not 0.0 < lam < 1.0:
-        raise DomainError("lambda must lie in (0, 1)")
+    _require_in("lam", lam, DOMAINS["lam"])
 
     def positive(k: int) -> bool:
         return c1 - c2 * lam ** (k - 2) > 0.0
@@ -154,7 +155,6 @@ def full_report(
     """
     b = budgets or ReportBudgets()
     ledger = ConstantsLedger(lam=params.lam)
-    closed_form = jn_closed_form(params.delta)  # its delta domain fails before any block runs
 
     rng_step = max(1, (b.sigma_window[1] - b.sigma_window[0]) // max(1, b.sigma_samples))
     sigma_ns = [b.sigma_window[0] + j * rng_step for j in range(b.sigma_samples)]
@@ -233,7 +233,7 @@ def full_report(
             method="euler_product",
         ),
         "singular_integral": {
-            "closed_form": _annotate(closed_form, method="closed_form"),
+            "closed_form": _annotate(jn_closed_form(params.delta), method="closed_form"),
             "monte_carlo": _annotate(
                 {
                     "n": mc.n,

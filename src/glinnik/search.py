@@ -22,8 +22,9 @@ import numpy as np
 
 from .arith import _round_pow2, dyadic_table, is_prime, sieve_range
 from .binary import _power_multisets
-from .errors import DomainError, ResourceError, _require_finite
-from .expsums import ProblemParams, _cube_scales, _quadruple_buckets, _shift_scale
+from .errors import DomainError, ResourceError, _require_in, _require_int
+from .expsums import DOMAINS, ProblemParams, _cube_scales, _quadruple_buckets, _require_targets
+from .expsums import _shift_scale
 
 log = logging.getLogger(__name__)
 
@@ -168,13 +169,8 @@ def _search(
     """
     if mode not in ("free", "paper_ranges"):
         raise DomainError(f"unknown search mode {mode!r}")
-    _require_finite(delta=delta, omega=omega)
-    if not delta > 0.0:
-        raise DomainError(f"delta must be > 0, got {delta}")
-    if not 0.0 < omega < 1.0:
-        raise DomainError(f"omega must lie in (0, 1), got {omega}")
-    if k < 1:
-        raise DomainError("k must be >= 1")
+    for name, value in (("delta", delta), ("omega", omega), ("k", k)):
+        _require_in(name, value, DOMAINS[name])
     if max(targets) > MAX_WITNESS_N:
         raise ResourceError(f"witness search needs N <= search.MAX_WITNESS_N = {MAX_WITNESS_N}")
     if min(targets) < _MIN_WITNESS + 2 * k:
@@ -215,8 +211,8 @@ def find_witness(
     to the log-scale cap, logging any desk-scale-empty range.
 
     Raises:
-        DomainError: N even, k < 1, an unknown mode, delta or omega not
-            finite, delta <= 0, or omega outside (0, 1)
+        DomainError: N even, an unknown mode, or k, delta or omega outside
+            its expsums.DOMAINS interval
         ResourceError: N above MAX_WITNESS_N, or the shift enumeration
             beyond binary.MAX_NODES
     """
@@ -235,11 +231,8 @@ def find_pair_witness(
     delta: float = ProblemParams.delta,
     omega: float = ProblemParams.omega,
 ) -> PairWitness | None:
-    """Witnesses for N1 and N2 sharing one shift multiset, or None (raises as find_witness)."""
-    if N1 % 2 == 0 or N2 % 2 == 0:
-        raise DomainError("N1 and N2 must be odd")
-    if N1 < N2:
-        raise DomainError("pair search requires N1 >= N2")
+    """Witnesses for odd N1 >= N2 sharing one shift multiset, or None (raises as find_witness)."""
+    _require_targets(N1, N2)
     found = _search((N1, N2), k, mode, delta, omega)
     return None if found is None else PairWitness(*found)
 
@@ -259,8 +252,8 @@ def rho_counts_from_primes(
     every difference of two sums accumulated exactly.
 
     Raises:
-        DomainError: an empty prime set, delta not finite or <= 0, or
-            16 (1 + delta) U^3 not a finite float
+        DomainError: an empty prime set, delta outside its expsums.DOMAINS
+            interval, or 16 (1 + delta) U^3 not a finite float
         ResourceError: over expsums.MAX_QUADRUPLES four-tuples or MAX_DIFFS differences
     """
     n_ref = _reference_target(U, delta)
@@ -294,9 +287,7 @@ def rho_counts_from_primes(
 
 def _reference_target(U, delta: float) -> float:
     """N = 16 (1 + delta) U^3, the target whose cube scale is U, as a finite float."""
-    _require_finite(delta=delta)
-    if not delta > 0.0:
-        raise DomainError(f"delta must be > 0, got {delta}")
+    _require_in("delta", delta, DOMAINS["delta"])
     try:
         n_ref = 16.0 * (1.0 + delta) * float(U) ** 3
     except OverflowError:
@@ -314,8 +305,9 @@ def rho_counts(U: int, V: int, *, delta: float = ProblemParams.delta) -> RhoCoun
     only; the density constant it shadows is asymptotic.
 
     Raises:
-        DomainError: as rho_counts_from_primes, checked before either block is sieved
+        DomainError: U or V not integers, else as rho_counts_from_primes; all before any sieving
     """
+    _require_int(U=U, V=V)
     _reference_target(U, delta)
     tu = dyadic_table(U)
     tv = dyadic_table(V)

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ResourceError, _require_finite, _require_int
-from .expsums import ProblemParams
+from .errors import DomainError, ResourceError, _require_finite, _require_in, _require_int
+from .expsums import DOMAINS, ProblemParams
 from .parallel import map_ordered
 
 MC_BATCH = 1 << 16
@@ -48,10 +48,9 @@ def jn_closed_form(delta: float) -> float:
 
     The m1-unconstrained box integral equals (3U)^2 (3V)^2 = 81 U^2 V^2,
     and U^2 V^2 = (N / (16 (1 + delta)))^(11/9), so this is the
-    normalized value whenever the m1 indicator does not bind.
+    normalized value, at every delta > 0, whenever the m1 indicator does not bind.
     """
-    if not 0.0 <= delta < 0.01:
-        raise DomainError(f"delta must lie in [0, 0.01), got {delta}")
+    _require_in("delta", delta, DOMAINS["delta"])
     return 81.0 * (16.0 * (1.0 + delta)) ** (-11.0 / 9.0)
 
 

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from dataclasses import asdict
@@ -32,6 +33,34 @@ def run_json(capsys, *argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 0, err
     return json.loads(out)
+
+
+def readme_cli_lines() -> list[str]:
+    """The `glinnik ...` lines of the fenced block under README.md's CLI heading."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("\n## CLI\n", 1)[1].split("```", 2)[1]
+    return [line for line in block.splitlines() if line.startswith("glinnik ")]
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # where report --out writes
+    lines = readme_cli_lines()
+    assert len(lines) == 13
+    for line in lines:
+        command, _, note = (part.strip() for part in line.partition("#"))
+        argv = shlex.split(command)[1:]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == "", line
+        if "--out" in argv:
+            out = Path(argv[argv.index("--out") + 1]).read_text(encoding="utf-8")
+        if note.startswith("reproduces"):
+            assert json.loads(out)["k_threshold"] == int(note.split()[-1])
+        elif note.startswith("{"):
+            assert json.loads(out)["values"] == json.loads(f"[{note[1:-1]}]")
+        elif note:
+            assert out.splitlines()[0] == note.replace(", ", ","), line
+        else:
+            assert json.loads(out)["config"], line
 
 
 def test_k_threshold_prints_231(capsys):
@@ -147,8 +176,8 @@ def test_singular_integral_exact_lattice(capsys):
 
 
 def test_measure_subcommand(capsys):
-    payload = run_json(capsys, "measure", "--lambda", "0", "--l", "12", "--grid", "1024")
-    assert payload["measure"] == 1.0
+    payload = run_json(capsys, "measure", "--lambda", "0.5", "--l", "12", "--grid", "1024")
+    assert payload["measure"] == glinnik.measure_sigma(0.5, 12.0, 1024).measure > 0.0
 
 
 def test_jsum_subcommand(capsys):

@@ -14,7 +14,6 @@ from glinnik import (
     k_threshold,
     r1_coefficient,
     r3_coefficient,
-    local,
     rho_counts,
 )
 
@@ -48,6 +47,14 @@ def test_r3_coefficient_reference():
     assert r3_coefficient(4.0, 0.5) == pytest.approx(1.0)
     with pytest.raises(DomainError):
         r3_coefficient(0.0, 1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_coefficients_reject_non_finite_input(bad):
+    for coefficient in (r1_coefficient, r3_coefficient):
+        for args in ((bad, 1.0), (1.0, bad)):
+            with pytest.raises(DomainError, match="finite"):
+                coefficient(*args)
 
 
 def test_k_threshold_reference():
@@ -134,13 +141,3 @@ def test_full_report_jsum_reads_omega():
     n, l_cap = SMALL_BUDGETS.jsum_n, SMALL_BUDGETS.jsum_l_cap
     assert jsum["value"] == j_sum_exact(replace(params, n1=n, n2=n), l_cap).value
     assert jsum["value"] != j_sum_exact(ProblemParams(n1=n, n2=n), l_cap).value
-
-
-def test_full_report_checks_delta_before_any_block(monkeypatch):
-    def first_block(*args, **kwargs):
-        raise AssertionError("a block ran before delta was checked")
-
-    monkeypatch.setattr(local, "singular_series", first_block)
-    params = ProblemParams(n1=1_000_003, n2=1_000_003, delta=0.05)
-    with pytest.raises(DomainError, match="delta"):
-        full_report(params, SMALL_BUDGETS, seed=5)

@@ -265,8 +265,14 @@ def test_rho_budget_errors(monkeypatch):
         rho_counts(300, 100)
     with pytest.raises(DomainError):
         rho_counts_from_primes([], [3], U=2, V=2)
-    with pytest.raises(DomainError, match="finite"):
+    with pytest.raises(DomainError, match="integer"):
         rho_counts(math.nan, 3)
+
+
+@pytest.mark.parametrize("U, V", [(10, 5.5), (10.0, 5), (10, math.inf)])
+def test_rho_rejects_non_integer_scales(U, V):
+    with pytest.raises(DomainError, match="integer"):
+        rho_counts(U, V)
 
 
 @pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf, 0.0, -2.0, 1e308])

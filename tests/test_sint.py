@@ -29,19 +29,33 @@ def test_closed_form_reference_value():
 
 
 def test_closed_form_at_zero_delta():
-    v0 = jn_closed_form(0.0)
-    assert v0 == pytest.approx(2.7339, rel=1e-4)
+    # delta = 0 lies outside delta's domain (0, inf); the constant tends to 81 / 16^(11/9)
+    with pytest.raises(DomainError, match="delta"):
+        jn_closed_form(0.0)
+    v0 = jn_closed_form(5e-324)
+    assert v0 == 81.0 * 16.0 ** (-11.0 / 9.0) == pytest.approx(2.7339, rel=1e-4)
     assert v0 > jn_closed_form(1e-4)
 
 
 def test_closed_form_strictly_decreasing_in_delta():
-    values = [jn_closed_form(d) for d in (0.0, 1e-4, 1e-3, 5e-3)]
+    values = [jn_closed_form(d) for d in (1e-6, 1e-4, 1e-3, 5e-3, 0.05, 0.5, 10.0)]
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
 def test_closed_form_domain():
-    with pytest.raises(DomainError):
-        jn_closed_form(0.5)
+    for delta in (0.0, -1e-4, math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="delta"):
+            jn_closed_form(delta)
+    assert jn_closed_form(0.5) == 81.0 * 24.0 ** (-11.0 / 9.0)
+
+
+@pytest.mark.parametrize("delta", [0.05, 0.5])
+def test_closed_form_matches_monte_carlo_at_large_delta(delta):
+    # the identity U^2 V^2 = (N / (16 (1 + delta)))^(11/9) holds at every delta > 0
+    n = 10**12 + 1
+    est = jn_monte_carlo(n, ProblemParams(n1=n, n2=n, delta=delta), 1, samples=100_000, seed=7)
+    stderr_norm = est.stderr / n ** (11.0 / 9.0)
+    assert abs(est.normalized - jn_closed_form(delta)) <= 3.0 * stderr_norm
 
 
 def test_monte_carlo_matches_closed_form_at_large_scale():
