@@ -16,7 +16,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, ResourceError, _require_finite, _require_int
+from .errors import INTEGERS, NON_NEGATIVE_INTEGERS, POSITIVE_INTEGERS, DomainError, ResourceError
+from .errors import _require_in
 from .parallel import map_ordered
 
 SEGMENT_SIZE = 1 << 20  # integers per sieved segment, the unit of parallel work
@@ -111,12 +112,13 @@ def sieve_range(lo: int, hi: int, *, threads: int = 1) -> PrimeTable:
     deterministic for every thread count.
 
     Raises:
-        DomainError: lo/hi not integers or outside 0 <= lo <= hi < 2^63
+        DomainError: lo, hi or threads not integers, or not 0 <= lo <= hi < 2^63
         ResourceError: range longer than MAX_SPAN
     """
-    _require_int(lo=lo, hi=hi)
-    if not (0 <= lo <= hi < (1 << 63)):
-        raise DomainError(f"sieve bounds must satisfy 0 <= lo <= hi < 2^63, got [{lo}, {hi}]")
+    _require_in((0, 1 << 63, "[)Z"), lo=lo, hi=hi)
+    _require_in(INTEGERS, threads=threads)
+    if lo > hi:
+        raise DomainError(f"sieve bounds must satisfy lo <= hi, got [{lo}, {hi}]")
     span = hi - lo + 1
     if span > MAX_SPAN:
         raise ResourceError(f"sieve range of {span} integers exceeds arith.MAX_SPAN = {MAX_SPAN}")
@@ -146,10 +148,8 @@ def dyadic_range(x: float) -> tuple[int, int]:
 
 
 def dyadic_table(x: float) -> PrimeTable:
-    """Primes p with x < p <= 2x; x must be finite and >= 0."""
-    _require_finite(x=x)
-    if x < 0:
-        raise DomainError(f"dyadic block needs x >= 0, got {x}")
+    """Primes p with x < p <= 2x, for a finite 0 <= x < 2^62 (2x within sieve_range's bound)."""
+    _require_in((0, 1 << 62, "[)"), x=x)
     lo, hi = dyadic_range(x)
     if hi < lo:
         return PrimeTable(lo, max(lo, hi), np.empty(0, dtype=np.int64))
@@ -157,7 +157,8 @@ def dyadic_table(x: float) -> PrimeTable:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for 64-bit integers."""
+    """Deterministic Miller-Rabin for 64-bit integers; DomainError unless n is an integer."""
+    _require_in(INTEGERS, n=n)
     if n < 2:
         return False
     for p in MR_WITNESSES:
@@ -226,10 +227,9 @@ def multiplicative(n: int) -> tuple[Factorization, int, int]:
     phi is the Euler totient.
 
     Raises:
-        DomainError: n < 1
+        DomainError: n not an integer, or n < 1
     """
-    if n < 1:
-        raise DomainError(f"multiplicative() requires n >= 1, got {n}")
+    _require_in(POSITIVE_INTEGERS, n=n)
     found: dict[int, int] = {}
     m = n
     base = _trial_divisors()
@@ -251,11 +251,10 @@ def modpow(base: int, exp: int, modulus: int) -> int:
     """base^exp mod modulus, in [0, modulus).
 
     Raises:
-        DomainError: exp < 0 or modulus < 1
+        DomainError: an argument not an integer, exp < 0 or modulus < 1
     """
-    if exp < 0:
-        raise DomainError(f"modpow() requires exp >= 0, got {exp}")
-    if modulus < 1:
-        raise DomainError(f"modpow() requires modulus >= 1, got {modulus}")
+    _require_in(INTEGERS, base=base)
+    _require_in(NON_NEGATIVE_INTEGERS, exp=exp)
+    _require_in(POSITIVE_INTEGERS, modulus=modulus)
     return pow(base, exp, modulus)
 

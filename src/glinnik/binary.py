@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import sieve_range
-from .errors import DomainError, NumericalIntegrityError, ResourceError
-from .errors import _require_finite, _require_in
+from .errors import POSITIVE_INTEGERS, NumericalIntegrityError, ResourceError
+from .errors import _require_in, _require_odd
 from .expsums import DOMAINS, ProblemParams, _half_spectrum, eval_G
 
 MAX_NODES = 5_000_000  # shift-multiset enumeration nodes, for xi, count_pairs and the searches
@@ -105,11 +105,9 @@ def _power_multisets(k: int, v_max: int, s_allow: float):
 
 def _shift_cap(k: int, eta: float, L: float) -> int:
     """The largest shift exponent floor(L), after checking k, eta and L."""
-    _require_in("k", k, DOMAINS["k"])
-    _require_in("eta", eta, DOMAINS["eta"])
-    _require_finite(L=L)
-    if L < 1:
-        raise DomainError("L must be >= 1")
+    _require_in(DOMAINS["k"], k=k)
+    _require_in(DOMAINS["eta"], eta=eta)
+    _require_in((1, math.inf, "[)"), L=L)
     return math.floor(L)
 
 
@@ -117,11 +115,10 @@ def enum_Xi(N: int, k: int, eta: float, L: float) -> XiSet:
     """Exact enumeration of window members with ordered multiplicities.
 
     Raises:
-        DomainError: N even, k or eta outside expsums.DOMAINS, L < 1 or not finite
+        DomainError: N not an odd integer >= 1, k or eta outside DOMAINS, L < 1 or not finite
         ResourceError: enumeration beyond MAX_NODES
     """
-    if N % 2 == 0:
-        raise DomainError("N must be odd")
+    _require_odd(N=N)
     v_max = _shift_cap(k, eta, L)
     window_lo = (1.0 - eta) * N
     counts: dict[int, int] = {}
@@ -135,9 +132,8 @@ def enum_Xi(N: int, k: int, eta: float, L: float) -> XiSet:
 
 
 def count_pairs(N1: int, N2: int, k: int, eta: float, L: float) -> int:
-    """Ordered tuples whose shift sum is admissible for both N1 and N2 (raises as enum_Xi)."""
-    if N1 % 2 == 0 or N2 % 2 == 0:
-        raise DomainError("N1 and N2 must be odd")
+    """Ordered tuples admissible for both N1 and N2, in either order (raises as enum_Xi)."""
+    _require_odd(N1=N1, N2=N2)
     v_max = _shift_cap(k, eta, L)
     s_allow = min(eta * N1, eta * N2) + 1.0
     total = 0
@@ -159,18 +155,13 @@ def measure_sigma(lam: float, L: float, grid: int) -> MeasureEstimate:
 
     Raises:
         DomainError: lam negative or not finite, L < 1 or not finite,
-            grid < 2^10
-        ResourceError: grid above expsums.MAX_GRID
+            grid not an integer or below 2^10
+        ResourceError: grid above expsums.MAX_GRID or floor(L) above MAX_BINARY_TERMS
     """
-    _require_finite(lam=lam, L=L)
-    if grid < (1 << 10):
-        raise DomainError("grid must be >= 2^10")
-    if L < 1:
-        raise DomainError("L must be >= 1")
-    if lam < 0:
-        raise DomainError("lambda must be >= 0")
+    _require_in((0, math.inf, "[)"), lam=lam)
+    _require_in((1 << 10, math.inf, "[)Z"), grid=grid)
     threshold = lam * L
-    half = np.abs(_half_spectrum("binary", L, grid)) >= threshold
+    half = np.abs(_half_spectrum("binary", L, grid)) >= threshold  # checks L, as eval_G does
     ind = np.concatenate((half, half[1 : (grid + 1) // 2][::-1]))
     crossing = ind != np.roll(ind, -1)
     measure = int(np.count_nonzero(ind & ~crossing)) / grid
@@ -223,13 +214,15 @@ def j_sum_exact(params: ProblemParams, L_cap: int) -> JSumExact:
     never asserted (L here is L_cap, the actual shift range used).
 
     Raises:
-        ResourceError: N_i above MAX_JSUM_N, or L_cap outside [1, MAX_JSUM_LCAP]
+        DomainError: L_cap not an integer, or L_cap < 1
+        ResourceError: N_i above MAX_JSUM_N, or L_cap above MAX_JSUM_LCAP
         NumericalIntegrityError: an autocorrelation count fails to round
     """
+    _require_in(POSITIVE_INTEGERS, L_cap=L_cap)
     if params.n(1) > MAX_JSUM_N or params.n(2) > MAX_JSUM_N:
         raise ResourceError(f"pair-sum tables need N_i <= binary.MAX_JSUM_N = {MAX_JSUM_N}")
-    if not 1 <= L_cap <= MAX_JSUM_LCAP:
-        raise ResourceError(f"L_cap must be in [1, binary.MAX_JSUM_LCAP = {MAX_JSUM_LCAP}]")
+    if L_cap > MAX_JSUM_LCAP:
+        raise ResourceError(f"L_cap must be at most binary.MAX_JSUM_LCAP = {MAX_JSUM_LCAP}")
 
     powers = 1 << np.arange(1, L_cap + 1)
     pair_sums = (powers[:, None] + powers).ravel()

@@ -23,7 +23,7 @@ from . import __version__
 from .arith import dyadic_range, sieve_range
 from .binary import enum_Xi, j_sum_exact, measure_sigma
 from .errors import DomainError, NumericalIntegrityError, ResourceError, ToolkitError
-from .errors import _require_in
+from .errors import NON_NEGATIVE_INTEGERS, _require_in
 from .expsums import (
     DOMAINS,
     KINDS,
@@ -105,10 +105,8 @@ class RunConfig:
         _require_targets(self.n1, self.n2)
         for key, name, _ in self.config_keys():
             if name in DOMAINS:
-                _require_in(key, getattr(self, name), DOMAINS[name])
-        for key in ("threads", "seed"):
-            if getattr(self, key) < 0:
-                raise DomainError(f"{key} must be >= 0")
+                _require_in(DOMAINS[name], **{key: getattr(self, name)})
+        _require_in(NON_NEGATIVE_INTEGERS, threads=self.threads, seed=self.seed)
 
     def params(self) -> ProblemParams:
         shared = {f.name for f in dataclasses.fields(ProblemParams)}
@@ -271,7 +269,7 @@ def _cmd_rho(args, cfg: RunConfig):
         "quadruples": res.quadruples,
         "max_count": res.max_count,
         "bound_ratio": res.bound_ratio,
-        "counts": Columns(zip(*sorted(res.counts.items()))),
+        "counts": Columns((list(res.counts), list(res.counts.values()))),  # ascending n
         "asserted": False,
     }
     return payload, None

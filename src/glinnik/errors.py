@@ -22,27 +22,39 @@ class NumericalIntegrityError(ToolkitError, ArithmeticError):
     """A quantity that must be numerically real/exact failed its check."""
 
 
-def _require_finite(**values) -> None:
-    """Raise DomainError naming the first value that is NaN or infinite."""
-    for name, x in values.items():
-        if not isinstance(x, (int, Fraction)) and not math.isfinite(x):
-            raise DomainError(f"{name} must be finite, got {x!r}")
+_INTS = (int, np.integer)
+REALS = (-math.inf, math.inf, "()")
+INTEGERS = (-math.inf, math.inf, "()Z")
+POSITIVE_INTEGERS = (1, math.inf, "[)Z")
+NON_NEGATIVE_INTEGERS = (0, math.inf, "[)Z")
 
 
-def _require_in(name: str, value, domain: tuple) -> None:
-    """Raise DomainError unless value lies in domain = (lo, hi, ends).
+def _require_in(domain: tuple, **values) -> None:
+    """Raise DomainError naming the first value outside domain = (lo, hi, ends).
 
-    ends holds interval notation's brackets, "(" or "[" then ")" or "]", for an
-    open or a closed end.  NaN fails every comparison, so it lies in no domain.
+    ends is interval notation, "(" or "[" then ")" or "]", then "Z" where only an int
+    or a numpy integer belongs.  NaN fails every comparison, so it lies in no domain,
+    and an infinity lies in one only at a closed infinite end.
     """
     lo, hi, ends = domain
-    if not ((lo < value if ends[0] == "(" else lo <= value)
-            and (value < hi if ends[1] == ")" else value <= hi)):
-        raise DomainError(f"{name} must lie in {ends[0]}{lo}, {hi}{ends[1]}, got {value!r}")
-
-
-def _require_int(**values) -> None:
-    """Raise DomainError naming the first value that is not an int or a numpy integer."""
     for name, x in values.items():
-        if not isinstance(x, (int, np.integer)):
-            raise DomainError(f"{name} must be an integer, got {x!r}")
+        integer = isinstance(x, _INTS)
+        if (integer or ends[-1] != "Z") and (lo < x if ends[0] == "(" else lo <= x) and (
+                x < hi if ends[1] == ")" else x <= hi):
+            continue
+        finite = integer or isinstance(x, Fraction) or math.isfinite(x)
+        if not integer and ends[-1] == "Z":
+            raise DomainError(f"{name} must be {'an' if finite else 'a finite'} integer, got {x!r}")
+        low, high = (">" if ends[0] == "(" else ">="), ("<" if ends[1] == ")" else "<=")
+        if not finite and (lo, low) != (-math.inf, ">=") and (hi, high) != (math.inf, "<="):
+            raise DomainError(f"{name} must be finite, got {x!r}")
+        bound = f"{high} {hi}" if (lo < x if low == ">" else lo <= x) else f"{low} {lo}"
+        raise DomainError(f"{name} must satisfy {name} {bound}, got {x!r}")
+
+
+def _require_odd(**values) -> None:
+    """Raise DomainError naming the first value that is not an odd integer >= 1, as targets are."""
+    _require_in(POSITIVE_INTEGERS, **values)
+    for name, x in values.items():
+        if x % 2 == 0:
+            raise DomainError(f"{name} must be odd, got {x!r}")

@@ -37,7 +37,8 @@ from fractions import Fraction
 import numpy as np
 
 from .arith import PrimeTable, dyadic_table, sieve_range
-from .errors import DomainError, ResourceError, _require_finite, _require_in, _require_int
+from .errors import INTEGERS, NON_NEGATIVE_INTEGERS, POSITIVE_INTEGERS, REALS, DomainError
+from .errors import ResourceError, _require_in, _require_odd
 from .parallel import map_ordered
 
 KINDS = ("linear", "cube_u", "cube_v", "binary")
@@ -56,7 +57,7 @@ DOMAINS = {
     "eta": (0, 1, "(]"),  # ProblemParams also needs eta < delta/(1+delta)
     "lam": (0, 1, "()"),  # lam^(k-2) must decay for the k threshold to exist
     "epsilon": (0, 1.0 / 18.0, "()"),  # keeps the exponent of p_max positive
-    "k": (1, math.inf, "[)"),
+    "k": (1, math.inf, "[)Z"),
 }
 
 _TWO_PI = 2.0 * math.pi
@@ -88,12 +89,11 @@ class ProblemParams:
     k: int = 231
 
     def __post_init__(self):
-        _require_int(n1=self.n1, n2=self.n2, k=self.k)
         _require_targets(self.n1, self.n2)
         if self.n1 > MAX_RATIO * self.n2:
             raise DomainError(f"n1/n2 exceeds expsums.MAX_RATIO = {MAX_RATIO}")
         for name, domain in DOMAINS.items():
-            _require_in(name, getattr(self, name), domain)
+            _require_in(domain, **{name: getattr(self, name)})
         if not self.eta < self.delta / (1.0 + self.delta):
             raise DomainError(
                 "constraint violated: eta < delta/(1+delta) "
@@ -104,6 +104,7 @@ class ProblemParams:
                 raise DomainError(f"arc dissection needs 2 P_{i} <= Q_{i}")
 
     def n(self, i: int) -> int:
+        _require_in(INTEGERS, i=i)
         if i == 1:
             return self.n1
         if i == 2:
@@ -128,11 +129,10 @@ class ProblemParams:
 
 
 def _require_targets(n1: int, n2: int) -> None:
-    """Raise DomainError unless the two targets are odd with n1 >= n2 >= 1."""
-    if n1 % 2 == 0 or n2 % 2 == 0:
-        raise DomainError("n1 and n2 must be odd")
-    if not n1 >= n2 >= 1:
-        raise DomainError("n1 >= n2 >= 1 is required")
+    """Raise DomainError unless the two targets are odd integers with n1 >= n2 >= 1."""
+    _require_odd(n1=n1, n2=n2)
+    if n1 < n2:
+        raise DomainError("n1 >= n2 is required")
 
 
 def _cube_scales(n: int, delta: float) -> tuple[float, float]:
@@ -315,7 +315,7 @@ def _blocked_phase_sum(m: np.ndarray, w: np.ndarray, alpha, k: int) -> complex:
 
 
 def linear_table(params: ProblemParams, i: int, *, threads: int = 1) -> PrimeTable:
-    """Primes p with omega*N_i < p <= N_i."""
+    """Primes p with omega*N_i < p <= N_i; DomainError unless i is the integer 1 or 2."""
     n = params.n(i)
     lo = max(2, math.floor(params.omega * n) + 1)
     return sieve_range(lo, n, threads=threads)
@@ -323,7 +323,7 @@ def linear_table(params: ProblemParams, i: int, *, threads: int = 1) -> PrimeTab
 
 def eval_linear(params: ProblemParams, i: int, alpha, *, table: PrimeTable | None = None) -> complex:
     """sum of (log p) e(p alpha) over omega*N_i < p <= N_i."""
-    _require_finite(alpha=alpha)
+    _require_in(REALS, alpha=alpha)
     if table is None:
         table = linear_table(params, i)
     return _weighted_phase_sum(table.primes, table.log_weights(), alpha)
@@ -336,7 +336,7 @@ def eval_cube(table: PrimeTable, alpha) -> complex:
         DomainError: alpha not finite
         ResourceError: table.hi at or above MAX_CUBE_HI, where p^3 can leave int64
     """
-    _require_finite(alpha=alpha)
+    _require_in(REALS, alpha=alpha)
     _check_cube_hi(table.hi)
     return _weighted_phase_sum(table.primes**3, table.log_weights(), alpha)
 
@@ -355,7 +355,7 @@ def eval_G(L: float, alpha) -> complex:
         ResourceError: floor(L) above MAX_BINARY_TERMS
     """
     m = _binary_terms(L)
-    _require_finite(alpha=alpha)
+    _require_in(REALS, alpha=alpha)
     if not isinstance(alpha, (int, Fraction)):
         alpha = Fraction(float(alpha))  # the dyadic rational a float stores
     res = np.array([pow(2, v, alpha.denominator) for v in range(1, m + 1)], dtype=object)
@@ -364,9 +364,7 @@ def eval_G(L: float, alpha) -> complex:
 
 def _binary_terms(L) -> int:
     """floor(L), the number of terms of the binary sum, within MAX_BINARY_TERMS."""
-    _require_finite(L=L)
-    if L < 1:
-        raise DomainError(f"binary sum needs L >= 1, got {L}")
+    _require_in((1, math.inf, "[)"), L=L)
     m = math.floor(L)
     if m > MAX_BINARY_TERMS:
         raise ResourceError(f"binary sum of {m} terms exceeds the term budget "
@@ -397,9 +395,7 @@ def _grid_buckets(kind: str, source, M: int) -> np.ndarray:
 
 def _half_spectrum(kind: str, source, M: int) -> np.ndarray:
     """Real DFT of the length-M buckets: the conjugates of the values at j/M, j <= M//2."""
-    _require_int(M=M)
-    if M < 2:
-        raise DomainError(f"grid size must be >= 2, got {M}")
+    _require_in((2, math.inf, "[)Z"), M=M)
     if M > MAX_GRID:
         raise ResourceError(f"grid size {M} exceeds expsums.MAX_GRID = {MAX_GRID}")
     return np.fft.rfft(_grid_buckets(kind, source, M))
@@ -449,10 +445,8 @@ def dirichlet_approx(alpha, Q: int) -> DirichletApprox:
     Raises:
         DomainError: Q not an integer or < 1, alpha not finite or outside [1/Q, 1 + 1/Q]
     """
-    _require_finite(alpha=alpha)
-    _require_int(Q=Q)
-    if Q < 1:
-        raise DomainError(f"Q must be >= 1, got {Q}")
+    _require_in(REALS, alpha=alpha)
+    _require_in(POSITIVE_INTEGERS, Q=Q)
     num, den = Fraction(alpha).as_integer_ratio()
     x = num / den
     # a float that is the rounded endpoint 1/Q or (Q + 1)/Q counts as the endpoint
@@ -485,7 +479,7 @@ def classify_arc(params: ProblemParams, i: int, alpha) -> ArcLabel:
     convergent of alpha, so scanning convergents with q <= P_i decides
     membership; the arcs are disjoint, so at most one label can match.
     """
-    _require_finite(alpha=alpha)
+    _require_in(REALS, alpha=alpha)
     q_cap = params.q_max(i)
     num, den = Fraction(alpha).as_integer_ratio()
     x = num / den
@@ -528,14 +522,23 @@ def moment_ST4_exact(U: int, V: int) -> float:
     of the bucket weights.
 
     Raises:
+        DomainError: U or V not an integer, or negative
         ResourceError: more four-tuples than MAX_QUADRUPLES
     """
+    _require_in(NON_NEGATIVE_INTEGERS, U=U, V=V)
     tu = dyadic_table(U)
     tv = dyadic_table(V)
     if len(tu) == 0 or len(tv) == 0:
         return 0.0
+    _check_quadruples(len(tu), len(tv))
     _, bucket = _quadruple_buckets(tu.primes, tv.primes, (tu.log_weights(), tv.log_weights()))
     return float(np.dot(bucket, bucket))
+
+
+def _check_quadruples(nu: int, nv: int) -> None:
+    """Raise ResourceError if nu primes u and nv primes v make over MAX_QUADRUPLES four-tuples."""
+    if (n := (nu * nv) ** 2) > MAX_QUADRUPLES:
+        raise ResourceError(f"{n} four-tuples exceed expsums.MAX_QUADRUPLES = {MAX_QUADRUPLES}")
 
 
 def _quadruple_buckets(primes_u, primes_v, weights=None):
@@ -545,10 +548,6 @@ def _quadruple_buckets(primes_u, primes_v, weights=None):
     weighs the product of its four entries of weights = (w_u, w_v), or 1
     when weights is None, which makes the buckets exact integer counts.
     """
-    tuples = (len(primes_u) * len(primes_v)) ** 2
-    if tuples > MAX_QUADRUPLES:
-        raise ResourceError(f"{tuples} four-tuples exceed "
-                            f"expsums.MAX_QUADRUPLES = {MAX_QUADRUPLES}")
     cu = np.asarray(primes_u, dtype=np.int64) ** 3
     cv = np.asarray(primes_v, dtype=np.int64) ** 3
     sums = np.add.outer(np.add.outer(cu, cu).ravel(), np.add.outer(cv, cv).ravel()).ravel()
@@ -581,13 +580,12 @@ def minor_arc_diagnostic(
     recorded so regressions can be spotted against a frozen baseline.
 
     Raises:
-        DomainError: i, samples, seed or threads not an integer, samples < 1,
-            c not finite
+        DomainError: i not the integer 1 or 2; samples, seed or threads not
+            an integer; samples outside [1, 2^16], seed < 0, or c outside [-64, 64]
     """
-    _require_int(i=i, samples=samples, seed=seed, threads=threads)
-    _require_finite(c=c)
-    if samples < 1:
-        raise DomainError("samples must be >= 1")
+    _require_in((1, 1 << 16, "[]Z"), samples=samples)  # each sample is one full linear sum
+    _require_in(NON_NEGATIVE_INTEGERS, seed=seed)  # threads: as sieve_range, through linear_table
+    _require_in((-64, 64, "[]"), c=c)  # keeps (log N)^c a finite, nonzero float
     n = params.n(i)
     q_cap = params.q_max(i)
     rng = np.random.default_rng(seed)

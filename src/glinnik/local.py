@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import _base_primes, multiplicative
-from .errors import DomainError, ResourceError
+from .errors import INTEGERS, POSITIVE_INTEGERS, DomainError, ResourceError, _require_in
 
 MAX_RESIDUES = 1 << 20
 _PRIME_ROW_CACHE_SIZE = 1 << 16
@@ -75,16 +75,20 @@ def _check_residues(what: str, m: int) -> None:
                             f"local.MAX_RESIDUES = {MAX_RESIDUES}")
 
 
+def _require_sum_args(q: int, a: int) -> None:
+    """Raise DomainError unless q and a are integers with 1 <= a <= q."""
+    _require_in(POSITIVE_INTEGERS, q=q, a=a)
+    if a > q:
+        raise DomainError(f"need a <= q, got a={a}, q={q}")
+
+
 def ramanujan_C1(q: int, a: int) -> int:
     """Ramanujan sum over reduced residues h mod q of e(a h / q).
 
     Uses the closed form mu(q/g) * phi(q) / phi(q/g) with g = gcd(a, q),
-    which is exact in integers.
+    which is exact in integers.  DomainError unless q and a are integers with 1 <= a <= q.
     """
-    if q < 1:
-        raise DomainError(f"modulus must be >= 1, got {q}")
-    if not 1 <= a <= q:
-        raise DomainError(f"need 1 <= a <= q, got a={a}, q={q}")
+    _require_sum_args(q, a)
     g = math.gcd(a, q)
     d = q // g
     _, mu_d, phi_d = multiplicative(d)
@@ -96,12 +100,10 @@ def cubic_C3(q: int, a: int) -> complex:
     """Cubic complete sum over reduced residues h mod q of e(a h^3 / q).
 
     Raises:
+        DomainError: q or a not an integer, or not 1 <= a <= q
         ResourceError: q beyond MAX_RESIDUES
     """
-    if q < 1:
-        raise DomainError(f"modulus must be >= 1, got {q}")
-    if not 1 <= a <= q:
-        raise DomainError(f"need 1 <= a <= q, got a={a}, q={q}")
+    _require_sum_args(q, a)
     _check_residues("modulus", q)
     h = np.arange(1, q + 1, dtype=np.int64)
     h = h[np.gcd(h, q) == 1]
@@ -159,10 +161,11 @@ def local_A(n: int, q: int) -> LocalFactor:
     For squarefree q this is the product of A(n, p) over the primes p | q.
 
     Raises:
+        DomainError: n or q not an integer, or q < 1
         ResourceError: a prime factor congruent to 1 mod 3 beyond MAX_RESIDUES
     """
-    if q < 1:
-        raise DomainError(f"modulus must be >= 1, got {q}")
+    _require_in(INTEGERS, n=n)
+    _require_in(POSITIVE_INTEGERS, q=q)
     fac, mu, phi = multiplicative(q)
     if mu == 0:
         # every term of the a-sum carries C1(q, a) = mu(q) = 0
@@ -183,10 +186,11 @@ def singular_series(n: int, prime_cutoff: int = 10_000) -> TruncatedSeries:
     genuinely exceptional n worth reporting verbatim).
 
     Raises:
+        DomainError: n or prime_cutoff not an integer, or prime_cutoff < 3
         ResourceError: prime_cutoff beyond MAX_RESIDUES
     """
-    if prime_cutoff < 3:
-        raise DomainError("prime_cutoff must be >= 3")
+    _require_in(INTEGERS, n=n)
+    _require_in((3, math.inf, "[)Z"), prime_cutoff=prime_cutoff)
     _check_residues("prime_cutoff", prime_cutoff)
     limit = 1 << max(14, prime_cutoff.bit_length())
     primes = [int(p) for p in _base_primes(limit) if p <= prime_cutoff]

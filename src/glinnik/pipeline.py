@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, replace
 
 from . import binary, local, search
 from .binary import count_pairs, enum_Xi, measure_sigma
-from .errors import DomainError, _require_finite, _require_in
+from .errors import _require_in
 from .expsums import DOMAINS, ProblemParams
 from .sint import jn_closed_form, jn_monte_carlo
 
@@ -68,18 +68,14 @@ class ConstantsLedger:
 
 
 def r1_coefficient(sigma_min: float, j_const: float) -> float:
-    """(sigma_min * j_const)^2 / 3^8."""
-    _require_finite(sigma_min=sigma_min, j_const=j_const)
-    if sigma_min <= 0 or j_const <= 0:
-        raise DomainError("coefficient inputs must be positive")
+    """(sigma_min * j_const)^2 / 3^8, for sigma_min and j_const in (0, 1e75), so it stays finite."""
+    _require_in((0, 1e75, "()"), sigma_min=sigma_min, j_const=j_const)
     return (sigma_min * j_const) ** 2 / 3**8
 
 
 def r3_coefficient(jsum_const: float, st_moment_const: float) -> float:
-    """sqrt(jsum_const) * st_moment_const."""
-    _require_finite(jsum_const=jsum_const, st_moment_const=st_moment_const)
-    if jsum_const <= 0 or st_moment_const <= 0:
-        raise DomainError("coefficient inputs must be positive")
+    """sqrt(jsum_const) * st_moment_const, for both in (0, 1e75), so it stays finite."""
+    _require_in((0, 1e75, "()"), jsum_const=jsum_const, st_moment_const=st_moment_const)
     return math.sqrt(jsum_const) * st_moment_const
 
 
@@ -89,10 +85,8 @@ def k_threshold(c1: float, c2: float, lam: float) -> int:
     A logarithm bracket locates the candidate; direct floating evaluation
     at the candidate and its neighbors is authoritative.
     """
-    _require_finite(c1=c1, c2=c2)
-    if c1 <= 0 or c2 <= 0:
-        raise DomainError("coefficients must be positive")
-    _require_in("lam", lam, DOMAINS["lam"])
+    _require_in((0, math.inf, "()"), c1=c1, c2=c2)
+    _require_in(DOMAINS["lam"], lam=lam)
 
     def positive(k: int) -> bool:
         return c1 - c2 * lam ** (k - 2) > 0.0

@@ -22,9 +22,9 @@ import numpy as np
 
 from .arith import _round_pow2, dyadic_table, is_prime, sieve_range
 from .binary import _power_multisets
-from .errors import DomainError, ResourceError, _require_in, _require_int
-from .expsums import DOMAINS, ProblemParams, _cube_scales, _quadruple_buckets, _require_targets
-from .expsums import _shift_scale
+from .errors import REALS, DomainError, ResourceError, _require_in, _require_odd
+from .expsums import DOMAINS, ProblemParams, _check_quadruples, _cube_scales, _quadruple_buckets
+from .expsums import _require_targets, _shift_scale
 
 log = logging.getLogger(__name__)
 
@@ -170,7 +170,7 @@ def _search(
     if mode not in ("free", "paper_ranges"):
         raise DomainError(f"unknown search mode {mode!r}")
     for name, value in (("delta", delta), ("omega", omega), ("k", k)):
-        _require_in(name, value, DOMAINS[name])
+        _require_in(DOMAINS[name], **{name: value})
     if max(targets) > MAX_WITNESS_N:
         raise ResourceError(f"witness search needs N <= search.MAX_WITNESS_N = {MAX_WITNESS_N}")
     if min(targets) < _MIN_WITNESS + 2 * k:
@@ -211,13 +211,12 @@ def find_witness(
     to the log-scale cap, logging any desk-scale-empty range.
 
     Raises:
-        DomainError: N even, an unknown mode, or k, delta or omega outside
-            its expsums.DOMAINS interval
+        DomainError: N not an odd integer >= 1, an unknown mode, or k, delta
+            or omega outside its expsums.DOMAINS interval
         ResourceError: N above MAX_WITNESS_N, or the shift enumeration
             beyond binary.MAX_NODES
     """
-    if N % 2 == 0:
-        raise DomainError("N must be odd")
+    _require_odd(N=N)
     found = _search((N,), k, mode, delta, omega)
     return None if found is None else found[0]
 
@@ -252,31 +251,35 @@ def rho_counts_from_primes(
     every difference of two sums accumulated exactly.
 
     Raises:
-        DomainError: an empty prime set, delta outside its expsums.DOMAINS
-            interval, or 16 (1 + delta) U^3 not a finite float
-        ResourceError: over expsums.MAX_QUADRUPLES four-tuples or MAX_DIFFS differences
+        DomainError: U or V not an integer in [1, 2^63), an empty prime set, delta
+            outside expsums.DOMAINS, or 16 (1 + delta) U^3 not a finite float
+        ResourceError: over expsums.MAX_QUADRUPLES four-tuples or MAX_DIFFS differences by a bound
     """
-    n_ref = _reference_target(U, delta)
+    n_ref = _reference_target(U, V, delta)
     pu = np.asarray(sorted(int(p) for p in primes_u), dtype=np.int64)
     pv = np.asarray(sorted(int(p) for p in primes_v), dtype=np.int64)
     if pu.size == 0 or pv.size == 0:
         raise DomainError("both prime sets must be non-empty")
-    values, counts = _quadruple_buckets(pu, pv)
-    if values.size**2 > MAX_DIFFS:
-        raise ResourceError(f"difference table of {values.size**2} entries exceeds "
+    _check_quadruples(pu.size, pv.size)
+    # the multisets {a, b, c, d}, i of them only in P_U, j only in P_V, bound the distinct sums
+    both = np.intersect1d(pu, pv).size
+    entries = sum(_multisets(pu.size - both, i) * _multisets(pv.size - both, j)
+                  * _multisets(both, 4 - i - j) for i in range(3) for j in range(3)) ** 2
+    if entries > MAX_DIFFS:
+        raise ResourceError(f"difference table of up to {entries} entries exceeds "
                             f"search.MAX_DIFFS = {MAX_DIFFS}")
+    values, counts = _quadruple_buckets(pu, pv)
     diffs = (values[:, None] - values[None, :]).ravel()
     prods = (counts[:, None] * counts[None, :]).ravel()
     dvals, inverse = np.unique(diffs, return_inverse=True)
     dcounts = np.bincount(inverse, weights=prods.astype(np.float64)).astype(np.int64)
-    table = {int(n): int(c) for n, c in zip(dvals, dcounts)}
+    table = dict(zip(dvals.tolist(), dcounts.tolist()))
 
-    u_scale, v_scale = float(U), float(V)
     max_count = int(dcounts.max())
-    bound_ratio = max_count * math.log(n_ref) ** 8 / (u_scale * v_scale**4)
+    bound_ratio = max_count * math.log(n_ref) ** 8 / (float(U) * float(V) ** 4)
     return RhoCounts(
-        U=int(u_scale),
-        V=int(v_scale),
+        U=int(U),
+        V=int(V),
         counts=table,
         quadruples=int(counts.sum()),
         max_count=max_count,
@@ -285,15 +288,17 @@ def rho_counts_from_primes(
     )
 
 
-def _reference_target(U, delta: float) -> float:
-    """N = 16 (1 + delta) U^3, the target whose cube scale is U, as a finite float."""
-    _require_in("delta", delta, DOMAINS["delta"])
-    try:
-        n_ref = 16.0 * (1.0 + delta) * float(U) ** 3
-    except OverflowError:
-        n_ref = math.inf
-    if not math.isfinite(n_ref):
-        raise DomainError(f"16 (1 + delta) U^3 is not a finite float at U={U}, delta={delta}")
+def _multisets(n: int, k: int) -> int:
+    """Multisets of k items drawn from n kinds."""
+    return math.comb(n + k - 1, k) if k else 1
+
+
+def _reference_target(U: int, V: int, delta: float) -> float:
+    """N = 16 (1 + delta) U^3, the target whose cube scale is U, after checking U, V and delta."""
+    _require_in((1, 1 << 63, "[)Z"), U=U, V=V)
+    _require_in(DOMAINS["delta"], delta=delta)
+    n_ref = 16.0 * (1.0 + delta) * float(U) ** 3  # as U < 2^63, only a huge delta overflows
+    _require_in(REALS, **{f"16 (1 + delta) U^3 at U={U}, delta={delta}": n_ref})
     return n_ref
 
 
@@ -305,10 +310,9 @@ def rho_counts(U: int, V: int, *, delta: float = ProblemParams.delta) -> RhoCoun
     only; the density constant it shadows is asymptotic.
 
     Raises:
-        DomainError: U or V not integers, else as rho_counts_from_primes; all before any sieving
+        DomainError: an empty dyadic block, else as rho_counts_from_primes; all before any sieving
     """
-    _require_int(U=U, V=V)
-    _reference_target(U, delta)
+    _reference_target(U, V, delta)
     tu = dyadic_table(U)
     tv = dyadic_table(V)
     if len(tu) == 0 or len(tv) == 0:

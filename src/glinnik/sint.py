@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ResourceError, _require_finite, _require_in, _require_int
+from .errors import INTEGERS, NON_NEGATIVE_INTEGERS, POSITIVE_INTEGERS, REALS, DomainError
+from .errors import ResourceError, _require_in
 from .expsums import DOMAINS, ProblemParams
 from .parallel import map_ordered
 
@@ -50,7 +51,7 @@ def jn_closed_form(delta: float) -> float:
     and U^2 V^2 = (N / (16 (1 + delta)))^(11/9), so this is the
     normalized value, at every delta > 0, whenever the m1 indicator does not bind.
     """
-    _require_in("delta", delta, DOMAINS["delta"])
+    _require_in(DOMAINS["delta"], delta=delta)
     return 81.0 * (16.0 * (1.0 + delta)) ** (-11.0 / 9.0)
 
 
@@ -97,10 +98,10 @@ def _mc_batches(jobs, n, box, m1_range) -> list[tuple[float, float]]:
 
 
 def _check_window(m1_range: tuple[float, float]) -> tuple[float, float]:
+    """The m1 window's bounds as floats, each any number but NaN: the window may be unbounded."""
     m1_lo, m1_hi = m1_range
-    if math.isnan(m1_lo) or math.isnan(m1_hi):
-        raise DomainError(f"m1 window bounds must not be NaN, got {m1_range}")
-    return m1_lo, m1_hi
+    _require_in((-math.inf, math.inf, "[]"), m1_lo=m1_lo, m1_hi=m1_hi)
+    return float(m1_lo), float(m1_hi)
 
 
 def jn_monte_carlo_box(
@@ -122,22 +123,20 @@ def jn_monte_carlo_box(
     the estimate is identical for every thread count.
 
     Raises:
-        DomainError: samples, seed or threads not an integer; n or a box
-            entry NaN or infinite; a NaN m1 bound; samples < 1; seed < 0;
-            a block with lo >= hi or a width beyond the float range
+        DomainError: samples, seed or threads not an integer; n NaN or infinite; a box
+            entry outside (0, 1e75), which keeps the volume finite; a NaN m1 bound;
+            samples < 1; seed < 0; a block with lo >= hi
         ResourceError: samples beyond MAX_MC_SAMPLES
     """
-    _require_int(samples=samples, seed=seed, threads=threads)
+    _require_in(POSITIVE_INTEGERS, samples=samples)
+    _require_in(NON_NEGATIVE_INTEGERS, seed=seed)
+    _require_in(INTEGERS, threads=threads)
+    _require_in(REALS, n=n)
     u3_lo, u3_hi, v3_lo, v3_hi = box
-    _require_finite(n=n, u3_lo=u3_lo, u3_hi=u3_hi, v3_lo=v3_lo, v3_hi=v3_hi)
+    _require_in((0, 1e75, "()"), u3_lo=u3_lo, u3_hi=u3_hi, v3_lo=v3_lo, v3_hi=v3_hi)
     m1_range = _check_window(m1_range)
-    if samples < 1:
-        raise DomainError("samples must be >= 1")
-    if seed < 0:
-        raise DomainError("seed must be >= 0")
-    for lo, hi in ((u3_lo, u3_hi), (v3_lo, v3_hi)):
-        if not 0.0 < float(hi) - float(lo) < math.inf:
-            raise DomainError(f"sampling box {box} needs lo < hi at a finite width in each block")
+    if not (u3_lo < u3_hi and v3_lo < v3_hi):
+        raise DomainError(f"sampling box {box} needs lo < hi in each block")
     volume = (u3_hi - u3_lo) ** 2 * (v3_hi - v3_lo) ** 2
     if samples > MAX_MC_SAMPLES:
         raise ResourceError(f"samples={samples} exceeds the Monte Carlo budget "
@@ -174,12 +173,12 @@ def jn_monte_carlo(
     """Monte Carlo estimate over the dyadic box derived from params.
 
     Raises:
-        DomainError: n, samples, seed or threads not an integer; n outside
-            [(1-eta) N, N]; or the m1 indicator is identically zero over the
-            box (zero admissible volume)
+        DomainError: n not an integer; i not the integer 1 or 2; n outside
+            [(1-eta) N, N]; the m1 indicator identically zero over the box
+            (zero admissible volume); else as jn_monte_carlo_box
         ResourceError: samples beyond MAX_MC_SAMPLES
     """
-    _require_int(n=n, samples=samples, seed=seed, threads=threads)
+    _require_in(INTEGERS, n=n)
     N = params.n(i)
     if not (1.0 - params.eta) * N <= n <= N:
         raise DomainError(f"n={n} outside [(1-eta)N, N] for N={N}")
@@ -231,14 +230,12 @@ def jn_exact_small(n: int, U: int, V: int, m1_range: tuple[float, float]) -> flo
     Raises:
         DomainError: U or V not an integer or below 1, n NaN or infinite,
             or a NaN window bound
-        ResourceError: U beyond the lattice budget
+        ResourceError: U or V beyond the lattice budget
     """
-    _require_int(U=U, V=V)
-    _require_finite(n=n)
-    if U < 1 or V < 1:
-        raise DomainError("U and V must be >= 1")
-    if U > _MAX_LATTICE_U:
-        raise ResourceError(f"U={U} exceeds the lattice budget "
+    _require_in(REALS, n=n)
+    _require_in(POSITIVE_INTEGERS, U=U, V=V)
+    if max(U, V) > _MAX_LATTICE_U:
+        raise ResourceError(f"U={U} or V={V} exceeds the lattice budget "
                             f"sint._MAX_LATTICE_U = {_MAX_LATTICE_U}")
     m1_lo, m1_hi = _check_window(m1_range)
     wu = _block_weights(U)

@@ -289,3 +289,21 @@ def test_rho_cli_reports_overflowing_delta_as_a_domain_error(capsys):
     assert main(["rho", "--u", "10", "--v", "5", "--delta", "1e308"]) == 1
     err = capsys.readouterr().err
     assert "domain error" in err and "delta" in err and "NaN" not in err
+
+
+def test_rho_checks_the_difference_budget_before_building_any_sum(monkeypatch):
+    calls = []
+    build = search._quadruple_buckets
+
+    def spy(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(search, "_quadruple_buckets", spy)
+    # P_U = {11, 13, 17, 19} and P_V = {7} give C(5, 2) C(2, 2) = 10 distinct sums at most
+    monkeypatch.setattr(search, "MAX_DIFFS", 99)
+    with pytest.raises(ResourceError, match="search.MAX_DIFFS = 99"):
+        rho_counts(10, 5)
+    assert calls == []
+    monkeypatch.setattr(search, "MAX_DIFFS", 100)
+    assert len(rho_counts(10, 5).counts) > 0 and len(calls) == 1
