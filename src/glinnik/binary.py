@@ -18,7 +18,7 @@ import numpy as np
 from .arith import sieve_range
 from .errors import POSITIVE_INTEGERS, NumericalIntegrityError, ResourceError
 from .errors import _require_in, _require_odd
-from .expsums import DOMAINS, ProblemParams, _half_spectrum, eval_G
+from .expsums import DOMAINS, ProblemParams, _binary_terms, _half_spectrum, eval_G
 
 MAX_NODES = 5_000_000  # shift-multiset enumeration nodes, for xi, count_pairs and the searches
 MAX_SHIFT_COUNT = 1 << 12  # k! is formed before any pruning; the paper's k is 231
@@ -154,14 +154,17 @@ def measure_sigma(lam: float, L: float, grid: int) -> MeasureEstimate:
     empirical exponent -log(measure)/log(2^L * L) is diagnostic only.
 
     Raises:
-        DomainError: lam negative or not finite, L < 1 or not finite,
-            grid not an integer or below 2^10
-        ResourceError: grid above expsums.MAX_GRID or floor(L) above MAX_BINARY_TERMS
+        DomainError: lam negative or not finite, L outside [1, 1000] (so
+            2^L * L is a finite float), grid not an integer or below 2^10
+        ResourceError: grid above expsums.MAX_GRID, or floor(L) above
+            expsums.MAX_BINARY_TERMS (checked before L <= 1000)
     """
     _require_in((0, math.inf, "[)"), lam=lam)
+    _binary_terms(L)
+    _require_in((1, 1000, "[]"), L=L)
     _require_in((1 << 10, math.inf, "[)Z"), grid=grid)
     threshold = lam * L
-    half = np.abs(_half_spectrum("binary", L, grid)) >= threshold  # checks L, as eval_G does
+    half = np.abs(_half_spectrum("binary", L, grid)) >= threshold
     ind = np.concatenate((half, half[1 : (grid + 1) // 2][::-1]))
     crossing = ind != np.roll(ind, -1)
     measure = int(np.count_nonzero(ind & ~crossing)) / grid

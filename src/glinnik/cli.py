@@ -39,7 +39,7 @@ from .expsums import (
     linear_table,
 )
 from .local import singular_series
-from .pipeline import ConstantsLedger, ReportBudgets, full_report, k_threshold
+from .pipeline import ConstantsLedger, ReportBudgets, _record, full_report, k_threshold
 from .search import find_pair_witness, find_witness, rho_counts
 from .sint import SingularIntegralEstimate, jn_closed_form, jn_exact_small, jn_monte_carlo
 
@@ -188,15 +188,13 @@ def _cmd_eval(args, cfg: RunConfig):
 
 def _cmd_arcs(args, cfg: RunConfig):
     label = classify_arc(cfg.params(), args.i, args.alpha)
-    return {"alpha": args.alpha, "arc": label.kind, "a": label.a, "q": label.q}, None
+    return {"alpha": args.alpha, **_record(label, kind="arc")}, None
 
 
 def _cmd_singular_series(args, cfg: RunConfig):
     ts = singular_series(args.n, args.cutoff)
     payload = {
-        "n": ts.n,
-        "cutoff": ts.prime_cutoff,
-        "value": ts.value,
+        **_record(ts, prime_cutoff="cutoff"),
         "factors": Columns(zip(*ts.factors)),
         "anomalies": Columns(zip(*ts.anomalies)),
     }
@@ -211,7 +209,7 @@ def _cmd_singular_integral(args, cfg: RunConfig):
         est = jn_monte_carlo(
             n, params, args.i, args.samples, cfg.seed, threads=cfg.effective_threads()
         )
-        return dataclasses.asdict(est), None
+        return _record(est), None
     if args.method == "closed_form":
         n, value, normalized = args.n, None, jn_closed_form(params.delta)
     else:
@@ -227,16 +225,13 @@ def _cmd_singular_integral(args, cfg: RunConfig):
         method=args.method,
         stderr=0.0,
     )
-    return dataclasses.asdict(est), None
+    return _record(est), None
 
 
 def _cmd_xi(args, cfg: RunConfig):
     xi = enum_Xi(args.n, cfg.k, cfg.eta, args.vmax)
     payload = {
-        "n": xi.N,
-        "k": xi.k,
-        "eta": xi.eta,
-        "vmax": xi.L,
+        **_record(xi, N="n", L="vmax"),
         "values": xi.values,
         "entries": Columns(zip(*xi.entries)),
         "total_multiplicity": xi.total_multiplicity(),
@@ -246,29 +241,18 @@ def _cmd_xi(args, cfg: RunConfig):
 
 def _cmd_measure(args, cfg: RunConfig):
     est = measure_sigma(cfg.lam, args.l, args.grid)
-    payload = {
-        "lambda": est.lam,
-        "l": est.L,
-        "grid": est.grid,
-        "measure": est.measure,
-        "empirical_exponent": est.empirical_exponent,
-    }
-    return payload, None
+    return _record(est, lam="lambda", L="l"), None
 
 
 def _cmd_jsum(args, cfg: RunConfig):
     res = j_sum_exact(cfg.params(), args.lcap)
-    return {**dataclasses.asdict(res), "asserted": False}, None
+    return {**_record(res), "asserted": False}, None
 
 
 def _cmd_rho(args, cfg: RunConfig):
     res = rho_counts(args.u, args.v, delta=cfg.delta)
     payload = {
-        "u": res.U,
-        "v": res.V,
-        "quadruples": res.quadruples,
-        "max_count": res.max_count,
-        "bound_ratio": res.bound_ratio,
+        **_record(res, "n_ref", U="u", V="v"),
         "counts": Columns((list(res.counts), list(res.counts.values()))),  # ascending n
         "asserted": False,
     }
@@ -278,13 +262,7 @@ def _cmd_rho(args, cfg: RunConfig):
 def _witness_payload(w) -> dict | None:
     if w is None:
         return None
-    return {
-        "n": w.N,
-        "p1": w.p1,
-        "cubes": w.cubes,
-        "powers": w.powers,
-        "residual": w.residual(),
-    }
+    return {**_record(w, N="n"), "residual": w.residual()}
 
 
 def _cmd_search(args, cfg: RunConfig):

@@ -14,11 +14,11 @@ the derivation).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from . import binary, local, search
 from .binary import count_pairs, enum_Xi, measure_sigma
-from .errors import _require_in
+from .errors import POSITIVE_INTEGERS, _require_in, _require_odd
 from .expsums import DOMAINS, ProblemParams
 from .sint import jn_closed_form, jn_monte_carlo
 
@@ -127,11 +127,31 @@ class ReportBudgets:
     xi_eta: float = 0.1
     xi_vmax: float = 3.0
 
+    def __post_init__(self):
+        """Check the fields the report loops over itself; the library checks the rest.
 
-def _annotate(value, method: str, seed: int | None = None, **extra) -> dict:
-    out = {"value": value, "method": method, "seed": seed}
-    out.update(extra)
-    return out
+        The singular-series samples are odd n in sigma_window = (lo, hi), and
+        the last witness target is within search.MAX_WITNESS_N.
+        """
+        lo, hi = self.sigma_window
+        _require_in(POSITIVE_INTEGERS, sigma_window_lo=lo, witness_count=self.witness_count)
+        _require_in((lo, math.inf, "[)Z"), sigma_window_hi=hi)
+        _require_in((1, (hi + 1) // 2 - lo // 2, "[]Z"), sigma_samples=self.sigma_samples)
+        _require_odd(witness_start=self.witness_start)
+        search._check_witness_n(self.witness_start + 2 * self.witness_count - 2)
+
+
+def _record(obj, *drop: str, **rename: str) -> dict:
+    """obj's dataclass fields but drop, keyed by rename.get(name, name), values not copied.
+
+    dataclasses.asdict would deep-copy every field, a whole count table among them.
+    """
+    return {rename.get(f.name, f.name): getattr(obj, f.name)
+            for f in fields(obj) if f.name not in drop}
+
+
+def _annotate(value, method: str, seed: int | None = None) -> dict:
+    return {"value": value, "method": method, "seed": seed}
 
 
 def full_report(
@@ -145,12 +165,15 @@ def full_report(
 
     Every numeric block carries its method and seed (null for
     deterministic computations), so identical inputs reproduce the report
-    bit for bit at any thread count.
+    bit for bit at any thread count.  A block built from a result
+    dataclass holds its fields through _record, less those the report
+    leaves out, and renamed where the report's key differs (`lam` as
+    `lambda`, `N` as `n`, `U` and `V` as `u` and `v`, xi's `L` as `vmax`).
     """
     b = budgets or ReportBudgets()
     ledger = ConstantsLedger(lam=params.lam)
 
-    rng_step = max(1, (b.sigma_window[1] - b.sigma_window[0]) // max(1, b.sigma_samples))
+    rng_step = max(1, (b.sigma_window[1] - b.sigma_window[0]) // b.sigma_samples)
     sigma_ns = [b.sigma_window[0] + j * rng_step for j in range(b.sigma_samples)]
     sigma_ns = [n if n % 2 == 1 else n + 1 for n in sigma_ns]
     sigma_vals = [local.singular_series(n, b.sigma_cutoff).value for n in sigma_ns]
@@ -169,47 +192,18 @@ def full_report(
 
     rho = search.rho_counts(b.rho_u, b.rho_v, delta=params.delta)
 
-    missing = []
-    found = 0
-    for n in range(b.witness_start, b.witness_start + 2 * b.witness_count, 2):
-        w = search.find_witness(n, b.witness_k, "free")
-        if w is None:
-            missing.append(n)
-        else:
-            found += 1
+    witness_ns = range(b.witness_start, b.witness_start + 2 * b.witness_count, 2)
+    missing = [n for n in witness_ns if search.find_witness(n, b.witness_k, "free") is None]
 
     xi1 = enum_Xi(b.xi_n[0], b.xi_k, b.xi_eta, b.xi_vmax)
     pairs = count_pairs(b.xi_n[0], b.xi_n[1], b.xi_k, b.xi_eta, b.xi_vmax)
 
+    constants = {**_record(ledger, lam="lambda"), "r1_coeff": ledger.r1_coeff,
+                 "r3_coeff": ledger.r3_coeff, "k_threshold": ledger.k_threshold}
     return {
         "schema": 1,
-        "config": {
-            "n1": params.n1,
-            "n2": params.n2,
-            "delta": params.delta,
-            "omega": params.omega,
-            "eta": params.eta,
-            "lambda": params.lam,
-            "epsilon": params.epsilon,
-            "k": params.k,
-            "seed": seed,
-            "budgets": asdict(b),
-        },
-        "constants": _annotate(
-            {
-                "sigma_min": ledger.sigma_min,
-                "j_const": ledger.j_const,
-                "jsum_const": ledger.jsum_const,
-                "st_moment_const": ledger.st_moment_const,
-                "b": ledger.b,
-                "lambda": ledger.lam,
-                "e_lambda_bound": ledger.e_lambda_bound,
-                "r1_coeff": ledger.r1_coeff,
-                "r3_coeff": ledger.r3_coeff,
-                "k_threshold": ledger.k_threshold,
-            },
-            method="ledger_arithmetic",
-        ),
+        "config": {**_record(params, lam="lambda"), "seed": seed, "budgets": _record(b)},
+        "constants": _annotate(constants, method="ledger_arithmetic"),
         "k_threshold": ledger.k_threshold,
         "exponent_note": EXPONENT_NOTE,
         "regime_note": REGIME_NOTE,
@@ -228,71 +222,26 @@ def full_report(
         ),
         "singular_integral": {
             "closed_form": _annotate(jn_closed_form(params.delta), method="closed_form"),
-            "monte_carlo": _annotate(
-                {
-                    "n": mc.n,
-                    "N": mc.N,
-                    "value": mc.value,
-                    "normalized": mc.normalized,
-                    "stderr": mc.stderr,
-                    "samples": mc.samples,
-                },
-                method="monte_carlo",
-                seed=seed,
-            ),
+            "monte_carlo": _annotate(_record(mc, "method", "seed"), method="monte_carlo", seed=seed),
         },
-        "measure": [
-            _annotate(
-                {
-                    "lambda": m.lam,
-                    "L": m.L,
-                    "grid": m.grid,
-                    "measure": m.measure,
-                    "empirical_exponent": m.empirical_exponent,
-                },
-                method="grid_bisection",
-            )
-            for m in measures
-        ],
-        "jsum": _annotate(
-            {
-                "n1": jsum.n1,
-                "n2": jsum.n2,
-                "l_cap": jsum.l_cap,
-                "value": jsum.value,
-                "ratio": jsum.ratio,
-                "bound_const": ledger.jsum_const,
-                "asserted": False,
-            },
-            method="fft_autocorrelation",
-        ),
-        "rho": _annotate(
-            {
-                "u": rho.U,
-                "v": rho.V,
-                "max_count": rho.max_count,
-                "bound_ratio": rho.bound_ratio,
-                "bound_const": ledger.b,
-                "asserted": False,
-            },
-            method="meet_in_the_middle",
-        ),
+        "measure": [_annotate(_record(m, lam="lambda"), method="grid_bisection") for m in measures],
+        "jsum": _annotate({**_record(jsum, "omega", "diagonal"), "bound_const": ledger.jsum_const,
+                           "asserted": False}, method="fft_autocorrelation"),
+        "rho": _annotate({**_record(rho, "counts", "quadruples", "n_ref", U="u", V="v"),
+                          "bound_const": ledger.b, "asserted": False}, method="meet_in_the_middle"),
         "witness_density": _annotate(
             {
                 "start": b.witness_start,
                 "count": b.witness_count,
                 "k": b.witness_k,
-                "found": found,
+                "found": b.witness_count - len(missing),
                 "missing": missing,
             },
             method="exhaustive_search",
         ),
         "xi": _annotate(
             {
-                "n": xi1.N,
-                "k": xi1.k,
-                "eta": xi1.eta,
-                "vmax": xi1.L,
+                **_record(xi1, "entries", N="n", L="vmax"),
                 "values": list(xi1.values),
                 "total_multiplicity": xi1.total_multiplicity(),
                 "pair_count": pairs,

@@ -159,6 +159,11 @@ def _prime_bitset(limit: int) -> np.ndarray:
     return isp
 
 
+def _check_witness_n(N: int) -> None:
+    if N > MAX_WITNESS_N:
+        raise ResourceError(f"witness search needs N <= search.MAX_WITNESS_N = {MAX_WITNESS_N}")
+
+
 def _search(
     targets: tuple[int, ...], k: int, mode: str, delta: float, omega: float
 ) -> list[RepWitness] | None:
@@ -171,8 +176,7 @@ def _search(
         raise DomainError(f"unknown search mode {mode!r}")
     for name, value in (("delta", delta), ("omega", omega), ("k", k)):
         _require_in(DOMAINS[name], **{name: value})
-    if max(targets) > MAX_WITNESS_N:
-        raise ResourceError(f"witness search needs N <= search.MAX_WITNESS_N = {MAX_WITNESS_N}")
+    _check_witness_n(max(targets))
     if min(targets) < _MIN_WITNESS + 2 * k:
         return None  # every shift is at least 2
     sets = [_search_sets(N, mode, delta, omega) for N in targets]

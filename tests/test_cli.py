@@ -63,6 +63,82 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
             assert json.loads(out)["config"], line
 
 
+def key_tree(obj):
+    """The nested dict keys of a JSON value, None at a leaf; a list has its dict items' keys."""
+    if isinstance(obj, dict):
+        return {key: key_tree(value) for key, value in obj.items()}
+    if isinstance(obj, list):
+        trees = [key_tree(item) for item in obj if isinstance(item, dict)]
+        return {key: sub for tree in trees for key, sub in tree.items()} or None
+    return None
+
+
+def leaves(*keys: str) -> dict:
+    return dict.fromkeys(keys)
+
+
+def block(*keys: str) -> dict:
+    """The tree of a report block annotated with its method and seed."""
+    return {**leaves("method", "seed"), "value": leaves(*keys)}
+
+
+CONFIG = leaves("delta", "epsilon", "eta", "k", "lambda", "n1", "n2", "omega", "seed")
+WITNESS = leaves("cubes", "n", "p1", "powers", "residual")
+# the key tree of each JSON example under README.md's CLI heading, with the config block
+KEY_TREES = {
+    "k-threshold": leaves("c1", "c2", "k_threshold", "lambda"),
+    "sieve --lo 1 --hi 10": leaves("count", "hi", "lo", "primes"),
+    "xi --N 101 --k 2 --eta 0.1 --vmax 3":
+        leaves("entries", "eta", "k", "n", "total_multiplicity", "values", "vmax"),
+    "arcs --alpha 0.5": leaves("a", "alpha", "arc", "q"),
+    "singular-series --n 5 --cutoff 1000": leaves("anomalies", "cutoff", "factors", "n", "value"),
+    "singular-integral --method monte_carlo --samples 100000":
+        leaves("N", "method", "n", "normalized", "samples", "seed", "stderr", "value"),
+    "measure --lambda 0.9 --l 20 --grid 1048576":
+        leaves("empirical_exponent", "grid", "l", "lambda", "measure"),
+    "jsum --lcap 8 --n1 100003 --n2 100003":
+        leaves("asserted", "diagonal", "l_cap", "n1", "n2", "omega", "ratio", "value"),
+    "rho --u 10 --v 5":
+        leaves("asserted", "bound_ratio", "counts", "max_count", "quadruples", "u", "v"),
+    "search --n 37 --k 1": {**leaves("k", "mode", "n"), "witness": WITNESS},
+    "pair-search --n1 111 --n2 109 --k 2":
+        {**leaves("k", "mode", "n1", "n2"), "witness1": WITNESS, "witness2": WITNESS},
+    "report --out report.json": {
+        **leaves("exponent_note", "k_threshold", "regime_note", "schema"),
+        "config": {**CONFIG, "budgets": leaves(
+            "jsum_l_cap", "jsum_n", "mc_n", "mc_samples", "measure_L", "measure_grid",
+            "measure_lambdas", "rho_u", "rho_v", "sigma_cutoff", "sigma_samples", "sigma_window",
+            "witness_count", "witness_k", "witness_start", "xi_eta", "xi_k", "xi_n", "xi_vmax")},
+        "constants": block("b", "e_lambda_bound", "j_const", "jsum_const", "k_threshold",
+                           "lambda", "r1_coeff", "r3_coeff", "sigma_min", "st_moment_const"),
+        "jsum": block("asserted", "bound_const", "l_cap", "n1", "n2", "ratio", "value"),
+        "measure": block("L", "empirical_exponent", "grid", "lambda", "measure"),
+        "rho": block("asserted", "bound_const", "bound_ratio", "max_count", "u", "v"),
+        "singular_integral": {
+            "closed_form": leaves("method", "seed", "value"),
+            "monte_carlo": block("N", "n", "normalized", "samples", "stderr", "value"),
+        },
+        "singular_series": block("bound", "count", "cutoff", "max", "mean", "min",
+                                 "tail_allowance", "violations"),
+        "witness_density": block("count", "found", "k", "missing", "start"),
+        "xi": block("eta", "k", "n", "pair_count", "total_multiplicity", "values", "vmax"),
+    },
+}
+
+
+@pytest.mark.parametrize("line", [line for line in readme_cli_lines() if "--csv" not in line])
+def test_readme_json_examples_keep_their_key_trees(tmp_path, monkeypatch, capsys, line):
+    monkeypatch.chdir(tmp_path)  # where report --out writes
+    command = line.partition("#")[0].strip().removeprefix("glinnik ")
+    argv = shlex.split(command)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    if "--out" in argv:
+        out = Path(argv[argv.index("--out") + 1]).read_text(encoding="utf-8")
+    expected = KEY_TREES[command]
+    assert key_tree(json.loads(out)) == {"config": CONFIG, **expected}
+
+
 def test_k_threshold_prints_231(capsys):
     code, out, _ = run_cli(capsys, "k-threshold")
     assert code == 0
@@ -316,6 +392,8 @@ def test_every_subcommand_has_help_and_rejects_unknown_flags(capsys, name):
         ("sieve", "--lo", "2", "--hi", str(2**63)),
         ("xi", "--n", "101", "--vmax", "3", "--k", "1000000"),
         ("singular-integral", "--samples", str(10**15)),
+        ("measure", "--l", "1100", "--grid", "1024"),
+        ("measure", "--l", "1023.5", "--grid", "1024"),
     ],
 )
 def test_hostile_argv_exits_with_an_error_line_not_a_traceback(tmp_path, capsys, argv):

@@ -180,6 +180,24 @@ def test_hostile_library_input_is_refused_or_finite(small_budgets, case):
     assert_finite(result)
 
 
+# the report's budgets, one numeric slot at a time
+REPORT_VALID = dataclasses.asdict(ReportBudgets(**TINY_REPORT))
+REPORT_CASES = [(slot, value) for slot in slots(REPORT_VALID)
+                for value in hostile_values(valid_value(REPORT_VALID, slot))]
+
+
+@EXHAUSTIVE
+@given(st.sampled_from(REPORT_CASES))
+def test_hostile_report_budgets_are_refused_or_finite(small_budgets, case):
+    slot, value = case
+    try:
+        budgets = ReportBudgets(**with_value(REPORT_VALID, slot, value))
+        result = glinnik.full_report(PARAMS, budgets, seed=1, threads=1)
+    except (DomainError, ResourceError):
+        return
+    assert_finite(result)
+
+
 # one small valid argv per CLI subcommand; every config key but threads is a slot as well
 CLI_VALID = {
     "sieve": ("--lo", "1", "--hi", "200"),
@@ -279,6 +297,9 @@ PROBES = {
     "j_sum_exact(params, 2.5)": lambda: glinnik.j_sum_exact(PARAMS, 2.5),
     "linear_table(params, 1.0)": lambda: glinnik.linear_table(PARAMS, 1.0),
     "moment_ST4_exact(10.5, 5)": lambda: glinnik.moment_ST4_exact(10.5, 5),
+    "measure_sigma(0.9, 1100.0, 1024)": lambda: glinnik.measure_sigma(0.9, 1100.0, 1024),
+    "measure_sigma(0.9, 1023.5, 1024)": lambda: glinnik.measure_sigma(0.9, 1023.5, 1024),
+    "ReportBudgets(sigma_samples=0)": lambda: ReportBudgets(sigma_samples=0),
 }
 
 
@@ -286,3 +307,4 @@ PROBES = {
 def test_probe_calls_raise_domain_errors(call):
     with pytest.raises(DomainError):
         call()
+
