@@ -12,18 +12,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .arith import sieve_range
 from .errors import POSITIVE_INTEGERS, NumericalIntegrityError, ResourceError
 from .errors import _require_in, _require_odd
-from .expsums import DOMAINS, ProblemParams, _binary_terms, _half_spectrum, eval_G
+from .expsums import DOMAINS, ProblemParams, _binary_terms, _half_spectrum, _unit_roots
 
 MAX_NODES = 5_000_000  # shift-multiset enumeration nodes, for xi, count_pairs and the searches
 MAX_SHIFT_COUNT = 1 << 12  # k! is formed before any pruning; the paper's k is 231
 MAX_JSUM_N = 10**7
 MAX_JSUM_LCAP = 24
+_MIDPOINT_CHUNK = 1 << 16  # phases per pass of the level-set refinement
 
 
 @dataclass(frozen=True)
@@ -150,7 +152,7 @@ def measure_sigma(lam: float, L: float, grid: int) -> MeasureEstimate:
     DFT: the half spectrum is thresholded and mirrored, since G at
     (grid - j)/grid is the conjugate of G at j/grid.  Grid cells are
     judged by their endpoints; cells whose endpoints disagree are refined
-    one bisection level with a pointwise midpoint evaluation.  The
+    one bisection level by |G| at their midpoints, all in one pass.  The
     empirical exponent -log(measure)/log(2^L * L) is diagnostic only.
 
     Raises:
@@ -159,21 +161,54 @@ def measure_sigma(lam: float, L: float, grid: int) -> MeasureEstimate:
         ResourceError: grid above expsums.MAX_GRID, or floor(L) above
             expsums.MAX_BINARY_TERMS (checked before L <= 1000)
     """
-    _require_in((0, math.inf, "[)"), lam=lam)
+    return _level_sets((lam,), L, grid)[0]
+
+
+def _level_sets(lams, L: float, grid: int) -> list[MeasureEstimate]:
+    """measure_sigma(lam, L, grid) for each lam in lams, from one spectrum.
+
+    Every lam is checked, then L and grid (raising as measure_sigma),
+    before the one real DFT of the grid is built and thresholded per lam.
+    """
+    for lam in lams:
+        _require_in((0, math.inf, "[)"), lam=lam)
     _binary_terms(L)
     _require_in((1, 1000, "[]"), L=L)
     _require_in((1 << 10, math.inf, "[)Z"), grid=grid)
-    threshold = lam * L
-    half = np.abs(_half_spectrum("binary", L, grid)) >= threshold
-    ind = np.concatenate((half, half[1 : (grid + 1) // 2][::-1]))
-    crossing = ind != np.roll(ind, -1)
-    measure = int(np.count_nonzero(ind & ~crossing)) / grid
-    for j in np.nonzero(crossing)[0]:
-        mid_in = abs(eval_G(L, (2 * int(j) + 1) / (2 * grid))) >= threshold
-        measure += (0.5 * bool(ind[j]) + 0.5 * mid_in) / grid
+    spectrum = np.abs(_half_spectrum("binary", L, grid))
     n_star = 2.0**L * L
-    exponent = None if measure <= 0.0 else -math.log(measure) / math.log(n_star)
-    return MeasureEstimate(lam=lam, L=L, grid=grid, measure=measure, empirical_exponent=exponent)
+    out = []
+    for lam in lams:
+        threshold = lam * L
+        half = spectrum >= threshold
+        ind = np.concatenate((half, half[1 : (grid + 1) // 2][::-1]))
+        crossing = ind != np.roll(ind, -1)
+        j = np.flatnonzero(crossing)
+        mid_in = _midpoint_abs_G(L, grid, j) >= threshold
+        inside = int(np.count_nonzero(ind & ~crossing)) / grid
+        steps = np.concatenate(([inside], (0.5 * ind[j] + 0.5 * mid_in) / grid))
+        measure = float(np.add.accumulate(steps)[-1])  # in order, not pairwise like np.sum
+        exponent = None if measure <= 0.0 else -math.log(measure) / math.log(n_star)
+        out.append(MeasureEstimate(lam=lam, L=L, grid=grid, measure=measure,
+                                   empirical_exponent=exponent))
+    return out
+
+
+def _midpoint_abs_G(L: float, grid: int, j: np.ndarray) -> np.ndarray:
+    """|G| at the cell midpoints (2j + 1)/(2 grid), _MIDPOINT_CHUNK phases at a time.
+
+    2^v (2j + 1) is formed in int64 from 2^v mod 2 grid, below 2^50 while
+    grid <= expsums.MAX_GRID = 2^24, and reduced exactly by _unit_roots.
+    """
+    q = 2 * grid
+    powers = np.array([pow(2, v, q) for v in range(1, _binary_terms(L) + 1)], dtype=np.int64)
+    alpha = Fraction(1, q)
+    step = max(1, _MIDPOINT_CHUNK // powers.size)
+    out = np.empty(j.size)
+    for a in range(0, j.size, step):
+        m = powers[:, None] * (2 * j[a : a + step] + 1)
+        out[a : a + step] = np.abs(_unit_roots(m.ravel(), alpha, q * q).reshape(m.shape).sum(axis=0))
+    return out
 
 
 def _difference_counts(omega: float, n: int, lags: np.ndarray) -> list[int]:

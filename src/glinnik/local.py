@@ -20,17 +20,20 @@ p congruent to 2 mod 3, cubing permutes the reduced residues, so
 C3(p, a) = C1(p, a) = -1 and A(n, p) is -1/(p-1)^4 when p | n and
 1/(p-1)^5 otherwise.  For p congruent to 1 mod 3, C3(p, a) = 3 eta_j,
 where eta_0, eta_1, eta_2 are the cubic Gauss periods (eta_j is the sum
-of cos(2 pi g^j c / p) over the cubes c, for a non-cube g) and j is the
-coset of a among the cubes; the periods are real because -1 is a cube.
+of e(x / p) over the coset j of the cubes) and j is the coset of a; the
+periods are real because -1 is a cube.  With omega a primitive cube root
+of unity mod p, x lies in coset j exactly when x^((p-1)/3) = omega^j.
 Grouping the a-sum by coset gives
 
     B(n, p) = -27 (p-1) * sum_j eta_j^4             if p | n,
     B(n, p) = -81 * sum_j eta_j^4 * eta_(j+s)       otherwise,
 
-with s the coset of -n, read off (-n)^((p-1)/3) mod p against
-omega = g^((p-1)/3).  The four values A(., p) can take and omega are
-cached per prime; the periods cost one pass over p residues, so period
-primes and the moduli of cubic_C3 are bounded by MAX_RESIDUES.
+with s the coset of -n.  B sums over every j, so a cyclic relabelling
+of the cosets changes nothing and only the orientation of the periods
+matters.  Gauss's closed form gives them from 4p = L^2 + 27 M^2 in
+O(log^2 p) integer steps, so no period prime is bounded.  The four
+values A(., p) can take and omega are cached per prime; MAX_RESIDUES
+bounds the moduli of cubic_C3 and MAX_SERIES_CUTOFF the series' primes.
 """
 
 from __future__ import annotations
@@ -44,7 +47,8 @@ import numpy as np
 from .arith import _base_primes, multiplicative
 from .errors import INTEGERS, POSITIVE_INTEGERS, DomainError, ResourceError, _require_in
 
-MAX_RESIDUES = 1 << 20
+MAX_RESIDUES = 1 << 20  # residues of one cubic_C3 modulus
+MAX_SERIES_CUTOFF = 1 << 20  # prime cutoff of singular_series, checked before sieving
 _PRIME_ROW_CACHE_SIZE = 1 << 16
 
 
@@ -67,12 +71,6 @@ class TruncatedSeries:
     factors: tuple[tuple[int, float], ...]
     value: float
     anomalies: tuple[tuple[int, float], ...]
-
-
-def _check_residues(what: str, m: int) -> None:
-    if m > MAX_RESIDUES:
-        raise ResourceError(f"{what} {m} exceeds the residue budget "
-                            f"local.MAX_RESIDUES = {MAX_RESIDUES}")
 
 
 def _require_sum_args(q: int, a: int) -> None:
@@ -104,29 +102,64 @@ def cubic_C3(q: int, a: int) -> complex:
         ResourceError: q beyond MAX_RESIDUES
     """
     _require_sum_args(q, a)
-    _check_residues("modulus", q)
+    if q > MAX_RESIDUES:
+        raise ResourceError(f"modulus {q} exceeds the residue budget "
+                            f"local.MAX_RESIDUES = {MAX_RESIDUES}")
     h = np.arange(1, q + 1, dtype=np.int64)
     h = h[np.gcd(h, q) == 1]
     r = a * ((h * h % q) * h % q) % q
     return complex(np.exp(2j * math.pi * (r / q)).sum())
 
 
+def _sqrt_minus_3(p: int) -> int:
+    """A square root of -3 mod a prime p = 1 mod 3, by Tonelli-Shanks."""
+    q, e = p - 1, 0
+    while q % 2 == 0:
+        q, e = q // 2, e + 1  # p - 1 = q 2^e with q odd
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1  # a quadratic non-residue
+    c, x, t = pow(z, q, p), pow(-3, (q + 1) // 2, p), pow(-3, q, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2, i = t2 * t2 % p, i + 1
+        b = pow(c, 1 << (e - i - 1), p)
+        x, c, e = x * b % p, b * b % p, i
+        t = t * c % p
+    return x
+
+
 def _cubic_periods(p: int) -> tuple[tuple[float, float, float], int]:
     """The cubic Gauss periods (eta_0, eta_1, eta_2) of a prime p = 1 mod 3, and omega.
 
-    eta_j sums cos(2 pi g^j c / p) over the cubes c for the least non-cube
-    g, and omega = g^((p-1)/3) mod p, so x lies in coset j exactly when
-    x^((p-1)/3) = omega^j mod p.
+    With s^2 = -3 mod p, omega = (s - 1)/2 mod p.  Cornacchia's algorithm
+    on (p, s) gives p = x^2 + 3 y^2, and one of (2x, 2y), (x + 3y, x - y),
+    (x - 3y, x + y) is (L, 3M) with 4p = L^2 + 27 M^2; L = 1 mod 3, and
+    L + 3 M s = 0 mod p fixes the sign of M.  The periods are the roots
+    (-1 + 2 sqrt(p) cos((theta + 2 pi k)/3))/3 of Gauss's period
+    polynomial, cos theta = L / (2 sqrt(p)), oriented so that
+    (eta_0 - eta_1)(eta_1 - eta_2)(eta_2 - eta_0) = -p M; then x lies in
+    the coset of eta_j (up to a cyclic shift) when x^((p-1)/3) = omega^j.
     """
-    _check_residues("period prime", p)
-    e = (p - 1) // 3
-    g = next(x for x in range(2, p) if pow(x, e, p) != 1)
-    h = np.arange(1, p, dtype=np.int64)
-    cubes = np.flatnonzero(np.bincount((h * h % p) * h % p, minlength=p))
-    periods = tuple(
-        float(np.cos(2.0 * math.pi / p * (cubes * pow(g, j, p) % p)).sum()) for j in range(3)
-    )
-    return periods, pow(g, e, p)
+    s = _sqrt_minus_3(p)
+    a, x = p, s
+    while x * x > p:
+        a, x = x, a % x  # Cornacchia: the first remainder below sqrt(p)
+    y = math.isqrt((p - x * x) // 3)
+    L, M3 = next(pair for pair in ((2 * x, 2 * y), (x + 3 * y, x - y), (x - 3 * y, x + y))
+                 if pair[1] % 3 == 0)
+    L, M = (L if L % 3 == 1 else -L), M3 // 3
+    if (L + 3 * M * s) % p:
+        M = -M
+    # sin theta = sqrt(27) |M| / (2 sqrt(p)) keeps theta accurate at small |M|, unlike acos
+    theta = math.atan2(math.sqrt(27.0) * abs(M), L)
+    root = 2.0 * math.sqrt(p)
+    e0, e1, e2 = ((-1.0 + root * math.cos((theta + 2.0 * math.pi * k) / 3.0)) / 3.0
+                  for k in range(3))
+    if ((e0 - e1) * (e1 - e2) * (e2 - e0) > 0.0) != (M < 0):
+        e1, e2 = e2, e1
+    return (e0, e1, e2), (s - 1) * pow(2, -1, p) % p
 
 
 @functools.lru_cache(maxsize=_PRIME_ROW_CACHE_SIZE)
@@ -162,7 +195,6 @@ def local_A(n: int, q: int) -> LocalFactor:
 
     Raises:
         DomainError: n or q not an integer, or q < 1
-        ResourceError: a prime factor congruent to 1 mod 3 beyond MAX_RESIDUES
     """
     _require_in(INTEGERS, n=n)
     _require_in(POSITIVE_INTEGERS, q=q)
@@ -187,13 +219,14 @@ def singular_series(n: int, prime_cutoff: int = 10_000) -> TruncatedSeries:
 
     Raises:
         DomainError: n or prime_cutoff not an integer, or prime_cutoff < 3
-        ResourceError: prime_cutoff beyond MAX_RESIDUES
+        ResourceError: prime_cutoff beyond MAX_SERIES_CUTOFF
     """
     _require_in(INTEGERS, n=n)
     _require_in((3, math.inf, "[)Z"), prime_cutoff=prime_cutoff)
-    _check_residues("prime_cutoff", prime_cutoff)
-    limit = 1 << max(14, prime_cutoff.bit_length())
-    primes = [int(p) for p in _base_primes(limit) if p <= prime_cutoff]
+    if prime_cutoff > MAX_SERIES_CUTOFF:
+        raise ResourceError(f"prime_cutoff {prime_cutoff} exceeds the series budget "
+                            f"local.MAX_SERIES_CUTOFF = {MAX_SERIES_CUTOFF}")
+    primes = _base_primes(prime_cutoff + 1).tolist()
     factors: list[tuple[int, float]] = []
     anomalies: list[tuple[int, float]] = []
     value = 1.0

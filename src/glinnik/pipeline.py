@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, fields, replace
 
 from . import binary, local, search
-from .binary import count_pairs, enum_Xi, measure_sigma
+from .binary import count_pairs, enum_Xi
 from .errors import POSITIVE_INTEGERS, _require_in, _require_odd
 from .expsums import DOMAINS, ProblemParams
 from .sint import jn_closed_form, jn_monte_carlo
@@ -186,7 +186,7 @@ def full_report(
     mc_params = replace(params, n1=b.mc_n, n2=b.mc_n)
     mc = jn_monte_carlo(b.mc_n, mc_params, 1, b.mc_samples, seed, threads=threads)
 
-    measures = [measure_sigma(lam, b.measure_L, b.measure_grid) for lam in b.measure_lambdas]
+    measures = binary._level_sets(b.measure_lambdas, b.measure_L, b.measure_grid)
 
     jsum = binary.j_sum_exact(replace(params, n1=b.jsum_n, n2=b.jsum_n), b.jsum_l_cap)
 

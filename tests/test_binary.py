@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from glinnik import (
     ResourceError,
     count_pairs,
     enum_Xi,
+    eval_G,
+    eval_grid,
     j_sum_exact,
     measure_sigma,
     sieve_range,
@@ -158,6 +161,36 @@ def test_measure_validation():
             measure_sigma(lam, L, 1 << 12)
     with pytest.raises(ResourceError, match="MAX_GRID"):
         measure_sigma(0.9, 14.0, (1 << 24) + 1)
+
+
+def test_level_sets_match_measure_sigma_per_lambda():
+    # a repeated and an unsorted lambda, an empty and a full level set
+    lams = (0.9, 0.5, 0.961917, 0.5, 0.0, 1.5)
+    for L, grid in ((20.0, 1 << 14), (14.0, 3000)):
+        got = binary._level_sets(lams, L, grid)
+        assert [vars(m) for m in got] == [vars(measure_sigma(lam, L, grid)) for lam in lams]
+
+
+@pytest.mark.parametrize("bad", [math.nan, -0.1, math.inf])
+def test_level_sets_check_every_lambda_before_the_spectrum(monkeypatch, bad):
+    def no_spectrum(*args):
+        raise AssertionError("the spectrum was built")
+
+    monkeypatch.setattr(binary, "_half_spectrum", no_spectrum)
+    for lams in ((bad, 0.9), (0.9, 0.5, bad)):
+        with pytest.raises(DomainError, match="lam"):
+            binary._level_sets(lams, 20.0, 1 << 12)
+
+
+def test_midpoint_refinement_matches_eval_G():
+    # the one-pass |G| at crossing midpoints against the pointwise sum, on dyadic and other grids
+    rng = np.random.default_rng(59)
+    for lam, L, grid in ((0.1, 20.0, 1 << 16), (0.5, 20.0, 3000), (0.9, 14.0, 4096)):
+        half = np.abs(eval_grid("binary", L, grid)) >= lam * L
+        j = np.flatnonzero(half != np.roll(half, -1))
+        j = np.sort(rng.choice(j, size=min(j.size, 300), replace=False))
+        want = [abs(eval_G(L, Fraction(2 * int(x) + 1, 2 * grid))) for x in j]
+        assert np.abs(binary._midpoint_abs_G(L, grid, j) - want).max() <= 1e-12 * L
 
 
 def brute_force_jsum(n1, n2, omega, l_cap):

@@ -10,16 +10,19 @@ from glinnik import (
     arith,
     binary,
     count_pairs,
+    cubic_C3,
     enum_Xi,
     eval_grid,
     expsums,
     find_pair_witness,
     find_witness,
+    local,
     measure_sigma,
     moment_ST4_exact,
     rho_counts,
     search,
     sieve_range,
+    singular_series,
 )
 
 
@@ -49,6 +52,9 @@ CASES = [
     pytest.param(binary, "MAX_NODES", 0, xi_cli, id="MAX_NODES-cli_xi"),
     pytest.param(search, "MAX_WITNESS_N", 100, lambda: find_witness(433, 2),
                  id="MAX_WITNESS_N-find_witness"),
+    pytest.param(local, "MAX_RESIDUES", 6, lambda: cubic_C3(7, 1), id="MAX_RESIDUES-cubic_C3"),
+    pytest.param(local, "MAX_SERIES_CUTOFF", 99, lambda: singular_series(5, 100),
+                 id="MAX_SERIES_CUTOFF-singular_series"),
 ]
 
 

@@ -457,7 +457,7 @@ def test_cube_sum_budget_exits_2(capsys, monkeypatch):
 def test_singular_series_cutoff_budget(capsys):
     code, out, err = run_cli(capsys, "singular-series", "--n", "5", "--cutoff", "1000000000")
     assert code == 2 and out == ""
-    assert "residue budget" in err and "Traceback" not in err
+    assert "local.MAX_SERIES_CUTOFF" in err and "Traceback" not in err
 
 
 def test_output_file(tmp_path, capsys):

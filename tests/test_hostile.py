@@ -78,7 +78,8 @@ SMALL_BUDGETS = [
     (expsums, "MAX_QUADRUPLES", 1 << 12),
     (binary, "MAX_NODES", 10_000), (binary, "MAX_JSUM_N", 10_000),
     (search, "MAX_WITNESS_N", 10_000), (search, "MAX_DIFFS", 1 << 14),
-    (local, "MAX_RESIDUES", 1 << 12), (sint, "MAX_MC_SAMPLES", 1 << 14),
+    (local, "MAX_RESIDUES", 1 << 12), (local, "MAX_SERIES_CUTOFF", 1 << 12),
+    (sint, "MAX_MC_SAMPLES", 1 << 14),
     (cli, "MAX_EMIT_VALUES", 1 << 14),
 ]
 

@@ -72,6 +72,43 @@ def prime_a_row(p: int) -> np.ndarray:
     return composite_b_row(p, -1).real / float(p - 1) ** 5
 
 
+def residue_cosets(p: int) -> tuple[list[np.ndarray], int]:
+    """The cosets g^j C of the cubes C mod a prime p = 1 mod 3, and omega = g^((p-1)/3).
+
+    g is the least non-cube, so x lies in coset j exactly when x^((p-1)/3) = omega^j.
+    """
+    e = (p - 1) // 3
+    g = next(x for x in range(2, p) if pow(x, e, p) != 1)
+    h = np.arange(1, p, dtype=np.int64)
+    cubes = np.flatnonzero(np.bincount((h * h % p) * h % p, minlength=p))
+    return [cubes * pow(g, j, p) % p for j in range(3)], pow(g, e, p)
+
+
+def residue_periods(p: int) -> tuple[tuple[float, float, float], int]:
+    """The cubic periods of a prime p = 1 mod 3 and their omega, by one pass over p residues.
+
+    This is how local found the periods before Gauss's closed form: eta_j
+    sums cos(2 pi x / p) over the coset j of residue_cosets.
+    """
+    cosets, omega = residue_cosets(p)
+    return tuple(float(np.cos(2.0 * math.pi / p * c).sum()) for c in cosets), omega
+
+
+def residue_A(n: int, p: int) -> float:
+    """A(n, p) at a prime p = 1 mod 3 by one sum over the residues a mod p.
+
+    C3(p, a) = 3 eta_j for a in coset j and C1(p, a) = -1, so
+    B(n, p) = -81 sum over a of eta_j(a)^4 e(-a n / p), which is real.
+    """
+    cosets, _ = residue_cosets(p)
+    eta, _ = residue_periods(p)
+    eta4 = np.zeros(p)
+    for c, x in zip(cosets, eta):
+        eta4[c] = x**4
+    a = np.arange(p, dtype=np.int64)
+    return -81.0 * float(np.dot(eta4, np.cos(2.0 * math.pi / p * (a * (n % p) % p)))) / (p - 1.0) ** 5
+
+
 def composite_b_at(n: int, q: int, mu: int) -> complex:
     """B(n, q) for squarefree q: C3(q, .) from one length-q DFT, then one dot product.
 
@@ -249,38 +286,58 @@ def test_closed_form_rows_above_2_16_both_classes():
         assert_rows_agree(p, ms, prime_a_row(p))
 
 
-def period_cubic_constant(p: int) -> int:
-    """(p (L + 3) - 1) / 27, where 4p = L^2 + 27 M^2 and L = 1 mod 3."""
+def gauss_L_M(p: int) -> tuple[int, int]:
+    """(L, M) with 4p = L^2 + 27 M^2, L = 1 mod 3 and M > 0, by search over M."""
     for M in range(1, math.isqrt(4 * p // 27) + 1):
         sq = 4 * p - 27 * M * M
         L = math.isqrt(sq)
         if L * L == sq:
-            L = L if L % 3 == 1 else -L
-            return (p * (L + 3) - 1) // 27
+            return (L if L % 3 == 1 else -L), M
     raise AssertionError(f"no representation 4p = L^2 + 27 M^2 for p = {p}")
+
+
+def next_prime(start: int, residue: int) -> int:
+    """The least prime p > start with p = residue mod 3."""
+    return next(p for p in range(start + 1, 2 * start) if p % 3 == residue and is_prime(p))
 
 
 def test_cubic_period_identities():
     primes = [int(p) for p in _base_primes(1 << 15) if p % 3 == 1 and p <= 20_000]
-    for p in primes + [65539, 99991, 100003]:
+    beyond = [next_prime(1 << b, 1) for b in (20, 21, 24, 30)]
+    for p in primes + [65539, 99991, 100003] + beyond:
         (e0, e1, e2), omega = local._cubic_periods(p)
+        L, M = gauss_L_M(p)
         tol = 1e-9 * p
         assert abs(e0 + e1 + e2 + 1.0) <= tol
         assert abs(e0 * e1 + e1 * e2 + e2 * e0 + (p - 1) / 3) <= tol
         # Gauss's period polynomial fixes the product as well
-        assert abs(e0 * e1 * e2 - period_cubic_constant(p)) <= tol * math.sqrt(p)
+        assert abs(e0 * e1 * e2 - (p * (L + 3) - 1) // 27) <= tol * math.sqrt(p)
+        vandermonde = (e0 - e1) * (e1 - e2) * (e2 - e0)
+        assert abs(abs(vandermonde) - p * M) <= 1e-9 * p * M
         assert pow(omega, 3, p) == 1 and omega != 1
 
 
+def test_closed_form_periods_match_the_residue_pass():
+    # the same periods up to a cyclic shift of the cosets, oriented by omega
+    for p in [int(p) for p in _base_primes(1 << 12) if p % 3 == 1] + [65539, 99991, 100003]:
+        got, omega = local._cubic_periods(p)
+        want, omega_want = residue_periods(p)
+        c = 1 if omega == omega_want else 2
+        assert omega in (omega_want, omega_want * omega_want % p)
+        err = min(max(abs(got[j] - want[(c * j + t) % 3]) for j in range(3)) for t in range(3))
+        assert err <= 1e-9 * math.sqrt(p)
+
+
 def test_period_prime_budget():
-    cap = local.MAX_RESIDUES
-    period_prime = next(p for p in range(cap + 1, cap + 1000) if is_prime(p) and p % 3 == 1)
-    with pytest.raises(ResourceError, match="residue budget"):
-        local_A(5, period_prime)
-    with pytest.raises(ResourceError, match="residue budget"):
-        local_A(5, 2 * period_prime)
-    # primes congruent to 2 mod 3 need no residue array and stay unbounded
-    other = next(p for p in range(cap + 1, cap + 1000) if is_prime(p) and p % 3 == 2)
+    # no period prime is bounded: past the old 2^20 cap local_A matches the O(p) sum
+    p = next_prime(1 << 20, 1)
+    for n in (0, 1, 2, 5, p, 123_456_789, 10**12 + 7):
+        want = residue_A(n, p)
+        # A(n, 2) is 1 at odd n and -1 at even n
+        for got in (local_A(n, p).A, local_A(n, 2 * p).A * (1 if n % 2 else -1)):
+            assert abs(got - want) <= 1e-9 * abs(want)
+    # primes congruent to 2 mod 3 need no periods
+    other = next_prime(1 << 20, 2)
     assert local_A(5, other).A == 1.0 / float(other - 1) ** 5
     assert local_A(other, other).A == -1.0 / float(other - 1) ** 4
 
@@ -323,6 +380,16 @@ def test_series_cutoff_budget_checked_before_sieving(monkeypatch):
         raise AssertionError(f"sieved up to {limit}")
 
     monkeypatch.setattr(local, "_base_primes", no_sieve)
-    for cutoff in (local.MAX_RESIDUES + 1, 10**9):
-        with pytest.raises(ResourceError, match="residue budget"):
+    for cutoff in (local.MAX_SERIES_CUTOFF + 1, 10**9):
+        with pytest.raises(ResourceError, match="local.MAX_SERIES_CUTOFF = "):
             singular_series(5, cutoff)
+
+
+def test_local_A_at_period_primes_past_2_40_and_2_61():
+    # no residue pass could reach these primes; the closed form takes microseconds
+    for p in (next_prime(1 << 40, 1), next_prime(1 << 61, 1)):
+        (e0, e1, e2), omega = local._cubic_periods(p)
+        assert abs(e0 + e1 + e2 + 1.0) <= 1e-12 * math.sqrt(p)
+        assert pow(omega, 3, p) == 1 and omega != 1
+        for n in (0, 1, 5, p - 1, 10**18 + 9):
+            assert math.isfinite(local_A(n, p).A)

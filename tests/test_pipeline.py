@@ -9,6 +9,7 @@ from glinnik import (
     DomainError,
     ProblemParams,
     ReportBudgets,
+    binary,
     full_report,
     j_sum_exact,
     k_threshold,
@@ -16,6 +17,7 @@ from glinnik import (
     r3_coefficient,
     rho_counts,
 )
+from glinnik.expsums import _half_spectrum as half_spectrum
 
 SMALL_BUDGETS = ReportBudgets(
     sigma_samples=6,
@@ -127,6 +129,20 @@ def test_full_report_raised_lambda_raises_threshold():
     params = ProblemParams(n1=1_000_003, n2=1_000_003, lam=0.99)
     report = full_report(params, SMALL_BUDGETS, seed=5)
     assert report["k_threshold"] > 231
+
+
+def test_full_report_builds_the_binary_spectrum_once(monkeypatch):
+    calls = []
+
+    def counted(kind, source, M):
+        calls.append((kind, source, M))
+        return half_spectrum(kind, source, M)
+
+    monkeypatch.setattr(binary, "_half_spectrum", counted)
+    budgets = replace(SMALL_BUDGETS, measure_lambdas=(0.9, 0.5, 0.961917))
+    report = full_report(ProblemParams(n1=1_000_003, n2=1_000_003), budgets, seed=5)
+    assert calls == [("binary", budgets.measure_L, budgets.measure_grid)]
+    assert [m["value"]["lambda"] for m in report["measure"]] == [0.9, 0.5, 0.961917]
 
 
 def test_full_report_rho_reads_delta():
