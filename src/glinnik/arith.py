@@ -230,6 +230,7 @@ def multiplicative(n: int) -> tuple[Factorization, int, int]:
         DomainError: n not an integer, or n < 1
     """
     _require_in(POSITIVE_INTEGERS, n=n)
+    n = int(n)  # a numpy integer breaks three-argument pow
     found: dict[int, int] = {}
     m = n
     base = _trial_divisors()

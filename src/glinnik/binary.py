@@ -148,8 +148,8 @@ def count_pairs(N1: int, N2: int, k: int, eta: float, L: float) -> int:
 def measure_sigma(lam: float, L: float, grid: int) -> MeasureEstimate:
     """Measure of the set of alpha in [0, 1) where the binary sum >= lam * L.
 
-    |G| on the grid j/grid comes from the bucketed shifts and one real
-    DFT: the half spectrum is thresholded and mirrored, since G at
+    |G| on the grid j/grid comes from one DFT of the shifts (expsums'
+    _half_spectrum): the half spectrum is thresholded and mirrored, since G at
     (grid - j)/grid is the conjugate of G at j/grid.  Grid cells are
     judged by their endpoints; cells whose endpoints disagree are refined
     one bisection level by |G| at their midpoints, all in one pass.  The
@@ -168,13 +168,14 @@ def _level_sets(lams, L: float, grid: int) -> list[MeasureEstimate]:
     """measure_sigma(lam, L, grid) for each lam in lams, from one spectrum.
 
     Every lam is checked, then L and grid (raising as measure_sigma),
-    before the one real DFT of the grid is built and thresholded per lam.
+    before the one half spectrum of the grid is built and thresholded per lam.
     """
     for lam in lams:
         _require_in((0, math.inf, "[)"), lam=lam)
     _binary_terms(L)
     _require_in((1, 1000, "[]"), L=L)
     _require_in((1 << 10, math.inf, "[)Z"), grid=grid)
+    grid = int(grid)  # a numpy integer breaks three-argument pow
     spectrum = np.abs(_half_spectrum("binary", L, grid))
     n_star = 2.0**L * L
     out = []

@@ -373,41 +373,63 @@ def _binary_terms(L) -> int:
 
 
 # ---------------------------------------------------------------------------
-# grid evaluation (bucket by argument mod M, then one length-M DFT)
+# grid evaluation: the terms' arguments mod M, then one DFT of length M.
+# At most bits(M) terms take the Cooley-Tukey product of two root tables of
+# about sqrt(M) columns; more are bucketed into one length-M real FFT.
 
 
-def _grid_buckets(kind: str, source, M: int) -> np.ndarray:
+def _grid_terms(kind: str, source, M: int) -> tuple[np.ndarray, np.ndarray]:
+    """The arguments b mod M (int64, repeats allowed) and the weights of a sum's terms."""
     if kind == "binary":
         m = _binary_terms(source)
-        idx = np.array([pow(2, v, M) for v in range(1, m + 1)], dtype=np.int64)
-        w = np.ones(m)
-    elif kind == "linear":
-        idx = source.primes % M
-        w = source.log_weights()
-    elif kind in ("cube_u", "cube_v"):
+        return np.array([pow(2, v, M) for v in range(1, m + 1)], dtype=np.int64), np.ones(m)
+    if kind == "linear":
+        return source.primes % M, source.log_weights()
+    if kind in ("cube_u", "cube_v"):
         pm = source.primes % M
-        idx = (pm * pm % M) * pm % M  # stepwise reduction keeps int64 exact
-        w = source.log_weights()
-    else:
-        raise DomainError(f"unknown sum kind {kind!r}")
-    return np.bincount(idx, weights=w, minlength=M)
+        return (pm * pm % M) * pm % M, source.log_weights()  # stepwise keeps int64 exact
+    raise DomainError(f"unknown sum kind {kind!r}")
 
 
 def _half_spectrum(kind: str, source, M: int) -> np.ndarray:
-    """Real DFT of the length-M buckets: the conjugates of the values at j/M, j <= M//2."""
+    """sum of w e(-b j/M) over the terms, for j = 0..M//2: the conjugate values at j/M.
+
+    A sum of at most bits(M) terms splits j = j_lo + J j_hi with
+    J = ceil(sqrt(M//2 + 1)) and takes one product of the tables
+    e(-b J j_hi/M) times w and e(-b j_lo/M), about T M/2 complex
+    multiply-adds for T terms; the reductions b j mod M are exact, below
+    2^48 at MAX_GRID.  Larger sums are bucketed into one length-M real FFT,
+    about M log2(M); the product was measured slower only from about 50
+    terms at M = 2^16, 128 to 256 at 2^20 and over 256 at 2^21.
+    """
     _require_in((2, math.inf, "[)Z"), M=M)
+    M = int(M)  # a numpy integer breaks three-argument pow
     if M > MAX_GRID:
         raise ResourceError(f"grid size {M} exceeds expsums.MAX_GRID = {MAX_GRID}")
-    return np.fft.rfft(_grid_buckets(kind, source, M))
+    b, w = _grid_terms(kind, source, M)
+    if b.size > M.bit_length():
+        return np.fft.rfft(np.bincount(b, weights=w, minlength=M))
+    n = M // 2 + 1
+    J = math.isqrt(n - 1) + 1
+    turn = Fraction(-1, M)
+
+    def roots(j: np.ndarray) -> np.ndarray:
+        m = np.multiply.outer(b, j)
+        return _unit_roots(m.ravel(), turn, M - 1).reshape(m.shape)
+
+    high = roots(J * np.arange(-(-n // J)))
+    high *= w[:, None]
+    return (high.T @ roots(np.arange(J))).ravel()[:n]
 
 
 def eval_grid(kind: str, source, M: int) -> np.ndarray:
     """Values at alpha = j/M for j = 0..M-1, as one complex array.
 
-    Weights are bucketed by (argument mod M) and transformed with a single
-    real DFT; entry j then equals the pointwise sum at j/M exactly (up to
-    rounding), because e(b j / M) only depends on b mod M.  The buckets are
-    real, so the value at (M - j)/M is the conjugate of the value at j/M.
+    The half spectrum of _half_spectrum, a product of two root tables for a
+    sum of at most bits(M) terms and a bucketed real FFT otherwise, gives
+    the value at j/M for j <= M//2 exactly up to rounding, because e(b j/M)
+    only depends on b mod M.  The weights are real, so the value at
+    (M - j)/M is the conjugate of the value at j/M.
 
     Raises:
         ResourceError: M above MAX_GRID

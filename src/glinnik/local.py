@@ -198,6 +198,7 @@ def local_A(n: int, q: int) -> LocalFactor:
     """
     _require_in(INTEGERS, n=n)
     _require_in(POSITIVE_INTEGERS, q=q)
+    n, q = int(n), int(q)  # a numpy integer breaks three-argument pow
     fac, mu, phi = multiplicative(q)
     if mu == 0:
         # every term of the a-sum carries C1(q, a) = mu(q) = 0

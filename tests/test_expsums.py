@@ -1,6 +1,10 @@
 import cmath
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -238,15 +242,71 @@ def test_grid_matches_direct_linear_odd_size():
         assert abs(grid[j] - direct) <= 1e-9 * scale
 
 
+def ifft_reference(kind, source, M):
+    """The grid as M times the complex inverse DFT of the length-M buckets, and sum of weights."""
+    b, w = expsums._grid_terms(kind, source, M)
+    return np.fft.ifft(np.bincount(b, weights=w, minlength=M)) * M, float(w.sum())
+
+
 @pytest.mark.parametrize("M", [2, 3, 7, 1024, 1 << 16])
 def test_grid_matches_complex_ifft_reference(M):
     lin = linear_table(ProblemParams(n1=20_001, n2=20_001), 1)
     for kind, source in (("linear", lin), ("cube_u", dyadic_table(40)), ("binary", 12.3)):
-        buckets = expsums._grid_buckets(kind, source, M)
-        reference = np.fft.ifft(buckets) * M
+        reference, scale = ifft_reference(kind, source, M)
         grid = eval_grid(kind, source, M)
         assert grid.shape == (M,)
-        assert np.max(np.abs(grid - reference)) <= 1e-12 * float(buckets.sum())
+        assert np.max(np.abs(grid - reference)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("M", [2, 3, 7, 1009, 1024, 1 << 16, 1 << 20])
+def test_sparse_grids_match_the_reference_on_both_sides_of_the_product_rule(M):
+    # bits(M) terms take the product of two root tables, one more the bucketed FFT
+    for terms in (M.bit_length(), M.bit_length() + 1):
+        table = sieve_range(2, int(sieve_range(2, 200).primes[terms - 1]))  # the first primes
+        for kind, source in (("cube_u", table), ("cube_v", table), ("binary", terms + 0.5)):
+            assert expsums._grid_terms(kind, source, M)[0].size == terms
+            reference, scale = ifft_reference(kind, source, M)
+            assert np.max(np.abs(eval_grid(kind, source, M) - reference)) <= 1e-12 * scale
+
+
+def test_grid_of_an_empty_cube_table_is_zero():
+    for M in (2, 1009, 1 << 16):
+        assert np.array_equal(eval_grid("cube_u", sieve_range(24, 28), M), np.zeros(M, complex))
+
+
+def test_sparse_grid_takes_no_length_m_fft(monkeypatch):
+    def no_fft(*args, **kwargs):
+        raise AssertionError("length-M FFT on a sparse grid")
+
+    monkeypatch.setattr(np.fft, "rfft", no_fft)
+    table = dyadic_table(100)  # 21 primes in (100, 200], bits(2^20) = 21
+    grid = eval_grid("cube_u", table, 1 << 20)
+    assert grid.shape == (1 << 20,)
+    assert grid[0] == pytest.approx(float(table.log_weights().sum()), rel=1e-14)
+
+
+GRID_BYTES = """
+import hashlib
+from glinnik import binary, eval_grid
+from glinnik.arith import dyadic_table
+h = hashlib.sha256(eval_grid("cube_u", dyadic_table(50), 1 << 16).tobytes())
+h.update(repr(binary._level_sets((0.1, 0.5, 0.9), 20.5, 1 << 20)).encode())
+print(h.hexdigest())
+"""
+
+
+def test_sparse_grids_are_the_same_at_every_blas_thread_count():
+    # 10 cube terms at 2^16 and 20 binary terms at 2^20: both take the BLAS product
+    assert expsums._grid_terms("cube_u", dyadic_table(50), 1 << 16)[0].size <= 17
+    src = str(Path(expsums.__file__).parents[1])
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run([sys.executable, "-c", GRID_BYTES], capture_output=True, text=True,
+                             env=env, timeout=120, check=True)
+        digests.add(run.stdout)
+    assert len(digests) == 1
 
 
 def test_grid_budget_and_domain_errors(monkeypatch):

@@ -309,3 +309,9 @@ def test_probe_calls_raise_domain_errors(call):
     with pytest.raises(DomainError):
         call()
 
+
+def test_numpy_integers_give_the_plain_int_result():
+    q = np.int64(1024)
+    assert np.array_equal(glinnik.eval_grid("binary", 12.0, q), glinnik.eval_grid("binary", 12.0, 1024))
+    assert glinnik.measure_sigma(0.5, 12.0, q) == glinnik.measure_sigma(0.5, 12.0, 1024)
+    assert glinnik.local_A(5, np.int64(7)) == glinnik.local_A(5, 7)
