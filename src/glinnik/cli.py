@@ -252,8 +252,8 @@ def _cmd_jsum(args, cfg: RunConfig):
 def _cmd_rho(args, cfg: RunConfig):
     res = rho_counts(args.u, args.v, delta=cfg.delta)
     payload = {
-        **_record(res, "n_ref", U="u", V="v"),
-        "counts": Columns((list(res.counts), list(res.counts.values()))),  # ascending n
+        **_record(res, "sums", "n_ref", U="u", V="v"),
+        "counts": Columns(res.differences()),  # ascending n
         "asserted": False,
     }
     return payload, None

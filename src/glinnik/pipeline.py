@@ -144,7 +144,7 @@ class ReportBudgets:
 def _record(obj, *drop: str, **rename: str) -> dict:
     """obj's dataclass fields but drop, keyed by rename.get(name, name), values not copied.
 
-    dataclasses.asdict would deep-copy every field, a whole count table among them.
+    dataclasses.asdict would deep-copy every field, arrays among them.
     """
     return {rename.get(f.name, f.name): getattr(obj, f.name)
             for f in fields(obj) if f.name not in drop}
@@ -227,7 +227,7 @@ def full_report(
         "measure": [_annotate(_record(m, lam="lambda"), method="grid_bisection") for m in measures],
         "jsum": _annotate({**_record(jsum, "omega", "diagonal"), "bound_const": ledger.jsum_const,
                            "asserted": False}, method="fft_autocorrelation"),
-        "rho": _annotate({**_record(rho, "counts", "quadruples", "n_ref", U="u", V="v"),
+        "rho": _annotate({**_record(rho, "sums", "counts", "quadruples", "n_ref", U="u", V="v"),
                           "bound_const": ledger.b, "asserted": False}, method="meet_in_the_middle"),
         "witness_density": _annotate(
             {

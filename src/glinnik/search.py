@@ -71,17 +71,31 @@ class PairWitness:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RhoCounts:
-    """Cube-difference representation counts and the reported density ratio."""
+    """Cube-difference representation counts and the reported density ratio.
+
+    sums holds each distinct quadruple sum s = a^3 + b^3 + c^3 + d^3, ascending,
+    and counts its number c(s) of ordered tuples, both int64.  The count of a
+    difference n is rho(n) = sum_s c(s) c(s + n), at most rho(0) = sum_s c(s)^2
+    by Cauchy-Schwarz, so max_count is that diagonal.
+    """
 
     U: int
     V: int
-    counts: dict[int, int]
+    sums: np.ndarray
+    counts: np.ndarray
     quadruples: int
     max_count: int
     n_ref: float
     bound_ratio: float
+
+    def differences(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every n with rho(n) > 0, ascending, and rho(n), as two int64 arrays."""
+        diffs = np.subtract.outer(self.sums, self.sums).ravel()
+        prods = np.multiply.outer(self.counts, self.counts).ravel()
+        dvals, inverse = np.unique(diffs, return_inverse=True)
+        return dvals, np.bincount(inverse, weights=prods.astype(np.float64)).astype(np.int64)
 
 
 def _cube_pairs(primes) -> tuple[list[int], dict[int, tuple[int, int]]]:
@@ -251,40 +265,53 @@ def rho_counts_from_primes(
     """Representation counts of n = (a^3+b^3+c^3+d^3) - (a'^3+b'^3+c'^3+d'^3).
 
     a, a' run over primes_u (two per side) and c, c' over primes_v, all
-    ordered; quadruple sums are hashed (meet in the middle) and counts of
-    every difference of two sums accumulated exactly.
+    ordered.  The quadruple sums are bucketed (meet in the middle), and
+    max_count is the diagonal rho(0) = sum of the squared bucket counts,
+    exact in int64; RhoCounts.differences() builds the table of every
+    difference only when asked.
 
     Raises:
-        DomainError: U or V not an integer in [1, 2^63), an empty prime set, delta
-            outside expsums.DOMAINS, or 16 (1 + delta) U^3 not a finite float
+        DomainError: U or V not an integer in [1, 2^63); an empty prime list, an entry
+            not an integer >= 2 or a repeated one, or 2 max(P_U)^3 + 2 max(P_V)^3 >= 2^63;
+            delta outside expsums.DOMAINS, or 16 (1 + delta) U^3 not a finite float
         ResourceError: over expsums.MAX_QUADRUPLES four-tuples or MAX_DIFFS differences by a bound
     """
     n_ref = _reference_target(U, V, delta)
-    pu = np.asarray(sorted(int(p) for p in primes_u), dtype=np.int64)
-    pv = np.asarray(sorted(int(p) for p in primes_v), dtype=np.int64)
-    if pu.size == 0 or pv.size == 0:
-        raise DomainError("both prime sets must be non-empty")
-    _check_quadruples(pu.size, pv.size)
+    return _rho(_prime_entries("primes_u", primes_u), _prime_entries("primes_v", primes_v),
+                U, V, n_ref)
+
+
+def _prime_entries(name: str, primes) -> list[int]:
+    """primes ascending as ints, after checking that they are distinct integers >= 2."""
+    entries = list(primes)
+    for j, p in enumerate(entries):
+        _require_in((2, math.inf, "[)Z"), **{f"{name}[{j}]": p})
+    entries = sorted(map(int, entries))
+    if not entries or len(set(entries)) < len(entries):
+        raise DomainError(f"{name} must hold at least one prime, and none twice")
+    return entries
+
+
+def _rho(pu, pv, U: int, V: int, n_ref: float) -> RhoCounts:
+    """rho over the ascending distinct primes pu and pv, checked against every bound first."""
+    if 2 * int(pu[-1]) ** 3 + 2 * int(pv[-1]) ** 3 >= 1 << 63:
+        raise DomainError(f"quadruple sums up to 2 {pu[-1]}^3 + 2 {pv[-1]}^3 do not fit int64")
+    _check_quadruples(len(pu), len(pv))
     # the multisets {a, b, c, d}, i of them only in P_U, j only in P_V, bound the distinct sums
     both = np.intersect1d(pu, pv).size
-    entries = sum(_multisets(pu.size - both, i) * _multisets(pv.size - both, j)
+    entries = sum(_multisets(len(pu) - both, i) * _multisets(len(pv) - both, j)
                   * _multisets(both, 4 - i - j) for i in range(3) for j in range(3)) ** 2
     if entries > MAX_DIFFS:
         raise ResourceError(f"difference table of up to {entries} entries exceeds "
                             f"search.MAX_DIFFS = {MAX_DIFFS}")
-    values, counts = _quadruple_buckets(pu, pv)
-    diffs = (values[:, None] - values[None, :]).ravel()
-    prods = (counts[:, None] * counts[None, :]).ravel()
-    dvals, inverse = np.unique(diffs, return_inverse=True)
-    dcounts = np.bincount(inverse, weights=prods.astype(np.float64)).astype(np.int64)
-    table = dict(zip(dvals.tolist(), dcounts.tolist()))
-
-    max_count = int(dcounts.max())
+    sums, counts = _quadruple_buckets(pu, pv)
+    max_count = int(counts @ counts)
     bound_ratio = max_count * math.log(n_ref) ** 8 / (float(U) * float(V) ** 4)
     return RhoCounts(
         U=int(U),
         V=int(V),
-        counts=table,
+        sums=sums,
+        counts=counts,
         quadruples=int(counts.sum()),
         max_count=max_count,
         n_ref=n_ref,
@@ -314,11 +341,12 @@ def rho_counts(U: int, V: int, *, delta: float = ProblemParams.delta) -> RhoCoun
     only; the density constant it shadows is asymptotic.
 
     Raises:
-        DomainError: an empty dyadic block, else as rho_counts_from_primes; all before any sieving
+        DomainError: U, V or delta as rho_counts_from_primes, before any sieving; an
+            empty dyadic block
     """
-    _reference_target(U, V, delta)
+    n_ref = _reference_target(U, V, delta)
     tu = dyadic_table(U)
     tv = dyadic_table(V)
     if len(tu) == 0 or len(tv) == 0:
         raise DomainError(f"empty dyadic prime block for U={U} or V={V}")
-    return rho_counts_from_primes(tu.primes, tv.primes, U=U, V=V, delta=delta)
+    return _rho(tu.primes, tv.primes, U, V, n_ref)

@@ -39,7 +39,7 @@ from glinnik import (
 from tests.test_binary import brute_force_jsum, exhaustive_xi
 from tests.test_expsums import brute_force_st4
 from tests.test_local import assert_multiplicative
-from tests.test_search import brute_force_rho, oracle_has_witness
+from tests.test_search import brute_force_rho, oracle_has_witness, rho_table
 
 
 def _ok(n: int, text: str) -> None:
@@ -233,8 +233,8 @@ def test_criterion_11_desk_scale_jsum_and_rho():
     res = j_sum_exact(params, 3)
     assert res.value == brute_force_jsum(101, 101, params.omega, 3)
     rho = rho_counts_from_primes([3], [2, 3], U=2, V=2)
-    assert rho.counts[0] == 6
-    assert rho.counts == brute_force_rho([3], [2, 3])
+    assert rho_table(rho)[0] == 6
+    assert rho_table(rho) == brute_force_rho([3], [2, 3])
     # the asymptotic density constants enter as reported ratios only
     _ok(
         11,

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import math
@@ -264,6 +265,20 @@ def test_jsum_subcommand(capsys):
 def test_rho_subcommand(capsys):
     payload = run_json(capsys, "rho", "--u", "3", "--v", "2")
     assert payload["max_count"] > 0 and payload["asserted"] is False
+
+
+# SHA-256 of stdout, taken when the rho table was still built on every call
+RHO_STDOUT_SHA256 = {
+    "--u 10 --v 5": "69968d19f1c65d75ae0eb65c8373ebb927644ecc0188c6611944278316547d39",
+    "--u 12 --v 5": "7849682c9c198175200641d398bc13b621176c5046e44e84704395df2a7fc2a6",
+}
+
+
+@pytest.mark.parametrize("args", RHO_STDOUT_SHA256)
+def test_rho_subcommand_bytes_are_pinned(capsys, args):
+    code, out, err = run_cli(capsys, "rho", *args.split())
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == RHO_STDOUT_SHA256[args]
 
 
 def test_rho_subcommand_reads_delta(capsys):

@@ -64,7 +64,7 @@ VALID = {
     "find_pair_witness": dict(N1=111, N2=109, k=2, mode="free", delta=1e-4, omega=1e-5),
     "find_witness": dict(N=433, k=2, mode="free", delta=1e-4, omega=1e-5),
     "rho_counts": dict(U=3, V=2, delta=1e-4),
-    "rho_counts_from_primes": dict(primes_u=[5, 7], primes_v=[3], U=3, V=2, delta=1e-4),
+    "rho_counts_from_primes": dict(primes_u=(5, 7), primes_v=(3,), U=3, V=2, delta=1e-4),
     "jn_closed_form": dict(delta=1e-4),
     "jn_exact_small": dict(n=500, U=2, V=2, m1_range=(0.0, 500.0)),
     "jn_monte_carlo": dict(n=101, params=PARAMS, i=1, samples=1000, seed=1, threads=1),
@@ -308,6 +308,24 @@ PROBES = {
 def test_probe_calls_raise_domain_errors(call):
     with pytest.raises(DomainError):
         call()
+
+
+# one hostile prime-list entry at a time, or a repeated prime.  Before the lists had a stated
+# domain, nan raised a bare ValueError, 3.5 counted as 3, 2**40 wrapped int64 and a repeated
+# prime counted every tuple 4 times
+PRIME_ENTRIES = {"nan": nan, "inf": inf, "3.5": 3.5, "-3": -3, "0": 0, "1": 1, "2**40": 2**40}
+
+
+@pytest.mark.parametrize("slot", ["primes_u", "primes_v"])
+@pytest.mark.parametrize("entry", [*PRIME_ENTRIES.values(), "repeat"],
+                         ids=[*PRIME_ENTRIES, "repeat"])
+def test_rho_prime_lists_refuse_hostile_entries(monkeypatch, slot, entry):
+    monkeypatch.setattr(search, "_quadruple_buckets", None)  # no sum may be built
+    kwargs = VALID["rho_counts_from_primes"]
+    primes = kwargs[slot]
+    primes = primes + primes[:1] if entry == "repeat" else (entry,) + primes[1:]
+    with pytest.raises(DomainError):
+        glinnik.rho_counts_from_primes(**{**kwargs, slot: primes})
 
 
 def test_numpy_integers_give_the_plain_int_result():

@@ -2,6 +2,7 @@ import json
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from glinnik import (
@@ -16,6 +17,7 @@ from glinnik import (
     r1_coefficient,
     r3_coefficient,
     rho_counts,
+    search,
 )
 from glinnik.expsums import _half_spectrum as half_spectrum
 
@@ -149,6 +151,32 @@ def test_full_report_rho_reads_delta():
     params = ProblemParams(n1=1_000_003, n2=1_000_003, delta=0.002)
     rho = full_report(params, SMALL_BUDGETS, seed=5)["rho"]["value"]
     assert rho["bound_ratio"] == rho_counts(5, 3, delta=0.002).bound_ratio
+
+
+def test_full_report_rho_never_builds_the_difference_table(monkeypatch):
+    calls = []
+
+    class SpyNumpy:  # numpy as search sees it, with np.unique recorded
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def unique(self, *args, **kwargs):
+            calls.append("np.unique")
+            return np.unique(*args, **kwargs)
+
+    table = search.RhoCounts.differences
+
+    def differences(self):
+        calls.append("differences")
+        return table(self)
+
+    monkeypatch.setattr(search.RhoCounts, "differences", differences)
+    monkeypatch.setattr(search, "np", SpyNumpy())
+    budgets = replace(SMALL_BUDGETS, rho_u=40, rho_v=20)
+    rho = full_report(ProblemParams(n1=1_000_003, n2=1_000_003), budgets, seed=5)["rho"]["value"]
+    assert calls == []
+    # max_count is the diagonal sum of c(s)^2; the ratio is bit for bit the table's
+    assert rho["max_count"] == 5416 and rho["bound_ratio"].hex() == "0x1.16023fd978168p+20"
 
 
 def test_full_report_jsum_reads_omega():

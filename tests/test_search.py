@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from glinnik import binary, expsums, search
@@ -214,22 +215,33 @@ def test_pair_witness_below_minimum_none():
     assert find_pair_witness(37, 35, 1) is None
 
 
+def rho_table(res) -> dict[int, int]:
+    """res.differences() as a dict n -> rho(n), the shape brute_force_rho returns."""
+    return dict(zip(*(column.tolist() for column in res.differences())))
+
+
 def test_rho_worked_example_literal_sets():
     res = rho_counts_from_primes([3], [2, 3], U=2, V=2)
-    assert res.counts[0] == 6
+    assert rho_table(res)[0] == 6
 
 
-def test_rho_symmetry_and_total():
-    res = rho_counts(3, 2)
-    assert all(res.counts[n] == res.counts[-n] for n in res.counts)
-    assert sum(res.counts.values()) == res.quadruples**2
-    assert res.max_count == res.counts[0]
+@pytest.mark.parametrize("U, V", [(3, 2), (10, 5), (12, 5), (40, 20)])
+def test_rho_symmetry_and_total(U, V):
+    res = rho_counts(U, V)
+    n, rho = res.differences()
+    assert n.dtype == rho.dtype == np.int64 and np.all(np.diff(n) > 0)
+    assert np.array_equal(n, -n[::-1]) and np.array_equal(rho, rho[::-1])  # rho(n) = rho(-n)
+    assert int(rho.sum()) == res.quadruples**2
+    # the diagonal: rho(0) = sum_s c(s)^2 bounds every rho(n) by Cauchy-Schwarz, strictly at n != 0
+    diagonal = sum(int(c) ** 2 for c in res.counts)
+    assert res.max_count == diagonal == rho[n == 0].item() == rho.max()
+    assert np.all(rho[n != 0] < diagonal)
     assert res.bound_ratio > 0
 
 
 def test_rho_odd_differences_vanish_without_two():
     res = rho_counts_from_primes([3, 5], [3, 7], U=2, V=3)
-    assert all(n % 2 == 0 for n, c in res.counts.items() if c > 0)
+    assert all(n % 2 == 0 for n, c in rho_table(res).items() if c > 0)
 
 
 def brute_force_rho(pu, pv):
@@ -251,12 +263,12 @@ def test_rho_matches_brute_force():
     pu = [int(p) for p in sieve_range(3, 6).primes]
     pv = [int(p) for p in sieve_range(2, 4).primes]
     res = rho_counts_from_primes(pu, pv, U=2, V=2)
-    assert res.counts == brute_force_rho(pu, pv)
+    assert rho_table(res) == brute_force_rho(pu, pv)
 
     pu = [int(p) for p in sieve_range(4, 6).primes]
     pv = [int(p) for p in sieve_range(3, 4).primes]
     res2 = rho_counts_from_primes(pu, pv, U=3, V=2)
-    assert res2.counts == brute_force_rho(pu, pv)
+    assert rho_table(res2) == brute_force_rho(pu, pv)
 
 
 def test_rho_budget_errors(monkeypatch):
@@ -306,4 +318,4 @@ def test_rho_checks_the_difference_budget_before_building_any_sum(monkeypatch):
         rho_counts(10, 5)
     assert calls == []
     monkeypatch.setattr(search, "MAX_DIFFS", 100)
-    assert len(rho_counts(10, 5).counts) > 0 and len(calls) == 1
+    assert len(rho_counts(10, 5).differences()[0]) > 0 and len(calls) == 1
