@@ -1,10 +1,11 @@
 """Prime generation and elementary multiplicative arithmetic.
 
 Everything here is exact integer arithmetic.  Prime ranges come from a
-segmented Eratosthenes sieve (ranges near 10^9 never allocate O(N) memory),
-isolated 64-bit primality queries use a deterministic strong-pseudoprime
-test, and factorizations feed the Mobius and Euler-phi functions consumed
-by the local-density module.
+segmented Eratosthenes sieve over odd numbers only (ranges near 10^9 never
+allocate O(N) memory); a PrimeTable's primes are read-only, and its log
+weights are computed once and shared.  Isolated 64-bit primality queries
+use a deterministic strong-pseudoprime test, and factorizations feed the
+Mobius and Euler-phi functions consumed by the local-density module.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import bisect
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable, TypeVar
 
 import numpy as np
 
@@ -20,7 +22,7 @@ from .errors import INTEGERS, NON_NEGATIVE_INTEGERS, POSITIVE_INTEGERS, DomainEr
 from .errors import _require_in
 from .parallel import map_ordered
 
-SEGMENT_SIZE = 1 << 20  # integers per sieved segment, the unit of parallel work
+SEGMENT_SIZE = 1 << 20  # integers per sieved segment (odd ones flagged), the unit of parallel work
 MAX_SPAN = 1 << 31  # longest range sieve_range takes
 _MAX_BASE_LIMIT = 1 << 26
 
@@ -29,9 +31,17 @@ _MAX_BASE_LIMIT = 1 << 26
 MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
+T = TypeVar("T")
+
+
 @dataclass(frozen=True, eq=False)
 class PrimeTable:
     """Ascending primes in the inclusive range [lo, hi].
+
+    What is derived from the primes alone (the log weights, and the block
+    plan of the linear sum in expsums) is built on first use and kept on the
+    table, so it lives and dies with it.  The primes are made read-only on
+    construction, as are the weights, since every caller shares them.
 
     Attributes:
         lo: inclusive lower bound of the sieved range
@@ -43,12 +53,27 @@ class PrimeTable:
     hi: int
     primes: np.ndarray
 
+    def __post_init__(self):
+        self.primes.flags.writeable = False
+
     def __len__(self) -> int:
         return int(self.primes.size)
 
+    def _derived(self, name: str, build: Callable[[np.ndarray], T]) -> T:
+        """build(primes), computed on the first call for name and kept on the table."""
+        if name not in self.__dict__:
+            self.__dict__[name] = build(self.primes)  # past the frozen __setattr__
+        return self.__dict__[name]
+
     def log_weights(self) -> np.ndarray:
-        """Natural-log weights log p, one per table entry."""
-        return np.log(self.primes.astype(np.float64))
+        """Natural-log weights log p, one per table entry: one read-only array for every call."""
+        return self._derived("_log_weights", _log_weights)
+
+
+def _log_weights(primes: np.ndarray) -> np.ndarray:
+    w = np.log(primes.astype(np.float64))
+    w.flags.writeable = False
+    return w
 
 
 @dataclass(frozen=True)
@@ -89,19 +114,36 @@ def _round_pow2(n: int) -> int:
     return 1 << max(4, (n - 1).bit_length())
 
 
-def _sieve_segment(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
-    """Primes in [lo, hi] given base primes covering sqrt(hi)."""
-    lo = max(lo, 2)
-    if hi < lo:
-        return np.empty(0, dtype=np.int64)
-    flags = np.ones(hi - lo + 1, dtype=bool)
-    for p in base:
-        p = int(p)
-        if p * p > hi:
-            break
-        start = max(p * p, ((lo + p - 1) // p) * p)
-        flags[start - lo :: p] = False
-    return (np.nonzero(flags)[0] + lo).astype(np.int64)
+def _sieve_segment(lo: int, hi: int, odd_base: np.ndarray) -> np.ndarray:
+    """Primes in [lo, hi] given the odd base primes up to sqrt(hi), ascending.
+
+    Flags stand for the odd numbers only, flag i for o + 2i with o the
+    first odd number >= lo.  Each odd base prime p strikes from its first
+    odd multiple >= max(o, p^2), with stride p in index space; a p at least
+    the number of flags strikes once at most, and those strike together.
+    1 is dropped and 2 added where the segment holds them.
+    """
+    o = lo | 1
+    if hi < o:
+        return np.array([2] if lo <= 2 <= hi else [], dtype=np.int64)
+    n = (hi - o) // 2 + 1
+    flags = np.ones(n, dtype=bool)
+    flags[0] = o != 1
+    few, top = np.searchsorted(odd_base, (n, math.isqrt(hi) + 1)).tolist()  # top: p^2 <= hi
+    for p in odd_base[: min(few, top)].tolist():
+        start = max(p * p, -(-o // p) * p)
+        start += p * (start % 2 == 0)  # the first odd multiple
+        flags[(start - o) // 2 :: p] = False
+    if few < top:
+        p = odd_base[few:top]
+        start = np.maximum(p * p, -(-o // p) * p)
+        start += p * (start % 2 == 0)
+        index = (start - o) // 2
+        flags[index[index < n]] = False
+    odd = np.flatnonzero(flags)
+    odd *= 2
+    odd += o
+    return np.concatenate(([2], odd)) if lo <= 2 else odd
 
 
 def sieve_range(lo: int, hi: int, *, threads: int = 1) -> PrimeTable:
@@ -130,16 +172,15 @@ def sieve_range(lo: int, hi: int, *, threads: int = 1) -> PrimeTable:
     if hi < 2:
         return PrimeTable(lo, hi, np.empty(0, dtype=np.int64))
 
-    base = _base_primes(_round_pow2(max(root, 16)))
+    odd_base = _base_primes(_round_pow2(max(root, 16)))[1:]
     bounds = []
     a = max(lo, 2)
     while a <= hi:
         b = min(a + SEGMENT_SIZE - 1, hi)
         bounds.append((a, b))
         a = b + 1
-    chunks = map_ordered(lambda ab: _sieve_segment(ab[0], ab[1], base), bounds, threads)
-    primes = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
-    return PrimeTable(lo, hi, primes)
+    chunks = map_ordered(lambda ab: _sieve_segment(ab[0], ab[1], odd_base), bounds, threads)
+    return PrimeTable(lo, hi, chunks[0] if len(chunks) == 1 else np.concatenate(chunks))
 
 
 def dyadic_range(x: float) -> tuple[int, int]:

@@ -23,6 +23,7 @@ class NumericalIntegrityError(ToolkitError, ArithmeticError):
 
 
 _INTS = (int, np.integer)
+_NUMBERS = (float, int, Fraction, np.floating, np.integer)  # the only types a domain holds
 REALS = (-math.inf, math.inf, "()")
 INTEGERS = (-math.inf, math.inf, "()Z")
 POSITIVE_INTEGERS = (1, math.inf, "[)Z")
@@ -33,15 +34,20 @@ def _require_in(domain: tuple, **values) -> None:
     """Raise DomainError naming the first value outside domain = (lo, hi, ends).
 
     ends is interval notation, "(" or "[" then ")" or "]", then "Z" where only an int
-    or a numpy integer belongs.  NaN fails every comparison, so it lies in no domain,
-    and an infinity lies in one only at a closed infinite end.
+    or a numpy integer belongs; otherwise an int, a float, a numpy number or a Fraction
+    does, and a string, a complex number or None lies in no domain.  NaN fails every
+    comparison, so it lies in no domain, and an infinity lies in one only at a closed
+    infinite end.
     """
     lo, hi, ends = domain
     for name, x in values.items():
         integer = isinstance(x, _INTS)
-        if (integer or ends[-1] != "Z") and (lo < x if ends[0] == "(" else lo <= x) and (
-                x < hi if ends[1] == ")" else x <= hi):
+        if (integer if ends[-1] == "Z" else isinstance(x, _NUMBERS)) and (
+                lo < x if ends[0] == "(" else lo <= x) and (x < hi if ends[1] == ")" else x <= hi):
             continue
+        if not isinstance(x, _NUMBERS):
+            kind = "an integer" if ends[-1] == "Z" else "a real number"
+            raise DomainError(f"{name} must be {kind}, got {x!r}")
         finite = integer or isinstance(x, Fraction) or math.isfinite(x)
         if not integer and ends[-1] == "Z":
             raise DomainError(f"{name} must be {'an' if finite else 'a finite'} integer, got {x!r}")

@@ -25,7 +25,9 @@ e(m a) = e((m >> k) 2^k a) e((m & (2^k - 1)) a).  _phases reduces only the
 gather and one multiply, at most a few ulp more rounding per term.  This
 runs whenever the two tables are together smaller than m; otherwise, and
 always for the sparse cubes p^3 and the short binary sum, one cos/sin/dot
-pass covers every term.  The property tests rely on this accuracy.
+pass covers every term.  The property tests rely on this accuracy.  What
+does not depend on a (k, each term's low bits, the block edges) is one
+_BlockPlan, which a PrimeTable keeps beside its log weights.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -229,15 +232,19 @@ def _phases(m: np.ndarray, alpha, top: int) -> np.ndarray:
 
 
 def _weighted_phase_sum(m: np.ndarray, w: np.ndarray, alpha) -> complex:
-    """sum of w e(m alpha): from two root tables when _root_split allows, else term by term.
+    """sum of w e(m alpha): from two root tables when _block_plan allows, else term by term.
 
     The root tables add at most a few ulp per term to the direct pass's
     rounding, so the two agree to well within 1e-13 * sum |w|.
     """
-    k = _root_split(m)
-    if k:
-        return _blocked_phase_sum(m, w, alpha, k)
-    return _direct_phase_sum(m, w, alpha, int(m.max(initial=0)))
+    return _planned_sum(m, w, _block_plan(m), alpha)
+
+
+def _planned_sum(m: np.ndarray, w: np.ndarray, plan: _BlockPlan | None, alpha) -> complex:
+    """sum of w e(m alpha) by plan = _block_plan(m), or by the direct pass where it is None."""
+    if plan is None:
+        return _direct_phase_sum(m, w, alpha, int(m.max(initial=0)))
+    return _blocked_phase_sum(plan, w, alpha)
 
 
 def _direct_phase_sum(m: np.ndarray, w: np.ndarray, alpha, top: int) -> complex:
@@ -252,7 +259,7 @@ def _direct_phase_sum(m: np.ndarray, w: np.ndarray, alpha, top: int) -> complex:
 
 
 def _root_split(m: np.ndarray) -> int:
-    """The split k of _blocked_phase_sum for m, or 0 where the direct pass must run.
+    """The split k of _block_plan for m, or 0 where the direct pass must run.
 
     k = ceil(bits(max m) / 2); the tables hold 2^k low roots and one high
     root per block h from m[0] >> k to m[-1] >> k.  They pay only when
@@ -278,8 +285,47 @@ def _unit_roots(m: np.ndarray, alpha, top: int) -> np.ndarray:
     return roots
 
 
-def _blocked_phase_sum(m: np.ndarray, w: np.ndarray, alpha, k: int) -> complex:
-    """sum of w e(m alpha) for ascending int64 m >= 0, by angle addition.
+class _BlockPlan(NamedTuple):
+    """The alpha-independent half of _blocked_phase_sum over ascending int64 m >= 0.
+
+    low[t] = m[t] & (2^k - 1); heads are the h 2^k of the non-empty blocks
+    of equal h = m >> k; chunk c covers terms c _BLOCK_CHUNK up to
+    (c + 1) _BLOCK_CHUNK and holds (edges, j0, j1): the offsets of its
+    block starts within the chunk, the first at 0, and the slice j0:j1 of
+    heads that they begin.
+    """
+
+    k: int
+    low: np.ndarray  # uint16 while k <= 16
+    heads: np.ndarray
+    chunks: list[tuple[np.ndarray, int, int]]
+
+
+def _block_plan(m: np.ndarray) -> _BlockPlan | None:
+    """The plan of _blocked_phase_sum for m, or None where _root_split gives 0."""
+    k = _root_split(m)
+    if not k:
+        return None
+    mask = (1 << k) - 1
+    heads = np.arange(int(m[0]) >> k, (int(m[-1]) >> k) + 1) << k  # h 2^k, block by block
+    starts = np.searchsorted(m, heads)  # where each block begins
+    full = np.diff(starts, append=m.size) > 0
+    heads, starts = heads[full], starts[full]  # strictly increasing from 0
+    low = np.empty(m.size, dtype=np.uint16 if k <= 16 else np.uint32)
+    chunks = []
+    for a in range(0, m.size, _BLOCK_CHUNK):
+        b = min(a + _BLOCK_CHUNK, m.size)
+        np.bitwise_and(m[a:b], mask, out=low[a:b], casting="unsafe")  # no int64 temporary
+        j0 = int(np.searchsorted(starts, a, side="right")) - 1  # the block holding term a
+        j1 = int(np.searchsorted(starts, b))  # blocks that begin before b
+        edges = starts[j0:j1] - a
+        edges[0] = 0
+        chunks.append((edges, j0, j1))
+    return _BlockPlan(k, low, heads, chunks)
+
+
+def _blocked_phase_sum(plan: _BlockPlan, w: np.ndarray, alpha) -> complex:
+    """sum of w e(m alpha) for the ascending int64 m >= 0 that plan = _block_plan(m) covers.
 
     With h = m >> k and l = m & (2^k - 1), e(m alpha) = e(h 2^k alpha) e(l alpha).
     Both tables of roots come from _phases, exact for a rational alpha and
@@ -290,23 +336,14 @@ def _blocked_phase_sum(m: np.ndarray, w: np.ndarray, alpha, k: int) -> complex:
     terms keep the temporaries small; a block cut by a chunk edge gives two
     partial sums against the same high root.
     """
-    mask = (1 << k) - 1
-    heads = np.arange(int(m[0]) >> k, (int(m[-1]) >> k) + 1) << k  # h 2^k, block by block
+    mask = (1 << plan.k) - 1
     low = _unit_roots(np.arange(mask + 1), alpha, mask)
-    high = _unit_roots(heads, alpha, int(heads[-1]))
-    starts = np.searchsorted(m, heads)  # where each block begins
-    full = np.diff(starts, append=m.size) > 0
-    starts, high = starts[full], high[full]  # strictly increasing from 0
+    high = _unit_roots(plan.heads, alpha, int(plan.heads[-1]))
     total = 0j
-    for a in range(0, m.size, _BLOCK_CHUNK):
-        b = min(a + _BLOCK_CHUNK, m.size)
-        j0 = int(np.searchsorted(starts, a, side="right"))
-        j1 = int(np.searchsorted(starts, b))  # blocks that begin before b
-        edges = starts[j0 - 1 : j1] - a
-        edges[0] = 0  # the block holding term a
-        terms = low.take(m[a:b] & mask)
-        terms *= w[a:b]
-        total += complex((np.add.reduceat(terms, edges) * high[j0 - 1 : j1]).sum())
+    for a, (edges, j0, j1) in zip(range(0, plan.low.size, _BLOCK_CHUNK), plan.chunks):
+        terms = low.take(plan.low[a : a + _BLOCK_CHUNK])
+        terms *= w[a : a + _BLOCK_CHUNK]
+        total += complex((np.add.reduceat(terms, edges) * high[j0:j1]).sum())
     return total
 
 
@@ -322,21 +359,39 @@ def linear_table(params: ProblemParams, i: int, *, threads: int = 1) -> PrimeTab
 
 
 def eval_linear(params: ProblemParams, i: int, alpha, *, table: PrimeTable | None = None) -> complex:
-    """sum of (log p) e(p alpha) over omega*N_i < p <= N_i."""
+    """sum of (log p) e(p alpha) over omega*N_i < p <= N_i.
+
+    A table passed in keeps its log weights and block plan for the next call.
+
+    Raises:
+        DomainError: alpha not a finite real number, or table not a PrimeTable
+    """
     _require_in(REALS, alpha=alpha)
     if table is None:
         table = linear_table(params, i)
-    return _weighted_phase_sum(table.primes, table.log_weights(), alpha)
+    return _planned_sum(*_table_terms(table), alpha)
+
+
+def _table_terms(table: PrimeTable) -> tuple[np.ndarray, np.ndarray, _BlockPlan | None]:
+    """A table's primes, log weights and block plan, the last two built once per table."""
+    _require_table(table)
+    return table.primes, table.log_weights(), table._derived("_block_plan", _block_plan)
+
+
+def _require_table(table) -> None:
+    if not isinstance(table, PrimeTable):
+        raise DomainError(f"table must be a PrimeTable, got {table!r}")
 
 
 def eval_cube(table: PrimeTable, alpha) -> complex:
     """sum of (log p) e(p^3 alpha) over the table's primes.
 
     Raises:
-        DomainError: alpha not finite
+        DomainError: alpha not a finite real number, or table not a PrimeTable
         ResourceError: table.hi at or above MAX_CUBE_HI, where p^3 can leave int64
     """
     _require_in(REALS, alpha=alpha)
+    _require_table(table)
     _check_cube_hi(table.hi)
     return _weighted_phase_sum(table.primes**3, table.log_weights(), alpha)
 
@@ -384,8 +439,10 @@ def _grid_terms(kind: str, source, M: int) -> tuple[np.ndarray, np.ndarray]:
         m = _binary_terms(source)
         return np.array([pow(2, v, M) for v in range(1, m + 1)], dtype=np.int64), np.ones(m)
     if kind == "linear":
+        _require_table(source)
         return source.primes % M, source.log_weights()
     if kind in ("cube_u", "cube_v"):
+        _require_table(source)
         pm = source.primes % M
         return (pm * pm % M) * pm % M, source.log_weights()  # stepwise keeps int64 exact
     raise DomainError(f"unknown sum kind {kind!r}")
@@ -432,6 +489,8 @@ def eval_grid(kind: str, source, M: int) -> np.ndarray:
     (M - j)/M is the conjugate of the value at j/M.
 
     Raises:
+        DomainError: an unknown kind, M not an integer >= 2, or a source not a
+            PrimeTable (not a valid L for the binary kind)
         ResourceError: M above MAX_GRID
     """
     half = _half_spectrum(kind, source, M)
@@ -528,6 +587,7 @@ def moment2_exact(table: PrimeTable) -> float:
     linear sum, p^3 for the cube sums) are distinct integers, so one value
     serves every kind.
     """
+    _require_table(table)
     w = table.log_weights()
     return float(np.dot(w, w))
 
@@ -617,14 +677,9 @@ def minor_arc_diagnostic(
         if not classify_arc(params, i, x).is_major:
             alphas.append(float(x))
 
-    lin = linear_table(params, i, threads=threads)
+    terms = _table_terms(linear_table(params, i, threads=threads))  # before the threads share them
     cube = dyadic_table(params.u(i))
-    w = lin.log_weights()
-
-    def f_abs(x: float) -> float:
-        return abs(_weighted_phase_sum(lin.primes, w, x))
-
-    f_vals = map_ordered(f_abs, alphas, threads)
+    f_vals = map_ordered(lambda x: abs(_planned_sum(*terms, x)), alphas, threads)
     s_vals = [abs(eval_cube(cube, x)) for x in alphas]
     log_n = math.log(n)
     lin_scale = n**_LINEAR_EXPONENT * log_n**c

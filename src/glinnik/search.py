@@ -271,8 +271,9 @@ def rho_counts_from_primes(
     difference only when asked.
 
     Raises:
-        DomainError: U or V not an integer in [1, 2^63); an empty prime list, an entry
-            not an integer >= 2 or a repeated one, or 2 max(P_U)^3 + 2 max(P_V)^3 >= 2^63;
+        DomainError: U or V not an integer in [1, 2^63); a prime list not iterable or
+            empty, an entry not an integer >= 2 or a repeated one, or
+            2 max(P_U)^3 + 2 max(P_V)^3 >= 2^63;
             delta outside expsums.DOMAINS, or 16 (1 + delta) U^3 not a finite float
         ResourceError: over expsums.MAX_QUADRUPLES four-tuples or MAX_DIFFS differences by a bound
     """
@@ -283,7 +284,10 @@ def rho_counts_from_primes(
 
 def _prime_entries(name: str, primes) -> list[int]:
     """primes ascending as ints, after checking that they are distinct integers >= 2."""
-    entries = list(primes)
+    try:
+        entries = list(primes)
+    except TypeError:
+        raise DomainError(f"{name} must be a list of primes, got {primes!r}") from None
     for j, p in enumerate(entries):
         _require_in((2, math.inf, "[)Z"), **{f"{name}[{j}]": p})
     entries = sorted(map(int, entries))

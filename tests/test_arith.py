@@ -62,6 +62,31 @@ def test_sieve_thread_invariance(monkeypatch):
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("segment", [7, 64, 1025])
+def test_sieve_across_segment_edges(monkeypatch, segment):
+    monkeypatch.setattr(arith, "SEGMENT_SIZE", segment)
+    for lo in range(41):
+        first = max(lo, 2)  # segments are counted from here
+        for edges in (1, 3):
+            for hi in range(first + edges * segment - 2, first + edges * segment + 1):
+                expected = np.flatnonzero(arith._simple_sieve(hi)[lo:]) + lo
+                for threads in (1, 2, 4):
+                    got = sieve_range(lo, hi, threads=threads).primes
+                    assert np.array_equal(got, expected), (lo, hi, threads)
+
+
+def test_sieve_near_the_base_limit():
+    hi = (arith._MAX_BASE_LIMIT + 1) ** 2 - 1  # the largest hi whose root the base sieve covers
+    lo = hi - 600
+    try:
+        got = sieve_range(lo, hi).primes.tolist()
+    finally:
+        arith._base_primes.cache_clear()  # the base primes up to 2^26 take 32 MB
+    assert got == [n for n in range(lo, hi + 1) if is_prime(n)] and got
+    with pytest.raises(ResourceError, match="_MAX_BASE_LIMIT"):
+        sieve_range(hi + 1, hi + 1)
+
+
 def test_sieve_budget_error_names_budget():
     assert arith.MAX_SPAN == 2**31
     with pytest.raises(ResourceError, match="arith.MAX_SPAN"):

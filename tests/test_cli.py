@@ -281,6 +281,25 @@ def test_rho_subcommand_bytes_are_pinned(capsys, args):
     assert hashlib.sha256(out.encode()).hexdigest() == RHO_STDOUT_SHA256[args]
 
 
+# SHA-256 of stdout, taken before the sieve flagged odd numbers only and before a table
+# kept its log weights and block plan
+LINEAR_STDOUT_SHA256 = {
+    "sieve --lo 0 --hi 3000000":
+        "c55a8c5df00b17ca35b15012780301957cec6b10de55d11647280a593552a1dc",
+    "eval --kind linear --alpha 0.6 --n1 10000001 --n2 10000001":
+        "64f079a13c9241d5f1063285f3ee40558c3d42051f1fc3f998dacc31034703e6",
+    "eval --kind linear --grid 4096 --csv":
+        "774e9d93d51708718d3fb044299486190254d07c6404fc3aa14f18a43ce204d9",
+}
+
+
+@pytest.mark.parametrize("args", LINEAR_STDOUT_SHA256)
+def test_sieve_and_linear_eval_bytes_are_pinned(capsys, args):
+    code, out, err = run_cli(capsys, *args.split())
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == LINEAR_STDOUT_SHA256[args]
+
+
 def test_rho_subcommand_reads_delta(capsys):
     payload = run_json(capsys, "rho", "--u", "10", "--v", "5", "--delta", "0.002")
     assert payload["config"]["delta"] == 0.002

@@ -1,8 +1,10 @@
 import cmath
+import gc
 import math
 import os
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -594,11 +596,10 @@ def test_minor_arc_diagnostic_thread_invariance(monkeypatch):
     monkeypatch.setattr(arith, "SEGMENT_SIZE", 1 << 14)  # several segments per sieve
     monkeypatch.setattr(expsums, "sieve_range", recording_sieve)
     params = ProblemParams(n1=100_003, n2=100_003)
-    r1 = minor_arc_diagnostic(params, 1, samples=6, seed=9, threads=1)
-    r2 = minor_arc_diagnostic(params, 1, samples=6, seed=9, threads=2)
-    assert r1 == r2 and r1.alphas == r2.alphas
-    assert r1.linear_ratio_max.hex() == r2.linear_ratio_max.hex()
-    assert sieve_threads == [1, 2]
+    r1, r2, r4 = (minor_arc_diagnostic(params, 1, samples=6, seed=9, threads=t) for t in (1, 2, 4))
+    assert r1 == r2 == r4 and r1.alphas == r2.alphas == r4.alphas
+    assert r1.linear_ratio_max.hex() == r2.linear_ratio_max.hex() == r4.linear_ratio_max.hex()
+    assert sieve_threads == [1, 2, 4]
 
 
 # ---------------------------------------------------------------------------
@@ -769,12 +770,13 @@ def test_blocked_sum_matches_direct_sum():
     ]
     for m in cases:
         top = int(m[-1])
-        k = expsums._root_split(m)
-        assert k == (top.bit_length() + 1) // 2 > 0
+        plan = expsums._block_plan(m)
+        assert plan.k == expsums._root_split(m) == (top.bit_length() + 1) // 2 > 0
+        assert plan.low.dtype == (np.uint16 if plan.k <= 16 else np.uint32)
         w = rng.uniform(0.5, 2.0, m.size)
         mass = float(w.sum())
         for alpha in _root_alphas(rng):
-            blocked = expsums._blocked_phase_sum(m, w, alpha, k)
+            blocked = expsums._blocked_phase_sum(plan, w, alpha)
             assert blocked == expsums._weighted_phase_sum(m, w, alpha)
             direct = expsums._direct_phase_sum(m, w, alpha, top)
             assert abs(blocked - direct) <= 1e-13 * mass, (m.size, alpha)
@@ -805,3 +807,53 @@ def test_linear_sum_at_integer_alpha_is_real():
         for alpha in (0, 0.0, -0.0, 3, -2.0, 2.0**40, Fraction(5), Fraction(0)):
             value = eval_linear(PARAMS_1E6, 1, alpha, table=t)
             assert value.imag == 0.0 and abs(value.real - mass) <= 1e-13 * mass, alpha
+
+
+# ---------------------------------------------------------------------------
+# state kept on a table: log weights and the block plan, built once
+
+
+def test_linear_sums_build_a_tables_weights_and_plan_once(monkeypatch):
+    table = sieve_range(1_001, 1_000_003)
+    logs, plans = [], []
+    log, block_plan = np.log, expsums._block_plan
+    monkeypatch.setattr(np, "log", lambda *a, **kw: logs.append(1) or log(*a, **kw))
+    monkeypatch.setattr(expsums, "_block_plan", lambda m: plans.append(1) or block_plan(m))
+    values = [eval_linear(PARAMS_1E6, 1, Fraction(a, 7), table=table) for a in range(1, 7)]
+    assert len(logs) == 1 and len(plans) == 1 and len(set(values)) == 6
+    assert table.log_weights() is table.log_weights()
+
+
+def test_table_arrays_are_read_only():
+    table = linear_table(PARAMS_1E6, 1)
+    for array in (table.primes, table.log_weights(), dyadic_table(0.5).primes):
+        with pytest.raises(ValueError, match="read-only"):
+            array[:1] = 2
+        with pytest.raises(ValueError, match="read-only"):
+            array += 1
+
+
+def test_cached_table_state_gives_the_uncached_sum_bit_for_bit():
+    big = linear_table(PARAMS_1E6, 1)
+    few = PrimeTable(2, 7, np.array([2, 3, 5, 7], dtype=np.int64))  # the direct pass
+    assert expsums._block_plan(big.primes) is not None and expsums._block_plan(few.primes) is None
+    alphas = [Fraction(a, q) for q in range(1, 7) for a in range(q)]
+    alphas += [Fraction(a, q) for q in (2**31 - 1, 2**31 + 11, 2**33 - 9, 2**33 + 1)
+               for a in (1, q // 3, q - 2)]
+    alphas += [0.6, -0.3, 1e-12, 2.0**40 + 0.375, 1.0 / 3.0]
+    for table in (big, few):
+        for alpha in alphas:
+            fresh = expsums._weighted_phase_sum(
+                table.primes, np.log(table.primes.astype(float)), alpha)
+            assert eval_linear(PARAMS_1E6, 1, alpha, table=table) == fresh, alpha
+
+
+def test_a_table_is_freed_once_its_caller_drops_it():
+    table = sieve_range(1_001, 100_003)
+    eval_linear(PARAMS_1E6, 1, 0.3, table=table)
+    assert "_block_plan" in vars(table) and "_log_weights" in vars(table)
+    ref = weakref.ref(table)
+    del table
+    gc.collect()
+    assert ref() is None  # no cache outside the table holds it
+

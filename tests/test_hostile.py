@@ -24,7 +24,7 @@ from glinnik.errors import DomainError, ResourceError
 from glinnik.pipeline import ReportBudgets
 
 nan, inf = math.nan, math.inf
-HOSTILE = (nan, inf, -inf, 1e308, 5e-324, -1, 0, 10**30)
+HOSTILE = (nan, inf, -inf, 1e308, 5e-324, -1, 0, 10**30, "7")
 
 PARAMS = ProblemParams(n1=101, n2=101)
 TABLE = glinnik.dyadic_table(10)
@@ -301,6 +301,14 @@ PROBES = {
     "measure_sigma(0.9, 1100.0, 1024)": lambda: glinnik.measure_sigma(0.9, 1100.0, 1024),
     "measure_sigma(0.9, 1023.5, 1024)": lambda: glinnik.measure_sigma(0.9, 1023.5, 1024),
     "ReportBudgets(sigma_samples=0)": lambda: ReportBudgets(sigma_samples=0),
+    "local_A('5', 7)": lambda: glinnik.local_A("5", 7),
+    "sieve_range(None, 10)": lambda: glinnik.sieve_range(None, 10),
+    "eval_linear(params, 1, '0.5')": lambda: glinnik.eval_linear(PARAMS, 1, "0.5"),
+    "eval_linear(params, 1, 0.5j)": lambda: glinnik.eval_linear(PARAMS, 1, 0.5j),
+    "eval_linear(params, 1, 0.5, table=5)": lambda: glinnik.eval_linear(PARAMS, 1, 0.5, table=5),
+    "eval_cube(5, 0.3)": lambda: glinnik.eval_cube(5, 0.3),
+    "rho_counts_from_primes(5, [3], U=3, V=2)":
+        lambda: glinnik.rho_counts_from_primes(5, [3], U=3, V=2),
 }
 
 
