@@ -40,8 +40,10 @@ class PrimeTable:
 
     What is derived from the primes alone (the log weights, and the block
     plan of the linear sum in expsums) is built on first use and kept on the
-    table, so it lives and dies with it.  The primes are made read-only on
-    construction, as are the weights, since every caller shares them.
+    table, so it lives and dies with it.  The primes and the weights are
+    read-only, since every caller shares them: a primes array that is not
+    already read-only int64 is copied, so the caller's own array is left
+    writable and no outside write can reach what the table keeps.
 
     Attributes:
         lo: inclusive lower bound of the sieved range
@@ -54,7 +56,11 @@ class PrimeTable:
     primes: np.ndarray
 
     def __post_init__(self):
-        self.primes.flags.writeable = False
+        primes = self.primes
+        if not isinstance(primes, np.ndarray) or primes.dtype != np.int64 or primes.flags.writeable:
+            primes = np.array(primes, dtype=np.int64)
+            primes.flags.writeable = False
+            object.__setattr__(self, "primes", primes)
 
     def __len__(self) -> int:
         return int(self.primes.size)
@@ -119,8 +125,7 @@ def _sieve_segment(lo: int, hi: int, odd_base: np.ndarray) -> np.ndarray:
 
     Flags stand for the odd numbers only, flag i for o + 2i with o the
     first odd number >= lo.  Each odd base prime p strikes from its first
-    odd multiple >= max(o, p^2), with stride p in index space; a p at least
-    the number of flags strikes once at most, and those strike together.
+    odd multiple >= max(o, p^2), with stride p in index space.
     1 is dropped and 2 added where the segment holds them.
     """
     o = lo | 1
@@ -129,17 +134,11 @@ def _sieve_segment(lo: int, hi: int, odd_base: np.ndarray) -> np.ndarray:
     n = (hi - o) // 2 + 1
     flags = np.ones(n, dtype=bool)
     flags[0] = o != 1
-    few, top = np.searchsorted(odd_base, (n, math.isqrt(hi) + 1)).tolist()  # top: p^2 <= hi
-    for p in odd_base[: min(few, top)].tolist():
+    top = int(np.searchsorted(odd_base, math.isqrt(hi) + 1))  # the p with p^2 <= hi
+    for p in odd_base[:top].tolist():
         start = max(p * p, -(-o // p) * p)
         start += p * (start % 2 == 0)  # the first odd multiple
         flags[(start - o) // 2 :: p] = False
-    if few < top:
-        p = odd_base[few:top]
-        start = np.maximum(p * p, -(-o // p) * p)
-        start += p * (start % 2 == 0)
-        index = (start - o) // 2
-        flags[index[index < n]] = False
     odd = np.flatnonzero(flags)
     odd *= 2
     odd += o
@@ -159,6 +158,7 @@ def sieve_range(lo: int, hi: int, *, threads: int = 1) -> PrimeTable:
     """
     _require_in((0, 1 << 63, "[)Z"), lo=lo, hi=hi)
     _require_in(INTEGERS, threads=threads)
+    lo, hi = int(lo), int(hi)  # a numpy integer would wrap in the strike arithmetic
     if lo > hi:
         raise DomainError(f"sieve bounds must satisfy lo <= hi, got [{lo}, {hi}]")
     span = hi - lo + 1
@@ -180,7 +180,9 @@ def sieve_range(lo: int, hi: int, *, threads: int = 1) -> PrimeTable:
         bounds.append((a, b))
         a = b + 1
     chunks = map_ordered(lambda ab: _sieve_segment(ab[0], ab[1], odd_base), bounds, threads)
-    return PrimeTable(lo, hi, chunks[0] if len(chunks) == 1 else np.concatenate(chunks))
+    primes = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+    primes.flags.writeable = False  # the table takes it as it is, with no copy
+    return PrimeTable(lo, hi, primes)
 
 
 def dyadic_range(x: float) -> tuple[int, int]:

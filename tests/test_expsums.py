@@ -833,6 +833,16 @@ def test_table_arrays_are_read_only():
             array += 1
 
 
+def test_a_table_copies_the_callers_primes_and_leaves_them_writable():
+    mine = np.array([2, 3, 5, 7], dtype=np.int64)
+    table = PrimeTable(2, 7, mine)
+    mine[0] = 11  # the caller's array is still theirs
+    assert table.primes.tolist() == [2, 3, 5, 7] and not table.primes.flags.writeable
+    assert PrimeTable(2, 7, [2, 3, 5, 7]).primes.tolist() == [2, 3, 5, 7]
+    owned = sieve_range(2, 100).primes
+    assert PrimeTable(2, 100, owned).primes is owned  # read-only int64 is taken as it is
+
+
 def test_cached_table_state_gives_the_uncached_sum_bit_for_bit():
     big = linear_table(PARAMS_1E6, 1)
     few = PrimeTable(2, 7, np.array([2, 3, 5, 7], dtype=np.int64))  # the direct pass

@@ -341,3 +341,6 @@ def test_numpy_integers_give_the_plain_int_result():
     assert np.array_equal(glinnik.eval_grid("binary", 12.0, q), glinnik.eval_grid("binary", 12.0, 1024))
     assert glinnik.measure_sigma(0.5, 12.0, q) == glinnik.measure_sigma(0.5, 12.0, 1024)
     assert glinnik.local_A(5, np.int64(7)) == glinnik.local_A(5, 7)
+    primes = glinnik.sieve_range(1_000_003, 1_001_003).primes.tolist()
+    for kind in (np.int64, np.uint64):
+        assert glinnik.sieve_range(kind(1_000_003), kind(1_001_003)).primes.tolist() == primes
