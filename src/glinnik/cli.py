@@ -158,6 +158,11 @@ def _cmd_sieve(args, cfg: RunConfig):
 
 
 def _cmd_eval(args, cfg: RunConfig):
+    """One sum at --alpha, or its values at alpha = j/M for --grid M as a ConjugateGrid.
+
+    Every kind's weights are real, so grid row M - j is the conjugate of row j;
+    the writer checks that on the values' bits and formats only rows 0..M//2.
+    """
     if (args.alpha is None) == (args.grid is None):
         raise DomainError("eval needs exactly one of --alpha or --grid")
     params, kind = cfg.params(), args.kind
@@ -174,7 +179,7 @@ def _cmd_eval(args, cfg: RunConfig):
         _check_emit(4 * args.grid)
         grid = eval_grid(kind, source, args.grid)
         j = np.arange(args.grid)
-        columns = Columns((j, j / args.grid, grid.real, grid.imag))
+        columns = ConjugateGrid((j, j / args.grid, grid.real, grid.imag))
         payload = {"kind": kind, "grid": args.grid, "rows": columns}
         return payload, (("j", "alpha", "re", "im"), columns)
     if kind == "linear":
@@ -346,6 +351,14 @@ class Columns(tuple):
     """Equal-length number columns, which JSON output writes as a list of rows."""
 
 
+class ConjugateGrid(Columns):
+    """Columns (j, alpha, re, im) of a sum with real weights at alpha = j/M, j = 0..M-1.
+
+    Row M - j holds the conjugate of row j, so the writer formats re and im
+    only for rows 0..M//2 and copies their texts to the rows above.
+    """
+
+
 _NON_FINITE = frozenset(("nan", "inf", "-inf"))
 _EMIT_BLOCK = 1 << 16  # table rows formatted at a time
 
@@ -357,8 +370,16 @@ def _finite(texts):
 
 
 def _numbers(col) -> list[str] | None:
-    """repr (JSON's and csv's number text) of each int or finite float in col, else None."""
+    """repr (JSON's and csv's number text) of each int or finite float in col, else None.
+
+    A 1-D int, uint or float array (of at most 64 bits) is taken by its dtype
+    and checked with one isfinite pass; any other array goes item by item.
+    """
     if isinstance(col, np.ndarray):
+        if col.ndim == 1 and col.dtype.kind in "iuf" and col.dtype.itemsize <= 8:
+            if col.dtype.kind == "f" and not np.isfinite(col).all():
+                raise NumericalIntegrityError("the output holds a NaN or an infinity")
+            return list(map(repr, col.tolist()))
         col = col.tolist()
     if not {int, float}.issuperset(map(type, col)):
         return None
@@ -414,11 +435,43 @@ def _row_blocks(columns, row, sep: str) -> list[str]:
     """sep-joined texts row(number texts) of the rows of equal-length number columns.
 
     One text per block of _EMIT_BLOCK rows, so the number texts of only one
-    block exist at a time; joined by sep, the blocks give every row.
+    block exist at a time; joined by sep, the blocks give every row.  A
+    ConjugateGrid goes to _mirrored_blocks.
     """
+    if isinstance(columns, ConjugateGrid):
+        return _mirrored_blocks(*columns, row, sep)
     rows = len(columns[0]) if columns else 0
     return [sep.join(map(row, zip(*(_numbers(col[i : i + _EMIT_BLOCK]) for col in columns))))
             for i in range(0, rows, _EMIT_BLOCK)]
+
+
+def _mirrored_blocks(j, alpha, re, im, row, sep: str) -> list[str]:
+    """_row_blocks for a ConjugateGrid, formatting each re and im number once.
+
+    Rows 0..M//2 are formatted block by block.  Row M - t, for 0 < t < M - M//2,
+    takes row t's re text as it is and its im text with the sign flipped as
+    text, so -0.0 and 0.0 swap; its j and alpha are formatted with row t's block.
+    The float64 bits of each row above M//2 must equal those of its mirror
+    (im negated), else NumericalIntegrityError.
+    """
+    M = len(j)
+    half, top = M // 2 + 1, M - M // 2  # rows 0..half-1 formatted; 1..top-1 mirrored
+    if not (np.array_equal(re[1:top].view(np.int64), re[half:][::-1].view(np.int64))
+            and np.array_equal(im[1:top].view(np.int64), (-im[half:][::-1]).view(np.int64))):
+        raise NumericalIntegrityError("the grid values are not conjugate-symmetric")
+    low, high = [], []
+    for a in range(0, half, _EMIT_BLOCK):
+        b = min(a + _EMIT_BLOCK, half)
+        texts = [_numbers(col[a:b]) for col in (j, alpha, re, im)]
+        lo, hi = max(a, 1), min(b, top)  # this block's mirrored rows
+        if lo < hi:  # their mirrors, rows M - hi + 1 .. M - lo, in ascending order
+            up, own = slice(M - hi + 1, M - lo + 1), slice(lo - a, hi - a)
+            re_t = texts[2][own][::-1]
+            im_t = [t[1:] if t[0] == "-" else "-" + t for t in reversed(texts[3][own])]
+            high.append(sep.join(map(row, zip(_numbers(j[up]), _numbers(alpha[up]), re_t, im_t))))
+        # this block's rows after their mirrors: fewer texts are live at the peak
+        low.append(sep.join(map(row, zip(*texts))))
+    return low + high[::-1]
 
 
 class _Parser(argparse.ArgumentParser):

@@ -300,6 +300,24 @@ def test_sieve_and_linear_eval_bytes_are_pinned(capsys, args):
     assert hashlib.sha256(out.encode()).hexdigest() == LINEAR_STDOUT_SHA256[args]
 
 
+# SHA-256 of stdout, taken when the writer still formatted every number of a grid
+GRID_STDOUT_SHA256 = {
+    "eval --kind cube_u --grid 65536 --csv":
+        "7da9a05ddc0dde8036ed471d402bd2debd7b4837f20d9e9978ddeffd5de80c06",
+    "eval --kind binary --grid 65536":
+        "ca9bf7c9593c569021958448e6fb249b1443ab829a46711fbcd99db3a2067888",
+    "eval --kind cube_v --grid 4097":
+        "cd4009bc039a79fa210828196db5fb1d7a8150a19c39659c259c6585c3f40356",
+}
+
+
+@pytest.mark.parametrize("args", GRID_STDOUT_SHA256)
+def test_grid_eval_bytes_are_pinned(capsys, args):
+    code, out, err = run_cli(capsys, *args.split())
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == GRID_STDOUT_SHA256[args]
+
+
 def test_rho_subcommand_reads_delta(capsys):
     payload = run_json(capsys, "rho", "--u", "10", "--v", "5", "--delta", "0.002")
     assert payload["config"]["delta"] == 0.002
@@ -613,9 +631,12 @@ def test_small_argv_cover_every_subcommand():
     assert set(SMALL_ARGV) == {row[0] for row in SUBCOMMANDS}
 
 
-@pytest.mark.parametrize("name", sorted(SMALL_ARGV))
-@pytest.mark.parametrize("as_csv", [False, True])
-def test_output_is_byte_identical_to_json_dumps_and_csv_writer(capsys, monkeypatch, name, as_csv):
+def run_cli_and_oracle(capsys, monkeypatch, *argv):
+    """run_cli's (code, out, err), and the oracle's text for the payload main wrote, or None.
+
+    The oracle is csv_oracle for --csv and json_oracle otherwise, applied to the
+    arguments of main's outermost _csv_text or _json_text call.
+    """
     seen = []
 
     def spy(writer):
@@ -624,15 +645,26 @@ def test_output_is_byte_identical_to_json_dumps_and_csv_writer(capsys, monkeypat
             return writer(*args)
         return run
 
-    monkeypatch.setattr(cli, "_json_text", spy(_json_text))
-    monkeypatch.setattr(cli, "_csv_text", spy(_csv_text))
-    code, out, err = run_cli(capsys, *SMALL_ARGV[name], *(("--csv",) if as_csv else ()))
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_json_text", spy(_json_text))
+        m.setattr(cli, "_csv_text", spy(_csv_text))
+        code, out, err = run_cli(capsys, *argv)
+    if not seen:
+        return code, out, err, None
+    args = seen[0]  # the outermost call; _json_text recurses through the spy
+    return code, out, err, csv_oracle(*args) if "--csv" in argv else json_oracle(*args) + "\n"
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_ARGV))
+@pytest.mark.parametrize("as_csv", [False, True])
+def test_output_is_byte_identical_to_json_dumps_and_csv_writer(capsys, monkeypatch, name, as_csv):
+    code, out, err, expected = run_cli_and_oracle(
+        capsys, monkeypatch, *SMALL_ARGV[name], *(("--csv",) if as_csv else ()))
     if as_csv and name not in CSV_SUBCOMMANDS:
-        assert code == 1 and "not supported" in err and seen == []
+        assert code == 1 and "not supported" in err and expected is None
         return
     assert code == 0, err
-    args = seen[0]  # the outermost call; _json_text recurses through the spy
-    assert out == (csv_oracle(*args) if as_csv else json_oracle(*args) + "\n")
+    assert out == expected
 
 
 def test_eval_grid_columns_equal_the_per_point_rows(capsys):
@@ -669,10 +701,23 @@ def test_eval_grid_columns_equal_the_per_point_rows(capsys):
         [np.float64(0.25), np.float64(-1e-300)],
         np.arange(5, dtype=np.uint8),
         np.array([[1, 2], [3, 4]]),
+        np.array([[0.5], [-0.0]]),
+        np.array([2**64 - 1, 0], dtype=np.uint64),
+        np.array([-(2**63)], dtype=np.int64),
+        np.array([0.1, -0.0, 1e-7], dtype=np.float32),
+        np.array([1, "a", None, 2.5], dtype=object),
     ],
 )
 def test_json_text_matches_json_dumps(payload):
     assert _json_text(payload) == json_oracle(payload)
+
+
+@pytest.mark.parametrize("payload", [np.array([1.5], dtype=np.longdouble), np.array([1j])])
+def test_json_text_refuses_what_json_dumps_refuses(payload):
+    with pytest.raises(TypeError):
+        _json_text(payload)
+    with pytest.raises(TypeError):
+        json_oracle(payload)
 
 
 @pytest.mark.parametrize(
@@ -681,6 +726,7 @@ def test_json_text_matches_json_dumps(payload):
         [float("nan")],
         {"x": float("inf")},
         np.array([1.0, -np.inf]),
+        np.array([np.nan], dtype=np.float32),
         Columns((np.arange(2), np.array([0.0, np.nan]))),
         [(1, 2.0), (2, float("nan"))],
         {float("nan"): 1},
@@ -707,6 +753,67 @@ def test_tables_written_in_blocks_of_rows_match_the_oracles(monkeypatch, block):
         _csv_text(("j", "x"), late_nan)
     with pytest.raises(NumericalIntegrityError):
         _json_text(Columns(late_nan))
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, cli._EMIT_BLOCK])
+@pytest.mark.parametrize("kind", ["linear", "binary", "cube_u", "cube_v"])
+def test_mirrored_grid_rows_match_the_oracles(capsys, monkeypatch, block, kind):
+    """Rows above M//2 reuse their mirror's texts; blocks of 2 and 3 straddle M//2."""
+    monkeypatch.setattr(cli, "_EMIT_BLOCK", block)
+    for M in (2, 3, 4, 5, 8, 9, 17, 4097):
+        for fmt in ((), ("--csv",)):
+            code, out, err, expected = run_cli_and_oracle(
+                capsys, monkeypatch, "eval", "--kind", kind, "--grid", str(M), *fmt)
+            assert code == 0, err
+            assert out == expected
+
+
+def test_mirrored_grid_swaps_signed_zeros(capsys):
+    code, out, err = run_cli(capsys, "eval", "--kind", "binary", "--grid", "4", "--csv")
+    assert code == 0, err
+    ims = [line.split(",")[3] for line in out.splitlines()[1:]]
+    assert ims[1] == "-0.0" and ims[3] == "0.0"
+
+
+@pytest.mark.parametrize("M", [64, 65])
+def test_grid_formats_each_value_once(capsys, monkeypatch, M):
+    eval_grid, numbers = cli.eval_grid, cli._numbers
+    grids, made = [], []
+
+    def spy_grid(*args):
+        grids.append(eval_grid(*args))
+        return grids[-1]
+
+    def spy_numbers(col):
+        texts = numbers(col)
+        if isinstance(col, np.ndarray) and np.shares_memory(col, grids[0]):
+            made.extend(texts)
+        return texts
+
+    monkeypatch.setattr(cli, "eval_grid", spy_grid)
+    monkeypatch.setattr(cli, "_numbers", spy_numbers)
+    for fmt in ((), ("--csv",)):
+        grids.clear(), made.clear()
+        code, _, err = run_cli(capsys, "eval", "--kind", "binary", "--grid", str(M), *fmt)
+        assert code == 0, err
+        assert 0 < len(made) <= 2 * (M // 2 + 1)  # re and im of rows 0..M//2
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        lambda M: np.arange(M) * (1 + 1j),
+        lambda M: np.full(M, 1 + 1j),  # equal, not conjugate, halves
+        lambda M: np.ones(M, dtype=complex),  # im 0.0 mirrored as 0.0, not -0.0
+    ],
+    ids=["ascending", "equal_halves", "unsigned_zeros"],
+)
+@pytest.mark.parametrize("fmt", [(), ("--csv",)])
+def test_grid_that_is_not_conjugate_symmetric_is_an_error_line(capsys, monkeypatch, grid, fmt):
+    monkeypatch.setattr(cli, "eval_grid", lambda kind, source, M: grid(M))
+    code, out, err = run_cli(capsys, "eval", "--kind", "binary", "--grid", "6", *fmt)
+    assert code == 1 and out == ""
+    assert err.startswith("glinnik: error: ") and "conjugate" in err and "Traceback" not in err
 
 
 def test_csv_text_rejects_non_finite_numbers():
@@ -791,3 +898,25 @@ def test_json_text_property(payload):
 @given(columns, st.lists(st.text("abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=6), max_size=4))
 def test_csv_text_property(cols, header):
     assert _csv_text(header, cols) == csv_oracle(header, cols)
+
+
+half_spectra = st.integers(2, 12).flatmap(lambda M: st.tuples(
+    st.just(M), *[hnp.arrays(np.float64, M // 2 + 1, elements=finite)] * 2))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(half_spectra, st.sampled_from([1, 2, 3, cli._EMIT_BLOCK]))
+def test_conjugate_grid_property(spectrum, block):
+    """A grid whose row M - t is the conjugate of row t, as eval_grid's, matches the oracles."""
+    M, re, im = spectrum
+    grid = np.empty(M, dtype=np.complex128)
+    grid.real[: M // 2 + 1], grid.imag[: M // 2 + 1] = re, im
+    grid[M // 2 + 1 :] = np.conjugate(grid[1 : (M + 1) // 2][::-1])
+    j = np.arange(M)
+    cols = cli.ConjugateGrid((j, j / M, grid.real, grid.imag))
+    saved, cli._EMIT_BLOCK = cli._EMIT_BLOCK, block
+    try:
+        assert _csv_text(("j", "alpha", "re", "im"), cols) == csv_oracle(("j", "alpha", "re", "im"), cols)
+        assert _json_text({"rows": cols}) == json_oracle({"rows": cols})
+    finally:
+        cli._EMIT_BLOCK = saved
