@@ -161,7 +161,8 @@ def _cmd_eval(args, cfg: RunConfig):
     """One sum at --alpha, or its values at alpha = j/M for --grid M as a ConjugateGrid.
 
     Every kind's weights are real, so grid row M - j is the conjugate of row j;
-    the writer checks that on the values' bits and formats only rows 0..M//2.
+    the writer checks that on the values' bits and formats re and im only for
+    rows 0..M//2.
     """
     if (args.alpha is None) == (args.grid is None):
         raise DomainError("eval needs exactly one of --alpha or --grid")
