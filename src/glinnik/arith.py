@@ -96,18 +96,12 @@ class Factorization:
         return out
 
 
-def _simple_sieve(limit: int) -> np.ndarray:
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[: min(2, limit + 1)] = False
-    for i in range(2, math.isqrt(limit) + 1):
-        if flags[i]:
-            flags[i * i :: i] = False
-    return flags
-
-
 @lru_cache(maxsize=4)
 def _base_primes(limit: int) -> np.ndarray:
-    return np.nonzero(_simple_sieve(limit))[0].astype(np.int64)
+    """Every prime <= limit, by _sieve_segment over base primes found the same way, uncached."""
+    root = math.isqrt(limit)
+    odd_base = _base_primes.__wrapped__(root)[1:] if root > 2 else np.empty(0, dtype=np.int64)
+    return _sieve_segment(2, limit, odd_base)
 
 
 @lru_cache(maxsize=1)

@@ -12,20 +12,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .arith import sieve_range
 from .errors import POSITIVE_INTEGERS, NumericalIntegrityError, ResourceError
 from .errors import _require_in, _require_odd
-from .expsums import DOMAINS, ProblemParams, _binary_terms, _half_spectrum, _unit_roots
+from .expsums import DOMAINS, ProblemParams, _binary_terms, _grid_size, _half_spectrum
 
 MAX_NODES = 5_000_000  # shift-multiset enumeration nodes, for xi, count_pairs and the searches
 MAX_SHIFT_COUNT = 1 << 12  # k! is formed before any pruning; the paper's k is 231
 MAX_JSUM_N = 10**7
 MAX_JSUM_LCAP = 24
-_MIDPOINT_CHUNK = 1 << 16  # phases per pass of the level-set refinement
+# An exact tie |G| = lam L (|G(1/2)| = L, say) comes out of the spectrum some
+# ulp of L above or below, as the rounding path falls; the level set is closed,
+# so |G| counts as inside from lam L - _TIE_SLACK L on.
+_TIE_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -148,12 +150,15 @@ def count_pairs(N1: int, N2: int, k: int, eta: float, L: float) -> int:
 def measure_sigma(lam: float, L: float, grid: int) -> MeasureEstimate:
     """Measure of the set of alpha in [0, 1) where the binary sum >= lam * L.
 
-    |G| on the grid j/grid comes from one DFT of the shifts (expsums'
-    _half_spectrum): the half spectrum is thresholded and mirrored, since G at
-    (grid - j)/grid is the conjugate of G at j/grid.  Grid cells are
-    judged by their endpoints; cells whose endpoints disagree are refined
-    one bisection level by |G| at their midpoints, all in one pass.  The
-    empirical exponent -log(measure)/log(2^L * L) is diagnostic only.
+    Every v >= 1, so G(alpha) = H(2 alpha) with H(beta) the sum of
+    e(2^u beta) over u < floor(L), and one DFT of H at length grid
+    (expsums' _half_spectrum, mirrored) gives |G| at every grid point
+    j/grid (index 2j mod grid) and cell midpoint (2j + 1)/(2 grid) (index
+    2j + 1 mod grid).  A cell counts by its endpoints; where they disagree
+    it counts half, plus half if its midpoint is inside.  |G| counts as
+    inside from lam * L - _TIE_SLACK * L on, so exact ties lie in the
+    closed set.  The empirical exponent -log(measure)/log(2^L * L) is
+    diagnostic only.
 
     Raises:
         DomainError: lam negative or not finite, L outside [1, 1000] (so
@@ -168,47 +173,36 @@ def _level_sets(lams, L: float, grid: int) -> list[MeasureEstimate]:
     """measure_sigma(lam, L, grid) for each lam in lams, from one spectrum.
 
     Every lam is checked, then L and grid (raising as measure_sigma),
-    before the one half spectrum of the grid is built and thresholded per lam.
+    before the one half spectrum of H at length grid is built.  Per lam it
+    is thresholded, read at k = 2j mod grid for the grid points up to
+    grid//2 and mirrored to the rest (G, too, has conjugate symmetry), and
+    read at k = 2j + 1 mod grid, folded to grid - k above grid//2, for the
+    midpoints of the crossing cells.
     """
     for lam in lams:
         _require_in((0, math.inf, "[)"), lam=lam)
-    _binary_terms(L)
+    m = _binary_terms(L)
     _require_in((1, 1000, "[]"), L=L)
     _require_in((1 << 10, math.inf, "[)Z"), grid=grid)
-    grid = int(grid)  # a numpy integer breaks three-argument pow
-    spectrum = np.abs(_half_spectrum("binary", L, grid))
+    grid = _grid_size(grid)
+    powers = np.array([pow(2, u, grid) for u in range(m)], dtype=np.int64)
+    spectrum = np.abs(_half_spectrum(powers, np.ones(m), grid))
     n_star = 2.0**L * L
     out = []
     for lam in lams:
-        threshold = lam * L
-        half = spectrum >= threshold
-        ind = np.concatenate((half, half[1 : (grid + 1) // 2][::-1]))
-        crossing = ind != np.roll(ind, -1)
-        j = np.flatnonzero(crossing)
-        mid_in = _midpoint_abs_G(L, grid, j) >= threshold
-        inside = int(np.count_nonzero(ind & ~crossing)) / grid
-        steps = np.concatenate(([inside], (0.5 * ind[j] + 0.5 * mid_in) / grid))
+        half = spectrum >= lam * L - _TIE_SLACK * L  # at k/grid, k <= grid//2
+        # at j/grid, j <= grid//2: k = 2j up to grid//2, then the mirror grid - 2j
+        upper = np.concatenate((half[::2], half[grid % 2 : (grid + 1) // 2 : 2][::-1]))
+        ind = np.concatenate((upper, upper[1 : (grid + 1) // 2][::-1]))
+        j = np.flatnonzero(ind != np.roll(ind, -1))  # the crossing cells
+        k = (2 * j + 1) % grid
+        mid = half[np.minimum(k, grid - k)]
+        inside = (int(np.count_nonzero(ind)) - int(np.count_nonzero(ind[j]))) / grid
+        steps = np.concatenate(([inside], (0.5 * ind[j] + 0.5 * mid) / grid))
         measure = float(np.add.accumulate(steps)[-1])  # in order, not pairwise like np.sum
         exponent = None if measure <= 0.0 else -math.log(measure) / math.log(n_star)
         out.append(MeasureEstimate(lam=lam, L=L, grid=grid, measure=measure,
                                    empirical_exponent=exponent))
-    return out
-
-
-def _midpoint_abs_G(L: float, grid: int, j: np.ndarray) -> np.ndarray:
-    """|G| at the cell midpoints (2j + 1)/(2 grid), _MIDPOINT_CHUNK phases at a time.
-
-    2^v (2j + 1) is formed in int64 from 2^v mod 2 grid, below 2^50 while
-    grid <= expsums.MAX_GRID = 2^24, and reduced exactly by _unit_roots.
-    """
-    q = 2 * grid
-    powers = np.array([pow(2, v, q) for v in range(1, _binary_terms(L) + 1)], dtype=np.int64)
-    alpha = Fraction(1, q)
-    step = max(1, _MIDPOINT_CHUNK // powers.size)
-    out = np.empty(j.size)
-    for a in range(0, j.size, step):
-        m = powers[:, None] * (2 * j[a : a + step] + 1)
-        out[a : a + step] = np.abs(_unit_roots(m.ravel(), alpha, q * q).reshape(m.shape).sum(axis=0))
     return out
 
 

@@ -417,8 +417,9 @@ def _json_text(obj, nl: str = "\n") -> str:
                             "," + inner)
     elif isinstance(obj, (list, tuple, np.ndarray)):
         items = _numbers(obj)
-        if items is None:
-            items = [_json_text(item, inner) for item in obj]
+        if items is None:  # an array as the list tolist makes, so np.bool_ items are bools
+            items = [_json_text(item, inner)
+                     for item in (obj.tolist() if isinstance(obj, np.ndarray) else obj)]
     elif isinstance(obj, (str, int, float)):  # a subclass, such as np.float64
         return next(_SCALARS[base](obj) for base in type(obj).__mro__ if base in _SCALARS)
     else:

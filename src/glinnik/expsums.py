@@ -448,22 +448,27 @@ def _grid_terms(kind: str, source, M: int) -> tuple[np.ndarray, np.ndarray]:
     raise DomainError(f"unknown sum kind {kind!r}")
 
 
-def _half_spectrum(kind: str, source, M: int) -> np.ndarray:
-    """sum of w e(-b j/M) over the terms, for j = 0..M//2: the conjugate values at j/M.
-
-    A sum of at most bits(M) terms splits j = j_lo + J j_hi with
-    J = ceil(sqrt(M//2 + 1)) and takes one product of the tables
-    e(-b J j_hi/M) times w and e(-b j_lo/M), about T M/2 complex
-    multiply-adds for T terms; the reductions b j mod M are exact, below
-    2^48 at MAX_GRID.  Larger sums are bucketed into one length-M real FFT,
-    about M log2(M); the product was measured slower only from about 50
-    terms at M = 2^16, 128 to 256 at 2^20 and over 256 at 2^21.
-    """
+def _grid_size(M) -> int:
+    """M as an int, checked before any term is built: an integer from 2 to MAX_GRID."""
     _require_in((2, math.inf, "[)Z"), M=M)
     M = int(M)  # a numpy integer breaks three-argument pow
     if M > MAX_GRID:
         raise ResourceError(f"grid size {M} exceeds expsums.MAX_GRID = {MAX_GRID}")
-    b, w = _grid_terms(kind, source, M)
+    return M
+
+
+def _half_spectrum(b: np.ndarray, w: np.ndarray, M: int) -> np.ndarray:
+    """sum of w e(-b j/M) over the terms, for j = 0..M//2: the conjugate values at j/M.
+
+    b (int64, in [0, M)) and w are the terms as _grid_terms gives them, and
+    M has passed _grid_size.  A sum of at most bits(M) terms splits
+    j = j_lo + J j_hi with J = ceil(sqrt(M//2 + 1)) and takes one product
+    of the tables e(-b J j_hi/M) times w and e(-b j_lo/M), about T M/2
+    complex multiply-adds for T terms; the reductions b j mod M are exact,
+    below 2^48 at MAX_GRID.  Larger sums are bucketed into one length-M
+    real FFT, about M log2(M); the product was measured slower only from
+    about 50 terms at M = 2^16, 128 to 256 at 2^20 and over 256 at 2^21.
+    """
     if b.size > M.bit_length():
         return np.fft.rfft(np.bincount(b, weights=w, minlength=M))
     n = M // 2 + 1
@@ -493,7 +498,8 @@ def eval_grid(kind: str, source, M: int) -> np.ndarray:
             PrimeTable (not a valid L for the binary kind)
         ResourceError: M above MAX_GRID
     """
-    half = _half_spectrum(kind, source, M)
+    M = _grid_size(M)
+    half = _half_spectrum(*_grid_terms(kind, source, M), M)
     out = np.empty(M, dtype=np.complex128)
     np.conjugate(half, out=out[: M // 2 + 1])
     out[M // 2 + 1 :] = half[1 : (M + 1) // 2][::-1]

@@ -26,6 +26,15 @@ def trial_division_is_prime(n: int) -> bool:
     return True
 
 
+def _simple_sieve(limit: int) -> np.ndarray:
+    flags = np.ones(limit + 1, dtype=bool)
+    flags[: min(2, limit + 1)] = False
+    for i in range(2, math.isqrt(limit) + 1):
+        if flags[i]:
+            flags[i * i :: i] = False
+    return flags
+
+
 def test_sieve_first_primes():
     assert list(sieve_range(1, 10).primes) == [2, 3, 5, 7]
 
@@ -69,10 +78,22 @@ def test_sieve_across_segment_edges(monkeypatch, segment):
         first = max(lo, 2)  # segments are counted from here
         for edges in (1, 3):
             for hi in range(first + edges * segment - 2, first + edges * segment + 1):
-                expected = np.flatnonzero(arith._simple_sieve(hi)[lo:]) + lo
+                expected = np.flatnonzero(_simple_sieve(hi)[lo:]) + lo
                 for threads in (1, 2, 4):
                     got = sieve_range(lo, hi, threads=threads).primes
                     assert np.array_equal(got, expected), (lo, hi, threads)
+
+
+def test_base_primes_match_the_simple_sieve():
+    for limit in [*range(200), 1000, 3001, 4096, 1 << 14, 1 << 16, 10**6 + 7]:
+        got = arith._base_primes.__wrapped__(limit)
+        assert got.dtype == np.int64 and np.array_equal(got, np.flatnonzero(_simple_sieve(limit)))
+    arith._base_primes.cache_clear()
+    try:
+        arith._base_primes(10**6 + 7)
+        assert arith._base_primes.cache_info().currsize == 1  # its own base primes are not cached
+    finally:
+        arith._base_primes.cache_clear()
 
 
 def test_sieve_near_the_base_limit():

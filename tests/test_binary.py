@@ -14,7 +14,6 @@ from glinnik import (
     count_pairs,
     enum_Xi,
     eval_G,
-    eval_grid,
     j_sum_exact,
     measure_sigma,
     sieve_range,
@@ -148,6 +147,8 @@ def test_measure_pinned_values():
         (0.961917, 20.0, 1 << 14, 6.103515625e-05),
         (1.0, 20.0, 1 << 14, 6.103515625e-05),
         (0.9, 14.0, 1 << 12, 0.000244140625),
+        (1.0, 14.0, 1 << 14, 6.103515625e-05),  # |G(1/2)| = 14, inside the closed set
+        (0.9, 20.0, 1 << 20, 1.9073486328125e-06),  # |G(1/4)| = 18
     ]
     for lam, L, grid, expected in cases:
         assert measure_sigma(lam, L, grid).measure == expected
@@ -182,15 +183,23 @@ def test_level_sets_check_every_lambda_before_the_spectrum(monkeypatch, bad):
             binary._level_sets(lams, 20.0, 1 << 12)
 
 
-def test_midpoint_refinement_matches_eval_G():
-    # the one-pass |G| at crossing midpoints against the pointwise sum, on dyadic and other grids
-    rng = np.random.default_rng(59)
-    for lam, L, grid in ((0.1, 20.0, 1 << 16), (0.5, 20.0, 3000), (0.9, 14.0, 4096)):
-        half = np.abs(eval_grid("binary", L, grid)) >= lam * L
-        j = np.flatnonzero(half != np.roll(half, -1))
-        j = np.sort(rng.choice(j, size=min(j.size, 300), replace=False))
-        want = [abs(eval_G(L, Fraction(2 * int(x) + 1, 2 * grid))) for x in j]
-        assert np.abs(binary._midpoint_abs_G(L, grid, j) - want).max() <= 1e-12 * L
+def brute_force_measure(lam, L, grid, abs_G):
+    # the cell rule with the tie slack on |G| at the grid points and midpoints, summed in order
+    ind, mid = abs_G >= lam * L - binary._TIE_SLACK * L
+    crossing = ind != np.roll(ind, -1)
+    j = np.flatnonzero(crossing)
+    inside = int(np.count_nonzero(ind & ~crossing)) / grid
+    steps = np.concatenate(([inside], (0.5 * ind[j] + 0.5 * mid[j]) / grid))
+    return float(np.add.accumulate(steps)[-1])
+
+
+@pytest.mark.parametrize("grid", [1024, 1025, 3000, 3001])
+def test_measure_matches_eval_G_at_every_point_and_midpoint(grid):
+    for L in (12.0, 14.5, 20.0):
+        abs_G = np.array([[abs(eval_G(L, Fraction(2 * j + odd, 2 * grid))) for j in range(grid)]
+                          for odd in (0, 1)])
+        for lam in (0.3, 0.6, 0.9, 1.0):
+            assert measure_sigma(lam, L, grid).measure == brute_force_measure(lam, L, grid, abs_G)
 
 
 def brute_force_jsum(n1, n2, omega, l_cap):

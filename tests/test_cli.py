@@ -706,6 +706,8 @@ def test_eval_grid_columns_equal_the_per_point_rows(capsys):
         np.array([-(2**63)], dtype=np.int64),
         np.array([0.1, -0.0, 1e-7], dtype=np.float32),
         np.array([1, "a", None, 2.5], dtype=object),
+        np.array([True, False]),
+        np.array([[True], [False]]),
     ],
 )
 def test_json_text_matches_json_dumps(payload):

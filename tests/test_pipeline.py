@@ -136,14 +136,14 @@ def test_full_report_raised_lambda_raises_threshold():
 def test_full_report_builds_the_binary_spectrum_once(monkeypatch):
     calls = []
 
-    def counted(kind, source, M):
-        calls.append((kind, source, M))
-        return half_spectrum(kind, source, M)
+    def counted(b, w, M):
+        calls.append((b.size, M))
+        return half_spectrum(b, w, M)
 
     monkeypatch.setattr(binary, "_half_spectrum", counted)
     budgets = replace(SMALL_BUDGETS, measure_lambdas=(0.9, 0.5, 0.961917))
     report = full_report(ProblemParams(n1=1_000_003, n2=1_000_003), budgets, seed=5)
-    assert calls == [("binary", budgets.measure_L, budgets.measure_grid)]
+    assert calls == [(math.floor(budgets.measure_L), budgets.measure_grid)]
     assert [m["value"]["lambda"] for m in report["measure"]] == [0.9, 0.5, 0.961917]
 
 
