@@ -261,7 +261,10 @@ def multiplicative(n: int) -> tuple[Factorization, int, int]:
     """Factor n and return (factorization, mobius, phi).
 
     mobius is 0 iff some exponent is >= 2, else (-1)^(number of primes);
-    phi is the Euler totient.
+    phi is the Euler totient.  Trial division by the primes below 2^14
+    settles every n < 16382^2 (sqrt(n) within the divisors, so a cofactor
+    > 1 is prime); above that, a cofactor goes to Miller-Rabin and
+    Pollard-Brent.
 
     Raises:
         DomainError: n not an integer, or n < 1
@@ -271,11 +274,14 @@ def multiplicative(n: int) -> tuple[Factorization, int, int]:
     found: dict[int, int] = {}
     m = n
     base = _trial_divisors()
-    for p in [p for p in base[: bisect.bisect_right(base, math.isqrt(n))] if n % p == 0]:
+    root = math.isqrt(n)
+    for p in [p for p in base[: bisect.bisect_right(base, root)] if n % p == 0]:
         while m % p == 0:
             found[p] = found.get(p, 0) + 1
             m //= p
-    if m > 1:
+    if m > 1 and root <= base[-1]:
+        found[m] = 1  # every prime <= sqrt(n) is divided out, so m is prime
+    elif m > 1:
         _factor_into(m, found)
     factors = tuple(sorted(found.items()))
     mobius = 0 if any(e >= 2 for _, e in factors) else (-1) ** len(factors)

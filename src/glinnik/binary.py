@@ -124,6 +124,7 @@ def enum_Xi(N: int, k: int, eta: float, L: float) -> XiSet:
     """
     _require_odd(N=N)
     v_max = _shift_cap(k, eta, L)
+    eta, L = float(eta), float(L)
     window_lo = (1.0 - eta) * N
     counts: dict[int, int] = {}
     # the +1 slack keeps pruning strictly weaker than the exact window test
@@ -139,6 +140,7 @@ def count_pairs(N1: int, N2: int, k: int, eta: float, L: float) -> int:
     """Ordered tuples admissible for both N1 and N2, in either order (raises as enum_Xi)."""
     _require_odd(N1=N1, N2=N2)
     v_max = _shift_cap(k, eta, L)
+    eta = float(eta)
     s_allow = min(eta * N1, eta * N2) + 1.0
     total = 0
     for s, mult, _ in _power_multisets(k, v_max, s_allow):
@@ -184,7 +186,7 @@ def _level_sets(lams, L: float, grid: int) -> list[MeasureEstimate]:
     m = _binary_terms(L)
     _require_in((1, 1000, "[]"), L=L)
     _require_in((1 << 10, math.inf, "[)Z"), grid=grid)
-    grid = _grid_size(grid)
+    lams, L, grid = [float(lam) for lam in lams], float(L), _grid_size(grid)
     powers = np.array([pow(2, u, grid) for u in range(m)], dtype=np.int64)
     spectrum = np.abs(_half_spectrum(powers, np.ones(m), grid))
     n_star = 2.0**L * L

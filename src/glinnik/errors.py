@@ -42,8 +42,9 @@ def _require_in(domain: tuple, **values) -> None:
     lo, hi, ends = domain
     for name, x in values.items():
         integer = isinstance(x, _INTS)
+        v = float(x) if isinstance(x, np.floating) else x  # the float64 every caller computes with
         if (integer if ends[-1] == "Z" else isinstance(x, _NUMBERS)) and (
-                lo < x if ends[0] == "(" else lo <= x) and (x < hi if ends[1] == ")" else x <= hi):
+                lo < v if ends[0] == "(" else lo <= v) and (v < hi if ends[1] == ")" else v <= hi):
             continue
         if not isinstance(x, _NUMBERS):
             kind = "an integer" if ends[-1] == "Z" else "a real number"
@@ -54,7 +55,7 @@ def _require_in(domain: tuple, **values) -> None:
         low, high = (">" if ends[0] == "(" else ">="), ("<" if ends[1] == ")" else "<=")
         if not finite and (lo, low) != (-math.inf, ">=") and (hi, high) != (math.inf, "<="):
             raise DomainError(f"{name} must be finite, got {x!r}")
-        bound = f"{high} {hi}" if (lo < x if low == ">" else lo <= x) else f"{low} {lo}"
+        bound = f"{high} {hi}" if (lo < v if low == ">" else lo <= v) else f"{low} {lo}"
         raise DomainError(f"{name} must satisfy {name} {bound}, got {x!r}")
 
 

@@ -510,15 +510,30 @@ def eval_grid(kind: str, source, M: int) -> np.ndarray:
 # rational approximation and arc dissection
 
 
-def _convergents(num: int, den: int):
-    """Continued-fraction convergents p/q of num/den, in order."""
+def _ratio(alpha) -> tuple[int, int]:
+    """Exact (numerator, denominator) in lowest terms of a real alpha, as Python ints.
+
+    A numpy float counts as the float64 it converts to, as in eval_G and _phases.
+    """
+    if isinstance(alpha, Fraction):
+        return alpha.numerator, alpha.denominator
+    if isinstance(alpha, (int, np.integer)):
+        return int(alpha), 1
+    return float(alpha).as_integer_ratio()
+
+
+def _convergents(num: int, den: int, cap: int) -> list[tuple[int, int]]:
+    """Continued-fraction convergents p/q of num/den with q <= cap, in order."""
+    out = []
     p0, q0, p1, q1 = 0, 1, 1, 0
-    a, b = num, den
-    while b:
-        t = a // b
-        a, b = b, a - t * b
+    while den:
+        t, r = divmod(num, den)
+        num, den = den, r
         p0, q0, p1, q1 = p1, q1, t * p1 + p0, t * q1 + q0
-        yield p1, q1
+        if q1 > cap:  # no later q is smaller
+            break
+        out.append((p1, q1))
+    return out
 
 
 def dirichlet_approx(alpha, Q: int) -> DirichletApprox:
@@ -534,7 +549,8 @@ def dirichlet_approx(alpha, Q: int) -> DirichletApprox:
     """
     _require_in(REALS, alpha=alpha)
     _require_in(POSITIVE_INTEGERS, Q=Q)
-    num, den = Fraction(alpha).as_integer_ratio()
+    Q = int(Q)
+    num, den = _ratio(alpha)
     x = num / den
     # a float that is the rounded endpoint 1/Q or (Q + 1)/Q counts as the endpoint
     if num * Q != den and math.isclose(x, 1.0 / Q, rel_tol=4e-16, abs_tol=0.0):
@@ -547,13 +563,8 @@ def dirichlet_approx(alpha, Q: int) -> DirichletApprox:
     def valid(p: int, q: int) -> bool:
         return 1 <= p <= q <= Q and abs(num * q - p * den) * Q <= den
 
-    seen: list[tuple[int, int]] = []
-    for p, q in _convergents(num, den):
-        if q > Q:
-            break
-        seen.append((p, q))
     # alpha in (1, 1+1/Q] can leave only the trivial approximation valid
-    for p, q in reversed([(1, 1)] + seen):
+    for p, q in reversed([(1, 1)] + _convergents(num, den, Q)):
         if valid(p, q):
             return DirichletApprox(a=p, q=q, theta=(num * q - p * den) / (den * q), Q=Q)
     raise DomainError(f"no admissible rational approximation for alpha={num / den}, Q={Q}")
@@ -568,14 +579,11 @@ def classify_arc(params: ProblemParams, i: int, alpha) -> ArcLabel:
     """
     _require_in(REALS, alpha=alpha)
     q_cap = params.q_max(i)
-    num, den = Fraction(alpha).as_integer_ratio()
+    num, den = _ratio(alpha)
     x = num / den
     if not (1.0 / q_cap <= x <= 1.0 + 1.0 / q_cap):
         raise DomainError(f"alpha={x} outside [1/Q_{i}, 1+1/Q_{i}]")
-    p_cap = math.floor(params.p_max(i))
-    for p, q in _convergents(num, den):
-        if q > p_cap:
-            break
+    for p, q in _convergents(num, den, math.floor(params.p_max(i))):
         # |alpha - p/q|, correctly rounded, against the float arc radius
         if 1 <= p <= q and abs((num * q - p * den) / (den * q)) <= 1.0 / (q * q_cap):
             return ArcLabel("major", a=p, q=q)
@@ -674,6 +682,7 @@ def minor_arc_diagnostic(
     _require_in((1, 1 << 16, "[]Z"), samples=samples)  # each sample is one full linear sum
     _require_in(NON_NEGATIVE_INTEGERS, seed=seed)  # threads: as sieve_range, through linear_table
     _require_in((-64, 64, "[]"), c=c)  # keeps (log N)^c a finite, nonzero float
+    c = float(c)
     n = params.n(i)
     q_cap = params.q_max(i)
     rng = np.random.default_rng(seed)

@@ -70,13 +70,13 @@ class ConstantsLedger:
 def r1_coefficient(sigma_min: float, j_const: float) -> float:
     """(sigma_min * j_const)^2 / 3^8, for sigma_min and j_const in (0, 1e75), so it stays finite."""
     _require_in((0, 1e75, "()"), sigma_min=sigma_min, j_const=j_const)
-    return (sigma_min * j_const) ** 2 / 3**8
+    return (float(sigma_min) * float(j_const)) ** 2 / 3**8
 
 
 def r3_coefficient(jsum_const: float, st_moment_const: float) -> float:
     """sqrt(jsum_const) * st_moment_const, for both in (0, 1e75), so it stays finite."""
     _require_in((0, 1e75, "()"), jsum_const=jsum_const, st_moment_const=st_moment_const)
-    return math.sqrt(jsum_const) * st_moment_const
+    return math.sqrt(jsum_const) * float(st_moment_const)
 
 
 def k_threshold(c1: float, c2: float, lam: float) -> int:
@@ -87,6 +87,7 @@ def k_threshold(c1: float, c2: float, lam: float) -> int:
     """
     _require_in((0, math.inf, "()"), c1=c1, c2=c2)
     _require_in(DOMAINS["lam"], lam=lam)
+    c1, c2, lam = float(c1), float(c2), float(lam)
 
     def positive(k: int) -> bool:
         return c1 - c2 * lam ** (k - 2) > 0.0

@@ -193,7 +193,7 @@ def _search(
     _check_witness_n(max(targets))
     if min(targets) < _MIN_WITNESS + 2 * k:
         return None  # every shift is at least 2
-    sets = [_search_sets(N, mode, delta, omega) for N in targets]
+    sets = [_search_sets(N, mode, float(delta), float(omega)) for N in targets]
     if not all(t.u_sums and t.v_sums for t in sets):
         return None
     # one bitset serves every target up to the next power of two, within MAX_WITNESS_N
@@ -332,7 +332,7 @@ def _reference_target(U: int, V: int, delta: float) -> float:
     """N = 16 (1 + delta) U^3, the target whose cube scale is U, after checking U, V and delta."""
     _require_in((1, 1 << 63, "[)Z"), U=U, V=V)
     _require_in(DOMAINS["delta"], delta=delta)
-    n_ref = 16.0 * (1.0 + delta) * float(U) ** 3  # as U < 2^63, only a huge delta overflows
+    n_ref = 16.0 * (1.0 + float(delta)) * float(U) ** 3  # as U < 2^63, only a huge delta overflows
     _require_in(REALS, **{f"16 (1 + delta) U^3 at U={U}, delta={delta}": n_ref})
     return n_ref
 

@@ -52,7 +52,7 @@ def jn_closed_form(delta: float) -> float:
     normalized value, at every delta > 0, whenever the m1 indicator does not bind.
     """
     _require_in(DOMAINS["delta"], delta=delta)
-    return 81.0 * (16.0 * (1.0 + delta)) ** (-11.0 / 9.0)
+    return 81.0 * (16.0 * (1.0 + float(delta))) ** (-11.0 / 9.0)
 
 
 def _fill_uniform(rng: np.random.Generator, lo: float, hi: float, out: np.ndarray) -> None:
@@ -68,7 +68,7 @@ def _mc_batches(jobs, n, box, m1_range) -> list[tuple[float, float]]:
     Sums are numpy's pairwise sums; no BLAS call is made, so concurrent
     workers do not contend for a BLAS thread pool.
     """
-    u3_lo, u3_hi, v3_lo, v3_hi = map(float, box)
+    u3_lo, u3_hi, v3_lo, v3_hi = box
     m1_lo, m1_hi = m1_range
     width = max(count for _, count in jobs)
     rows = np.empty((6, width))
@@ -134,6 +134,8 @@ def jn_monte_carlo_box(
     _require_in(REALS, n=n)
     u3_lo, u3_hi, v3_lo, v3_hi = box
     _require_in((0, 1e75, "()"), u3_lo=u3_lo, u3_hi=u3_hi, v3_lo=v3_lo, v3_hi=v3_hi)
+    n, box = float(n), tuple(map(float, box))
+    u3_lo, u3_hi, v3_lo, v3_hi = box
     m1_range = _check_window(m1_range)
     if not (u3_lo < u3_hi and v3_lo < v3_hi):
         raise DomainError(f"sampling box {box} needs lo < hi in each block")
@@ -238,6 +240,7 @@ def jn_exact_small(n: int, U: int, V: int, m1_range: tuple[float, float]) -> flo
         raise ResourceError(f"U={U} or V={V} exceeds the lattice budget "
                             f"sint._MAX_LATTICE_U = {_MAX_LATTICE_U}")
     m1_lo, m1_hi = _check_window(m1_range)
+    n = float(n)
     wu = _block_weights(U)
     wv = _block_weights(V)
     conv_u = _fft_self_convolve(wu)  # index s - 2*(U^3+1)

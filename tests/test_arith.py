@@ -1,3 +1,4 @@
+import bisect
 import math
 
 import numpy as np
@@ -171,6 +172,82 @@ def test_mobius_definition_small():
             assert mu == 0
         else:
             assert mu == (-1) ** len(f.factors)
+
+
+def _general_path(n: int) -> tuple:
+    """(factors, mobius, phi) of n with every cofactor left by trial division sent to
+    arith._factor_into (Miller-Rabin, then Pollard-Brent), as multiplicative did for every n."""
+    found: dict[int, int] = {}
+    m = n
+    base = arith._trial_divisors()
+    for p in [p for p in base[: bisect.bisect_right(base, math.isqrt(n))] if n % p == 0]:
+        while m % p == 0:
+            found[p] = found.get(p, 0) + 1
+            m //= p
+    if m > 1:
+        arith._factor_into(m, found)
+    factors = tuple(sorted(found.items()))
+    mobius = 0 if any(e >= 2 for _, e in factors) else (-1) ** len(factors)
+    return factors, mobius, math.prod(p ** (e - 1) * (p - 1) for p, e in factors)
+
+
+def _assert_general_path(ns) -> None:
+    for n in ns:
+        f, mu, phi = multiplicative(n)
+        assert (f.n, (f.factors, mu, phi)) == (n, _general_path(n)), n
+
+
+TRIAL_TOP = 16381  # the largest trial divisor: below (TRIAL_TOP + 1)^2 a cofactor is prime
+
+
+def _primes_from(n: int, count: int) -> list[int]:
+    out = []
+    while len(out) < count:
+        out += [n] * trial_division_is_prime(n)
+        n += 1
+    return out
+
+
+def test_trial_division_shortcut_matches_the_general_path_below_2e5():
+    assert arith._trial_divisors()[-1] == TRIAL_TOP
+    _assert_general_path(range(1, 200_000))
+
+
+def test_trial_division_shortcut_matches_the_general_path_on_random_n():
+    rng = np.random.default_rng(2024)
+    bits = rng.integers(1, 41, size=20_000)  # n < 2^40, with as many n of each bit length
+    _assert_general_path(int(rng.integers(1 << (b - 1), 1 << b)) for b in bits)
+
+
+def test_trial_division_shortcut_matches_the_general_path_at_its_bound():
+    # the first and the last 2,000 n whose isqrt is TRIAL_TOP - 1, TRIAL_TOP or TRIAL_TOP + 1
+    for r in (TRIAL_TOP - 1, TRIAL_TOP, TRIAL_TOP + 1):
+        _assert_general_path([*range(r * r, r * r + 2000), *range((r + 1) ** 2 - 2000, (r + 1) ** 2)])
+    _assert_general_path([TRIAL_TOP**2, TRIAL_TOP * 16411, 16411**2, 16381 * 16411 * 2,
+                          *_primes_from(TRIAL_TOP**2, 20), *_primes_from((TRIAL_TOP + 1) ** 2, 20)])
+
+
+def test_miller_rabin_runs_only_at_or_above_the_trial_bound(monkeypatch):
+    calls = []
+
+    def spy(n):
+        calls.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(arith, "is_prime", spy)
+    bound = (TRIAL_TOP + 1) ** 2
+    top_prime = max(p for p in range(bound - 200, bound) if trial_division_is_prime(p))
+    # each leaves a prime cofactor > 1 after trial division
+    below = [99_991, 16381 * 16369, 2 * _primes_from(bound // 2 - 100, 1)[0],
+             _primes_from(TRIAL_TOP**2, 1)[0], top_prime]
+    for n in below:
+        f, _, _ = multiplicative(n)
+        assert n < bound and f.factors[-1][0] > math.isqrt(n)
+    assert calls == []
+    for n in (TRIAL_TOP * 16411, _primes_from(bound, 1)[0], 2**61 - 1):
+        calls.clear()
+        f, _, _ = multiplicative(n)
+        assert calls and f.value() == n, n
 
 
 def test_modpow_examples():

@@ -386,10 +386,21 @@ def test_dirichlet_invariants_random():
         assert abs((d.a / d.q + d.theta) - alpha) <= 1e-15 * max(1.0, alpha)
 
 
+def _convergents(num: int, den: int):
+    """Continued-fraction convergents p/q of num/den, in order."""
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    a, b = num, den
+    while b:
+        t = a // b
+        a, b = b, a - t * b
+        p0, q0, p1, q1 = p1, q1, t * p1 + p0, t * q1 + q0
+        yield p1, q1
+
+
 def _dirichlet_oracle(alpha: Fraction, Q: int) -> tuple[int, int, float]:
     """The deepest admissible convergent of alpha (else 1/1), all in Fraction arithmetic."""
     best = (1, 1)
-    for p, q in expsums._convergents(alpha.numerator, alpha.denominator):
+    for p, q in _convergents(alpha.numerator, alpha.denominator):
         if q > Q:
             break
         if 1 <= p <= q and abs(alpha - Fraction(p, q)) <= Fraction(1, q * Q):
@@ -425,7 +436,7 @@ def test_integer_arc_tests_match_fraction_oracle_on_the_edges():
             edge = Fraction(a, q) + side * Fraction(1, q) / Fraction(q_cap)
             for alpha in (edge, edge + side * Fraction(1, 2**80), float(edge)):
                 exact = Fraction(alpha)
-                major = [(p, r) for p, r in expsums._convergents(exact.numerator, exact.denominator)
+                major = [(p, r) for p, r in _convergents(exact.numerator, exact.denominator)
                          if r <= p_cap and 1 <= p <= r
                          and abs(float(exact - Fraction(p, r))) <= 1.0 / (r * q_cap)]
                 label = classify_arc(params, 1, alpha)
@@ -434,6 +445,17 @@ def test_integer_arc_tests_match_fraction_oracle_on_the_edges():
 
 # ---------------------------------------------------------------------------
 # arc classification
+
+
+def test_arc_queries_read_a_numpy_float_as_its_float64():
+    params = PARAMS_1E6
+    Q = math.floor(params.q_max(1))
+    for kind in (np.float16, np.float32, np.float64, np.longdouble):
+        for x in (0.25, 0.3, 1.0 / 3.0, 0.7071):
+            alpha = kind(x)
+            assert classify_arc(params, 1, alpha) == classify_arc(params, 1, float(alpha))
+            got, want = dirichlet_approx(alpha, Q), dirichlet_approx(float(alpha), Q)
+            assert got == want and type(got.theta) is float, (kind, x)
 
 
 def test_classify_exact_rational_is_major():

@@ -10,6 +10,7 @@ import dataclasses
 import inspect
 import json
 import math
+from fractions import Fraction
 from functools import partial
 
 import hypothesis.strategies as st
@@ -344,3 +345,54 @@ def test_numpy_integers_give_the_plain_int_result():
     primes = glinnik.sieve_range(1_000_003, 1_001_003).primes.tolist()
     for kind in (np.int64, np.uint64):
         assert glinnik.sieve_range(kind(1_000_003), kind(1_001_003)).primes.tolist() == primes
+    one = np.int64(1)
+    for got, want in ((glinnik.dirichlet_approx(one, one), glinnik.dirichlet_approx(1, 1)),
+                      (glinnik.dirichlet_approx(one, np.int64(7)), glinnik.dirichlet_approx(1, 7)),
+                      (glinnik.classify_arc(PARAMS, 1, one), glinnik.classify_arc(PARAMS, 1, 1))):
+        assert got == want
+        assert all(type(getattr(got, f.name)) is type(getattr(want, f.name))
+                   for f in dataclasses.fields(got)), got
+
+
+def same_result(got, want, close: bool = False) -> bool:
+    """got equals want, down to the type of every number in it; close allows 1e-13 relative."""
+    if dataclasses.is_dataclass(want):
+        return type(got) is type(want) and all(
+            same_result(getattr(got, f.name), getattr(want, f.name), close)
+            for f in dataclasses.fields(want))
+    if isinstance(want, np.ndarray):
+        return isinstance(got, np.ndarray) and got.dtype == want.dtype and (
+            np.allclose(got, want, rtol=1e-13, atol=0.0) if close else np.array_equal(got, want))
+    if isinstance(want, (list, tuple)):
+        return (type(got) is type(want) and len(got) == len(want)
+                and all(same_result(g, w, close) for g, w in zip(got, want)))
+    if type(got) is not type(want):
+        return False
+    if close and isinstance(want, (float, complex)):
+        return abs(got - want) <= 1e-13 * max(1.0, abs(want))
+    return got == want
+
+
+REAL_CASES = [(name, slot, kind) for name in sorted(VALID) for slot in slots(VALID[name])
+              if isinstance(valid_value(VALID[name], slot), float)
+              for kind in (np.float32, np.float64, Fraction)]
+
+
+@pytest.mark.parametrize("name, slot, kind", REAL_CASES,
+                         ids=[f"{n}-{s[0]}{'' if s[1] is None else s[1]}-{k.__name__}"
+                              for n, s, k in REAL_CASES])
+def test_real_slots_take_numpy_floats_and_fractions(small_budgets, name, slot, kind):
+    """A real slot given a numpy float or a Fraction returns what its float value returns.
+
+    A Fraction alpha takes the exact rational phase path, which agrees with
+    the float path to within 1e-13 relative rather than bit for bit.
+    """
+    kwargs = VALID[name]
+    value = kind(valid_value(kwargs, slot))
+    want = getattr(glinnik, name)(**with_value(kwargs, slot, float(value)))
+    try:
+        got = getattr(glinnik, name)(**with_value(kwargs, slot, value))
+    except DomainError:
+        return
+    close = kind is Fraction and slot == ("alpha", None)
+    assert same_result(got, want, close), (got, want)
