@@ -1,5 +1,6 @@
 """Exception hierarchy shared by every module, and the checks that raise DomainError."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -65,3 +66,34 @@ def _require_odd(**values) -> None:
     for name, x in values.items():
         if x % 2 == 0:
             raise DomainError(f"{name} must be odd, got {x!r}")
+
+
+def _store_plain(obj) -> None:
+    """Store each field of a frozen dataclass as the int or float every caller computes with.
+
+    A field whose default is a float, or a tuple of floats, is real: a number in it, tuple
+    entries included, becomes its float.  In every other field a numpy integer becomes its
+    int.  Anything else stays as given, for a domain check to refuse.  Call it after the
+    fields' own checks.  DomainError for a real number beyond the largest float.
+    """
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        default = f.default[0] if isinstance(f.default, tuple) else f.default
+        real = isinstance(default, float)
+        if isinstance(value, tuple):
+            value = tuple(_plain(f.name, x, real) for x in value)
+        else:
+            value = _plain(f.name, value, real)
+        object.__setattr__(obj, f.name, value)
+
+
+def _plain(name: str, x, real: bool):
+    """x as a float if real and a number, as an int if not real and an integer, else as given."""
+    if not real:
+        return int(x) if isinstance(x, _INTS) else x
+    if not isinstance(x, _NUMBERS):
+        return x
+    try:
+        return float(x)
+    except OverflowError:
+        raise DomainError(f"{name} must be within the float range, got {x!r}") from None

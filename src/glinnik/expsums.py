@@ -41,7 +41,7 @@ import numpy as np
 
 from .arith import PrimeTable, dyadic_table, sieve_range
 from .errors import INTEGERS, NON_NEGATIVE_INTEGERS, POSITIVE_INTEGERS, REALS, DomainError
-from .errors import ResourceError, _require_in, _require_odd
+from .errors import ResourceError, _require_in, _require_odd, _store_plain
 from .parallel import map_ordered
 
 KINDS = ("linear", "cube_u", "cube_v", "binary")
@@ -97,6 +97,7 @@ class ProblemParams:
             raise DomainError(f"n1/n2 exceeds expsums.MAX_RATIO = {MAX_RATIO}")
         for name, domain in DOMAINS.items():
             _require_in(domain, **{name: getattr(self, name)})
+        _store_plain(self)  # a numpy float or a Fraction computes as its float
         if not self.eta < self.delta / (1.0 + self.delta):
             raise DomainError(
                 "constraint violated: eta < delta/(1+delta) "

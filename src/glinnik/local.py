@@ -32,8 +32,16 @@ with s the coset of -n.  B sums over every j, so a cyclic relabelling
 of the cosets changes nothing and only the orientation of the periods
 matters.  Gauss's closed form gives them from 4p = L^2 + 27 M^2 in
 O(log^2 p) integer steps, so no period prime is bounded.  The four
-values A(., p) can take and omega are cached per prime; MAX_RESIDUES
-bounds the moduli of cubic_C3 and MAX_SERIES_CUTOFF the series' primes.
+values A(., p) can take and omega are cached per prime.
+
+The complete sums are products over one factorisation of q, since
+C1(q, a) and C3(q, a) are multiplicative in q (CRT): C3(q, a) is the
+product of C3(p^t, a r^2) over the parts p^t || q, r = q / p^t.  C1 and
+the C3 parts at p^t = p with p != 1 mod 3 are closed forms; a C3 part
+with p = 1 mod 3 or t >= 2 takes one pass over the units h <= p^t / 2.
+The periods above fix C3(p, a) only up to a cyclic shift of the cosets,
+which B(n, p) allows and a single value does not.  MAX_RESIDUES still
+bounds the moduli q of cubic_C3, and MAX_SERIES_CUTOFF the series' primes.
 """
 
 from __future__ import annotations
@@ -83,19 +91,35 @@ def _require_sum_args(q: int, a: int) -> None:
 def ramanujan_C1(q: int, a: int) -> int:
     """Ramanujan sum over reduced residues h mod q of e(a h / q).
 
-    Uses the closed form mu(q/g) * phi(q) / phi(q/g) with g = gcd(a, q),
-    which is exact in integers.  DomainError unless q and a are integers with 1 <= a <= q.
+    A product over one factorisation of q, exact in integers: the sum is
+    multiplicative in q, and its factor at p^e | q is p^e - p^(e-1) when
+    p^e | a, -p^(e-1) when only p^(e-1) | a, and 0 otherwise.
+    DomainError unless q and a are integers with 1 <= a <= q.
     """
     _require_sum_args(q, a)
-    g = math.gcd(a, q)
-    d = q // g
-    _, mu_d, phi_d = multiplicative(d)
-    _, _, phi_q = multiplicative(q)
-    return mu_d * (phi_q // phi_d)
+    q, a = int(q), int(a)
+    fac, _, _ = multiplicative(q)
+    out = 1
+    for p, e in fac.factors:
+        low = p ** (e - 1)
+        if a % (low * p) == 0:
+            out *= low * (p - 1)
+        elif a % low == 0:
+            out = -out * low
+        else:
+            return 0
+    return out
 
 
 def cubic_C3(q: int, a: int) -> complex:
     """Cubic complete sum over reduced residues h mod q of e(a h^3 / q).
+
+    A product over one factorisation of q: writing h by CRT over the parts
+    p^t || q gives C3(q, a) = prod C3(p^t, a r^2) with r = q / p^t.  A part
+    p^t = p with p != 1 mod 3 has the closed form -1, or p - 1 when p | a r^2,
+    since cubing permutes its reduced residues; every other part (p = 1 mod 3,
+    or t >= 2) sums over the reduced residues h <= p^t / 2, as h and -h give
+    conjugate terms.  MAX_RESIDUES still bounds q itself.
 
     Raises:
         DomainError: q or a not an integer, or not 1 <= a <= q
@@ -105,10 +129,20 @@ def cubic_C3(q: int, a: int) -> complex:
     if q > MAX_RESIDUES:
         raise ResourceError(f"modulus {q} exceeds the residue budget "
                             f"local.MAX_RESIDUES = {MAX_RESIDUES}")
-    h = np.arange(1, q + 1, dtype=np.int64)
-    h = h[np.gcd(h, q) == 1]
-    r = a * ((h * h % q) * h % q) % q
-    return complex(np.exp(2j * math.pi * (r / q)).sum())
+    q, a = int(q), int(a)
+    fac, _, _ = multiplicative(q)
+    out = 1.0
+    for p, t in fac.factors:
+        pt = p**t
+        b = a * (q // pt) ** 2 % pt
+        if t == 1 and p % 3 != 1:
+            out *= -1.0 if b else float(p - 1)
+            continue
+        h = np.arange(1, pt // 2 + 1, dtype=np.int64)  # pt > 2, so h and pt - h differ
+        h = h[h % p != 0]
+        r = b * ((h * h % pt) * h % pt) % pt
+        out *= 2.0 * float(np.cos((2.0 * math.pi / pt) * r).sum())
+    return complex(out)
 
 
 def _sqrt_minus_3(p: int) -> int:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields, replace
 
 from . import binary, local, search
 from .binary import count_pairs, enum_Xi
-from .errors import POSITIVE_INTEGERS, _require_in, _require_odd
+from .errors import POSITIVE_INTEGERS, _require_in, _require_odd, _store_plain
 from .expsums import DOMAINS, ProblemParams
 from .sint import jn_closed_form, jn_monte_carlo
 
@@ -129,7 +129,10 @@ class ReportBudgets:
     xi_vmax: float = 3.0
 
     def __post_init__(self):
-        """Check the fields the report loops over itself; the library checks the rest.
+        """Check the fields the report loops over itself, then store every field plain.
+
+        The library checks the rest.  errors._store_plain stores a numpy integer
+        as its int, and a number in a real field as its float.
 
         The singular-series samples are odd n in sigma_window = (lo, hi), and
         the last witness target is within search.MAX_WITNESS_N.
@@ -140,6 +143,7 @@ class ReportBudgets:
         _require_in((1, (hi + 1) // 2 - lo // 2, "[]Z"), sigma_samples=self.sigma_samples)
         _require_odd(witness_start=self.witness_start)
         search._check_witness_n(self.witness_start + 2 * self.witness_count - 2)
+        _store_plain(self)
 
 
 def _record(obj, *drop: str, **rename: str) -> dict:

@@ -22,7 +22,7 @@ import glinnik
 from glinnik import ProblemParams, arith, binary, cli, expsums, local, search, sint
 from glinnik.cli import SUBCOMMANDS, RunConfig, main
 from glinnik.errors import DomainError, ResourceError
-from glinnik.pipeline import ReportBudgets
+from glinnik.pipeline import ReportBudgets, full_report
 
 nan, inf = math.nan, math.inf
 HOSTILE = (nan, inf, -inf, 1e308, 5e-324, -1, 0, 10**30, "7")
@@ -335,6 +335,45 @@ def test_rho_prime_lists_refuse_hostile_entries(monkeypatch, slot, entry):
     primes = primes + primes[:1] if entry == "repeat" else (entry,) + primes[1:]
     with pytest.raises(DomainError):
         glinnik.rho_counts_from_primes(**{**kwargs, slot: primes})
+
+
+# every field at its default, the report's budgets at TINY_REPORT
+FIELD_KWARGS = {
+    ProblemParams: {"n1": 101, "n2": 101, **{f.name: f.default for f in dataclasses.fields(ProblemParams)
+                                            if f.name not in ("n1", "n2")}},
+    ReportBudgets: {**{f.name: f.default for f in dataclasses.fields(ReportBudgets)}, **TINY_REPORT},
+}
+FIELD_CASES = [(cls, slot, kind) for cls, kwargs in FIELD_KWARGS.items() for slot in slots(kwargs)
+               if isinstance(valid_value(kwargs, slot), float)
+               for kind in (np.float32, np.float64, Fraction)]
+
+
+@pytest.mark.parametrize("cls, slot, kind", FIELD_CASES,
+                         ids=[f"{c.__name__}-{s[0]}{'' if s[1] is None else s[1]}-{k.__name__}"
+                              for c, s, k in FIELD_CASES])
+def test_real_fields_take_numpy_floats_and_fractions(cls, slot, kind):
+    """A real field given a numpy float or a Fraction stores, derives and reports its float value."""
+    kwargs = FIELD_KWARGS[cls]
+    value = kind(valid_value(kwargs, slot))
+    want = cls(**with_value(kwargs, slot, float(value)))
+    try:
+        got = cls(**with_value(kwargs, slot, value))
+    except DomainError:
+        return
+    assert same_result(got, want), (got, want)
+    if cls is ProblemParams:
+        scales = [(p.u(i), p.v(i), p.p_max(i), p.q_max(i), p.L) for p in (got, want) for i in (1, 2)]
+        assert same_result(scales[:2], scales[2:]), scales
+    reports = [full_report(*((p, ReportBudgets(**TINY_REPORT)) if cls is ProblemParams
+                             else (PARAMS, p)), seed=1) for p in (got, want)]
+    assert repr(reports[0]) == repr(reports[1])
+
+
+def test_integer_fields_take_numpy_integers():
+    params = ProblemParams(n1=np.int64(101), n2=np.uint64(101), k=np.int32(231))
+    assert same_result(params, ProblemParams(n1=101, n2=101))
+    budgets = ReportBudgets(**{**TINY_REPORT, "mc_n": np.int64(1001), "xi_n": (np.int64(101), 103)})
+    assert same_result(budgets, ReportBudgets(**TINY_REPORT))
 
 
 def test_numpy_integers_give_the_plain_int_result():

@@ -45,19 +45,27 @@ def direct_B(n: int, q: int) -> complex:
     return total
 
 
-def composite_b_row(q: int, mu: int) -> np.ndarray:
-    """B(m, q) over all residues m for squarefree q, by two length-q DFTs.
+def c3_row(q: int) -> tuple[np.ndarray, np.ndarray]:
+    """C3(q, a) for every residue a, and the mask of reduced residues, by one length-q DFT.
 
     C3(q, .) is the transform of the cube-residue histogram over reduced
-    residues, and transforming its masked fourth power back gives every
-    B(m, q) at once.  The modulus is never split into primes, so this is
-    independent of the prime-row products behind local_A.
+    residues.  The modulus is never split into primes, so this is
+    independent of the CRT products behind cubic_C3 and local_A.
     """
     h = np.arange(q, dtype=np.int64)
     mask = np.gcd(h, q) == 1
     cubes = (h * h % q) * h % q
     r = np.bincount(cubes[mask], minlength=q).astype(np.float64)
-    c3 = np.fft.ifft(r) * q
+    return np.fft.ifft(r) * q, mask
+
+
+def composite_b_row(q: int, mu: int) -> np.ndarray:
+    """B(m, q) over all residues m for squarefree q, by two length-q DFTs.
+
+    Transforming the masked fourth power of c3_row back gives every
+    B(m, q) at once.
+    """
+    c3, mask = c3_row(q)
     g = np.where(mask, c3**4, 0.0)
     return mu * np.fft.fft(g)
 
@@ -115,12 +123,9 @@ def composite_b_at(n: int, q: int, mu: int) -> complex:
     The modulus is never split into primes, so this stays independent of
     local_A; a*n is reduced mod q in int64 before the phase is formed.
     """
-    h = np.arange(q, dtype=np.int64)
-    mask = np.gcd(h, q) == 1
-    cubes = (h * h % q) * h % q
-    r = np.bincount(cubes[mask], minlength=q).astype(np.float64)
-    a = h[mask]
-    c3 = (np.fft.ifft(r) * q)[a]
+    row, mask = c3_row(q)
+    a = np.flatnonzero(mask)
+    c3 = row[a]
     phase = np.exp(-2j * math.pi * (a * (n % q) % q / q))
     return mu * complex(np.dot(c3**4, phase))
 
@@ -156,6 +161,24 @@ def test_ramanujan_against_direct_summation():
             assert ramanujan_C1(q, a) == pytest.approx(direct.real, abs=1e-8)
 
 
+def closed_form_C1(q: int, a: int) -> int:
+    """mu(q/g) phi(q) / phi(q/g) with g = gcd(a, q), the closed form ramanujan_C1 once used."""
+    d = q // math.gcd(a, q)
+    _, mu_d, phi_d = multiplicative(d)
+    return mu_d * (multiplicative(q)[2] // phi_d)
+
+
+def test_ramanujan_on_prime_powers():
+    rng = np.random.default_rng(53)
+    for q in (2**10 * 3**5, 7**4, 11**3 * 13**2, 2**20, 3**5 * 7**4 * 1009):
+        divisors = [d for d in range(1, math.isqrt(q) + 1) if q % d == 0]
+        divisors += [q // d for d in divisors]
+        for g in rng.choice(divisors, size=40):
+            a = int(g) * int(rng.integers(1, q // int(g) + 1))
+            got = ramanujan_C1(q, a)
+            assert type(got) is int and got == closed_form_C1(q, a), (q, a)
+
+
 def test_cubic_examples():
     assert cubic_C3(2, 1) == pytest.approx(-1.0)
     assert cubic_C3(1, 1) == pytest.approx(1.0)
@@ -176,6 +199,33 @@ def test_cubic_against_direct_summation_larger_moduli():
     for q in moduli:
         for a in {1, q, *(int(x) for x in rng.integers(1, q + 1, size=3))}:
             assert cubic_C3(q, a) == pytest.approx(direct_C3(q, a), abs=1e-9)
+
+
+def test_cubic_near_the_budget_against_the_fft_row():
+    # q = 2 (2^19 - 1) has a period prime part.  9 * 49 * 43 * 5 * 11 has two prime-power
+    # parts, a period prime and two closed-form parts; C3(49, b) = 0 unless 7 | b, so its
+    # a are multiples of 7.  Each q also takes a with gcd(a, q) > 1 at every part
+    rng = np.random.default_rng(59)
+    for q, step, shared in ((2 * 524_287, 1, (2, 524_287)),
+                            (9 * 49 * 43 * 5 * 11, 7, (3, 9, 49, 43, 5, 11))):
+        assert q <= local.MAX_RESIDUES
+        row, _ = c3_row(q)
+        phi = multiplicative(q)[2]
+        samples = [*(step * int(x) for x in rng.integers(1, q // step, size=6)), q,
+                   *(step * d * int(rng.integers(1, q // (step * d))) for d in shared)]
+        for a in samples:
+            assert abs(cubic_C3(q, a) - row[a % q]) <= 1e-12 * phi, (q, a)
+        assert sum(abs(row[a % q]) > 1.0 for a in samples) >= len(samples) - 2
+
+
+def test_cubic_closed_form_parts_are_exact():
+    # every part of 2 * 5 * 11 * 17 is a prime p = 2 mod 3, where cubing permutes the units
+    q = 2 * 5 * 11 * 17
+    for a in range(1, q + 1):
+        want = math.prod(p - 1 if a % p == 0 else -1 for p in (2, 5, 11, 17))
+        assert cubic_C3(q, a) == want
+    for a in (1, 2, 5, 110, q):
+        assert cubic_C3(q, a) == pytest.approx(direct_C3(q, a), abs=1e-9)
 
 
 def test_cubic_modulus_budget():
