@@ -119,7 +119,10 @@ def _sieve_segment(lo: int, hi: int, odd_base: np.ndarray) -> np.ndarray:
 
     Flags stand for the odd numbers only, flag i for o + 2i with o the
     first odd number >= lo.  Each odd base prime p strikes from its first
-    odd multiple >= max(o, p^2), with stride p in index space.
+    odd multiple >= max(o, p^2), with stride p in index space.  Odd
+    multiples of p lie 2p apart and the n flags span 2(n - 1), so a prime
+    p >= n strikes at most once: all such primes strike together in one
+    vectorised pass.
     1 is dropped and 2 added where the segment holds them.
     """
     o = lo | 1
@@ -129,10 +132,16 @@ def _sieve_segment(lo: int, hi: int, odd_base: np.ndarray) -> np.ndarray:
     flags = np.ones(n, dtype=bool)
     flags[0] = o != 1
     top = int(np.searchsorted(odd_base, math.isqrt(hi) + 1))  # the p with p^2 <= hi
-    for p in odd_base[:top].tolist():
+    mid = int(np.searchsorted(odd_base[:top], n))  # the p < n, which may strike twice
+    for p in odd_base[:mid].tolist():
         start = max(p * p, -(-o // p) * p)
         start += p * (start % 2 == 0)  # the first odd multiple
         flags[(start - o) // 2 :: p] = False
+    if mid < top:
+        p = odd_base[mid:top]
+        start = np.maximum(p * p, -(-o // p) * p)
+        start += p * (start % 2 == 0)
+        flags[(start[start <= hi] - o) // 2] = False
     odd = np.flatnonzero(flags)
     odd *= 2
     odd += o

@@ -18,7 +18,7 @@ import numpy as np
 from .arith import sieve_range
 from .errors import POSITIVE_INTEGERS, NumericalIntegrityError, ResourceError
 from .errors import _require_in, _require_odd
-from .expsums import DOMAINS, ProblemParams, _binary_terms, _grid_size, _half_spectrum
+from .expsums import DOMAINS, ProblemParams, _binary_terms, _fft_length, _grid_size, _half_spectrum
 
 MAX_NODES = 5_000_000  # shift-multiset enumeration nodes, for xi, count_pairs and the searches
 MAX_SHIFT_COUNT = 1 << 12  # k! is formed before any pruning; the paper's k is 231
@@ -211,19 +211,17 @@ def _level_sets(lams, L: float, grid: int) -> list[MeasureEstimate]:
 def _difference_counts(omega: float, n: int, lags: np.ndarray) -> list[int]:
     """Pairs p1 - p2 = d of primes in (omega n, n], for each d >= 0 in lags.
 
-    The indicator of the window, zero-padded to a fast FFT length of at
-    least the window plus the largest lag below it (so no such lag wraps
-    round), goes through rfft, |X|^2 and irfft; lags at or beyond the
-    window have no pairs.
+    The indicator of the window, zero-padded to expsums._fft_length of
+    the window plus the largest lag below it (the least 5-smooth length,
+    so no such lag wraps round), goes through rfft, |X|^2 and irfft; lags
+    at or beyond the window have no pairs.
 
     Raises:
         NumericalIntegrityError: a count is further than 0.25 from an integer
     """
     lo = math.floor(omega * n)
     top = min(int(lags.max()), n - lo - 1) + 1
-    m = n - lo + top
-    odd = (3**b * 5**c for b in range(m.bit_length()) for c in range(m.bit_length()))
-    nf = min(k << (-(-m // k) - 1).bit_length() for k in odd)  # the least 5-smooth nf >= m
+    nf = _fft_length(n - lo + top)
     x = np.zeros(nf)
     x[sieve_range(max(2, lo + 1), n).primes - (lo + 1)] = 1.0
     spec = np.fft.rfft(x)

@@ -458,6 +458,23 @@ def _grid_size(M) -> int:
     return M
 
 
+def _fft_length(m: int) -> int:
+    """The least 5-smooth length >= m, numpy's fast FFT sizes: 2^a 3^b 5^c for m >= 1.
+
+    Each odd part k = 3^b 5^c below the best length so far offers the
+    least k 2^a >= m; a larger k cannot improve on it.
+    """
+    best = 1 << (m - 1).bit_length()
+    three = 1
+    while three < best:
+        k = three
+        while k < best:
+            best = min(best, k << (-(-m // k) - 1).bit_length())
+            k *= 5
+        three *= 3
+    return best
+
+
 def _half_spectrum(b: np.ndarray, w: np.ndarray, M: int) -> np.ndarray:
     """sum of w e(-b j/M) over the terms, for j = 0..M//2: the conjugate values at j/M.
 

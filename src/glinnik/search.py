@@ -302,7 +302,7 @@ def _rho(pu, pv, U: int, V: int, n_ref: float) -> RhoCounts:
         raise DomainError(f"quadruple sums up to 2 {pu[-1]}^3 + 2 {pv[-1]}^3 do not fit int64")
     _check_quadruples(len(pu), len(pv))
     # the multisets {a, b, c, d}, i of them only in P_U, j only in P_V, bound the distinct sums
-    both = np.intersect1d(pu, pv).size
+    both = len(set(pu).intersection(pv))
     entries = sum(_multisets(len(pu) - both, i) * _multisets(len(pv) - both, j)
                   * _multisets(both, 4 - i - j) for i in range(3) for j in range(3)) ** 2
     if entries > MAX_DIFFS:

@@ -13,6 +13,11 @@ own seed spawned off the master seed.  The batch list is split into one
 contiguous group per worker; a worker allocates its buffers once and runs
 its group in place, and the per-batch sums are reduced in batch order, so
 the estimate does not depend on the thread count.
+
+The exact lattice sum convolves each block's weights with themselves by
+one real FFT at the least 5-smooth length (expsums._fft_length, which the
+pair counts of binary share), then reads every m1 window's weight from
+slices of one prefix-sum table, and still adds its terms left to right.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import numpy as np
 
 from .errors import INTEGERS, NON_NEGATIVE_INTEGERS, POSITIVE_INTEGERS, REALS, DomainError
 from .errors import ResourceError, _require_in
-from .expsums import DOMAINS, ProblemParams
+from .expsums import DOMAINS, ProblemParams, _fft_length
 from .parallel import map_ordered
 
 MC_BATCH = 1 << 16
@@ -212,22 +217,47 @@ def _block_weights(x: int) -> np.ndarray:
 
 def _fft_self_convolve(a: np.ndarray) -> np.ndarray:
     n = 2 * len(a) - 1
-    nf = 1 << (n - 1).bit_length()
+    nf = _fft_length(n)
     spec = np.fft.rfft(a, nf)
-    return np.fft.irfft(spec * spec, nf)[:n]
+    spec *= spec
+    return np.fft.irfft(spec, nf)[:n]
+
+
+def _window_edge(x: float, base: int, span: int) -> int:
+    """ceil(x) - base, clamped to [0, span]: every edge beyond either end acts as that end."""
+    return math.ceil(min(max(x, base), base + span)) - base
+
+
+def _clipped_prefix(prefix: np.ndarray, c: int, count: int) -> np.ndarray:
+    """prefix[clip(c - i, 0, top)] for i = 0 .. count - 1, top = len(prefix) - 1, from slices.
+
+    The run is prefix[top] while c - i >= top, then prefix[c - i] read
+    backwards, then prefix[0] = 0 once c - i <= 0.
+    """
+    top = len(prefix) - 1
+    a = min(max(c - top + 1, 0), count)
+    b = min(c, count)
+    out = np.empty(count)
+    out[:a] = prefix[top]
+    out[a:b] = prefix[c - b + 1 : c - a + 1][::-1]
+    out[b:] = 0.0
+    return out
 
 
 def jn_exact_small(n: int, U: int, V: int, m1_range: tuple[float, float]) -> float:
     """Exact lattice sum over integer m2..m5 with m1 = n - sum in m1_range.
 
-    The two pair-sum weight profiles (one per dyadic block) are formed by
-    convolution, and the m1 window turns into a window of V-pair sums for
-    each U-pair sum su.  All windows are found at once: the float bounds
-    are clipped to the V-pair range before the cast to int64 (an unbounded
-    window such as m1_lo = -1e30 stays in range), each window's weight is
-    a difference of two prefix sums, empty windows weigh zero, and
-    np.add.accumulate adds the terms left to right, so the result is the
-    same float as a loop over su.
+    The two pair-sum weight profiles (one per dyadic block) are
+    self-convolutions, each through one rfft/irfft pair padded to
+    expsums._fft_length, the least 5-smooth length.  The m1 window turns
+    into a window [c_lo - i, c_hi - i) of V-pair sums for the U-pair sum
+    with offset i; its two integer edges are taken once, with unbounded or
+    huge bounds clamped first (so (-inf, inf) weighs the same as
+    (-1e30, 1e30)).  A window's weight is a difference of two prefix sums
+    of the V profile, and each prefix column over all i is a constant run,
+    a reversed slice and a zero run.  An empty or reversed window weighs
+    zero, and np.add.accumulate adds the terms left to right, so the
+    result is the same float as a loop over the U-pair sums.
 
     Raises:
         DomainError: U or V not an integer or below 1, n NaN or infinite,
@@ -241,20 +271,18 @@ def jn_exact_small(n: int, U: int, V: int, m1_range: tuple[float, float]) -> flo
                             f"sint._MAX_LATTICE_U = {_MAX_LATTICE_U}")
     m1_lo, m1_hi = _check_window(m1_range)
     n = float(n)
-    wu = _block_weights(U)
-    wv = _block_weights(V)
-    conv_u = _fft_self_convolve(wu)  # index s - 2*(U^3+1)
-    conv_v = _fft_self_convolve(wv)
-    base_u = 2 * (U**3 + 1)
-    base_v = 2 * (V**3 + 1)
+    conv_u = _fft_self_convolve(_block_weights(U))  # index su - 2*(U^3+1)
+    conv_v = _fft_self_convolve(_block_weights(V))  # index sv - 2*(V^3+1)
     prefix_v = np.concatenate(([0.0], np.cumsum(conv_v)))
-    top = len(conv_v)
-
-    su = np.arange(base_u, base_u + len(conv_u), dtype=np.int64)
-    # m1 = n - su - sv in (m1_lo, m1_hi]  <=>  n - m1_hi <= sv < n - m1_lo;
-    # as offsets from base_v: sv in [lo, hi), clipped to [0, top]
-    lo = np.clip(np.ceil((n - m1_hi) - su) - base_v, 0, top).astype(np.int64)
-    hi = np.clip(np.ceil((n - m1_lo) - su) - base_v, 0, top).astype(np.int64)
-    terms = conv_u * (prefix_v[hi] - prefix_v[lo])
-    terms[hi <= lo] = 0.0
+    # m1 = n - su - sv in (m1_lo, m1_hi]  <=>  n - m1_hi <= sv < n - m1_lo, so with
+    # su = base_u + i the V-pair offsets are [c_lo - i, c_hi - i), clipped to [0, top]
+    base, top = 2 * (U**3 + 1) + 2 * (V**3 + 1), len(conv_v)
+    span = top + len(conv_u) - 1  # from c = span on, clip(c - i, 0, top) = top for every i
+    c_lo = _window_edge(n - m1_hi, base, span)
+    c_hi = _window_edge(n - m1_lo, base, span)
+    if c_hi <= c_lo:
+        return 0.0
+    terms = _clipped_prefix(prefix_v, c_hi, len(conv_u))
+    terms -= _clipped_prefix(prefix_v, c_lo, len(conv_u))
+    terms *= conv_u
     return float(np.add.accumulate(terms)[-1])

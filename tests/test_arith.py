@@ -109,6 +109,23 @@ def test_sieve_near_the_base_limit():
         sieve_range(hi + 1, hi + 1)
 
 
+def test_sieve_short_segments_either_side_of_the_single_strike_primes():
+    # a segment of n odd flags loops over the base primes p < n and strikes the rest,
+    # each at most once, in one pass; n = p or p + 1 puts a striking p just either side
+    limit = 250_000
+    primes = np.flatnonzero(_simple_sieve(limit))
+    rng = np.random.default_rng(29)
+    for _ in range(3_000):
+        p = int(rng.choice(primes[1 : np.searchsorted(primes, 480)]))
+        n = int(rng.choice([p, p + 1, rng.integers(1, 2 * p)]))
+        o = int(rng.integers(max(p * p - 2 * n, 0), limit - 2 * (n + p))) | 1
+        if rng.integers(2):
+            o = p * (o // p | 1)  # p at the first flag, and at the last too when n = p + 1
+        lo, hi = o - int(rng.integers(2)), o + 2 * (n - 1) + int(rng.integers(2))
+        expected = primes[np.searchsorted(primes, lo) : np.searchsorted(primes, hi, "right")]
+        assert np.array_equal(sieve_range(lo, hi).primes, expected), (lo, hi)
+
+
 def test_sieve_budget_error_names_budget():
     assert arith.MAX_SPAN == 2**31
     with pytest.raises(ResourceError, match="arith.MAX_SPAN"):

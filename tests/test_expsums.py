@@ -1,3 +1,4 @@
+import bisect
 import cmath
 import gc
 import math
@@ -309,6 +310,20 @@ def test_sparse_grids_are_the_same_at_every_blas_thread_count():
                              env=env, timeout=120, check=True)
         digests.add(run.stdout)
     assert len(digests) == 1
+
+
+def test_fft_length_is_the_least_five_smooth_length():
+    def rough_part(k: int) -> int:
+        for p in (2, 3, 5):
+            while k % p == 0:
+                k //= p
+        return k
+
+    top = 20_000
+    smooth = [k for k in range(1, 2 * top) if rough_part(k) == 1]
+    assert smooth[:12] == [1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 15, 16]
+    for m in range(1, top + 1):
+        assert expsums._fft_length(m) == smooth[bisect.bisect_left(smooth, m)], m
 
 
 def test_grid_budget_and_domain_errors(monkeypatch):

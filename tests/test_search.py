@@ -1,5 +1,9 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -319,3 +323,39 @@ def test_rho_checks_the_difference_budget_before_building_any_sum(monkeypatch):
     assert calls == []
     monkeypatch.setattr(search, "MAX_DIFFS", 100)
     assert len(rho_counts(10, 5).differences()[0]) > 0 and len(calls) == 1
+
+
+@pytest.mark.parametrize("pu, pv", [([11, 13, 17, 19], [7]), ([3, 5, 7, 11], [5, 7, 13]),
+                                    ([2, 3, 5], [2, 3, 5]), ([3, 5], [7, 11])])
+def test_rho_difference_bound_counts_each_shared_prime_once(monkeypatch, pu, pv):
+    # the bound is the square of the number of distinct multisets {a, b, c, d}, a, b in P_U, c, d in P_V
+    multisets = {tuple(sorted(t)) for t in itertools.product(pu, pu, pv, pv)}
+    entries = len(multisets) ** 2
+    monkeypatch.setattr(search, "MAX_DIFFS", entries - 1)
+    with pytest.raises(ResourceError, match=f"up to {entries} entries"):
+        rho_counts_from_primes(pu, pv, U=2, V=2)
+    monkeypatch.setattr(search, "MAX_DIFFS", entries)
+    assert len(rho_counts_from_primes(pu, pv, U=2, V=2).differences()[0]) <= entries
+
+
+RHO_MODULES = """
+import sys
+import numpy
+if "numpy.ma" in sys.modules:
+    print("preloaded")
+else:
+    from glinnik import rho_counts
+    rho_counts(10, 5)
+    print("numpy.ma" in sys.modules)
+"""
+
+
+def test_rho_counts_leaves_numpy_ma_unloaded():
+    # np.intersect1d and a bare np.unique import numpy.ma under numpy 2, a cost paid inside the call
+    src = str(Path(search.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", RHO_MODULES], capture_output=True, text=True,
+                         env=env, timeout=120, check=True)
+    if run.stdout.strip() == "preloaded":
+        pytest.skip("import numpy loads numpy.ma itself")
+    assert run.stdout.strip() == "False"

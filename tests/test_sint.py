@@ -238,9 +238,10 @@ def test_lattice_budget():
         jn_exact_small(10**9, 51, 2, (0.0, 10**9))
 
 
-# jn_exact_small values as float hex, captured from the per-su loop it
-# replaced; windows cover the separable case, binding windows, the
-# (-1e30, split) outer window, an empty window and a reversed one
+# jn_exact_small values as float hex, captured from the per-su loop the
+# vectorised sum replaced, with the self-convolutions padded to a power of
+# two; windows cover the separable case, binding windows, the (-1e30, split)
+# outer window, an empty window and a reversed one
 LATTICE_PINS = [
     (10**9, 2, 2, (0.0, 1e9), "0x1.3090e157c23cdp+10"),
     (300, 2, 2, (0.0, 120.0), "0x1.bcfed1962d634p+5"),
@@ -256,11 +257,75 @@ LATTICE_PINS = [
     (11625, 9, 6, (11625.0, 23250.0), "0x0.0p+0"),
     (11625, 9, 6, (5813.0, 5812.75), "0x0.0p+0"),
 ]
+# the same values padded to the least 5-smooth length, which moves each by rounding only
+FIVE_SMOOTH_PINS = dict(zip(LATTICE_PINS, [
+    "0x1.3090e157c23cbp+10",
+    "0x1.bcfed1962d62cp+5",
+    "0x1.c7d84f4e96963p+9",
+    "0x1.43af0d6698019p+18",
+    "0x1.90007682f85e8p+22",
+    "0x1.1518fbcdb46d7p+16",
+    "0x1.8fbfcb90f868dp+22",
+    "0x1.2543b84db04e3p+16",
+    "0x1.3c97a713c6e8fp+17",
+    "0x1.2012b265f3106p+16",
+    "0x1.cca10046c071ep+17",
+    "0x0.0p+0",
+    "0x0.0p+0",
+]))
+
+
+def power_of_two_length(m: int) -> int:
+    return 1 << (m - 1).bit_length()
 
 
 @pytest.mark.parametrize("n, U, V, window, pinned", LATTICE_PINS)
-def test_lattice_pinned_values(n, U, V, window, pinned):
+def test_lattice_pinned_values(monkeypatch, n, U, V, window, pinned):
+    value = jn_exact_small(n, U, V, window)
+    assert value.hex() == FIVE_SMOOTH_PINS[n, U, V, window, pinned]
+    assert value == pytest.approx(float.fromhex(pinned), rel=1e-13, abs=0.0)
+    monkeypatch.setattr(sint, "_fft_length", power_of_two_length)
     assert jn_exact_small(n, U, V, window).hex() == pinned
+
+
+def gather_lattice(n, U, V, m1_range) -> float:
+    """jn_exact_small with each U-pair sum's window edges gathered from the prefix sums."""
+    m1_lo, m1_hi = m1_range
+    conv_u = sint._fft_self_convolve(sint._block_weights(U))
+    conv_v = sint._fft_self_convolve(sint._block_weights(V))
+    base_v = 2 * (V**3 + 1)
+    prefix_v = np.concatenate(([0.0], np.cumsum(conv_v)))
+    su = np.arange(2 * (U**3 + 1), 2 * (U**3 + 1) + len(conv_u))
+    # sv - base_v in [lo, hi); ceil(n - m1) is an integer before su comes off, so no rounding
+    lo = np.clip(np.ceil(n - m1_hi) - su - base_v, 0, len(conv_v)).astype(np.int64)
+    hi = np.clip(np.ceil(n - m1_lo) - su - base_v, 0, len(conv_v)).astype(np.int64)
+    terms = conv_u * (prefix_v[hi] - prefix_v[lo])
+    terms[hi <= lo] = 0.0
+    return float(np.add.accumulate(terms)[-1])
+
+
+@pytest.mark.parametrize("length", [None, power_of_two_length])
+def test_lattice_slices_match_the_gathered_windows(monkeypatch, length):
+    if length:
+        monkeypatch.setattr(sint, "_fft_length", length)
+    rng = np.random.default_rng(31)
+    far = [-math.inf, -1e30, 1e30, math.inf]
+    for U, V in ((1, 1), (2, 2), (3, 2), (9, 6)):
+        reach = 16 * (U**3 + V**3)  # the largest sum m2 + ... + m5
+        for _ in range(150):
+            n = int(rng.integers(0, 2 * reach))
+            ends = [float(rng.integers(-reach, 2 * reach)) + rng.choice([0.0, 0.25, 0.5])
+                    for _ in range(2)]
+            kind = rng.integers(6)
+            if kind == 0:
+                ends[rng.integers(2)] = far[rng.integers(4)]
+            elif kind == 1:
+                ends = [far[rng.integers(2)], far[2 + rng.integers(2)]]
+            elif kind == 2:
+                ends[1] = ends[0]  # empty
+            window = (min(ends), max(ends)) if kind != 3 else (max(ends), min(ends))
+            assert jn_exact_small(n, U, V, window).hex() == gather_lattice(n, U, V, window).hex(), \
+                (n, U, V, window)
 
 
 def test_lattice_unbounded_window_is_the_full_mass():
