@@ -159,9 +159,8 @@ def sieve_range(lo: int, hi: int, *, threads: int = 1) -> PrimeTable:
         DomainError: lo, hi or threads not integers, or not 0 <= lo <= hi < 2^63
         ResourceError: range longer than MAX_SPAN
     """
-    _require_in((0, 1 << 63, "[)Z"), lo=lo, hi=hi)
-    _require_in(INTEGERS, threads=threads)
-    lo, hi = int(lo), int(hi)  # a numpy integer would wrap in the strike arithmetic
+    lo, hi = _require_in((0, 1 << 63, "[)Z"), lo=lo, hi=hi)
+    threads = _require_in(INTEGERS, threads=threads)
     if lo > hi:
         raise DomainError(f"sieve bounds must satisfy lo <= hi, got [{lo}, {hi}]")
     span = hi - lo + 1
@@ -195,8 +194,7 @@ def dyadic_range(x: float) -> tuple[int, int]:
 
 def dyadic_table(x: float) -> PrimeTable:
     """Primes p with x < p <= 2x, for a finite 0 <= x < 2^62 (2x within sieve_range's bound)."""
-    _require_in((0, 1 << 62, "[)"), x=x)
-    lo, hi = dyadic_range(x)
+    lo, hi = dyadic_range(_require_in((0, 1 << 62, "[)"), x=x))
     if hi < lo:
         return PrimeTable(lo, max(lo, hi), np.empty(0, dtype=np.int64))
     return sieve_range(lo, hi)
@@ -204,7 +202,7 @@ def dyadic_table(x: float) -> PrimeTable:
 
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin for 64-bit integers; DomainError unless n is an integer."""
-    _require_in(INTEGERS, n=n)
+    n = _require_in(INTEGERS, n=n)
     if n < 2:
         return False
     for p in MR_WITNESSES:
@@ -278,8 +276,7 @@ def multiplicative(n: int) -> tuple[Factorization, int, int]:
     Raises:
         DomainError: n not an integer, or n < 1
     """
-    _require_in(POSITIVE_INTEGERS, n=n)
-    n = int(n)  # a numpy integer breaks three-argument pow
+    n = _require_in(POSITIVE_INTEGERS, n=n)
     found: dict[int, int] = {}
     m = n
     base = _trial_divisors()
@@ -306,8 +303,7 @@ def modpow(base: int, exp: int, modulus: int) -> int:
     Raises:
         DomainError: an argument not an integer, exp < 0 or modulus < 1
     """
-    _require_in(INTEGERS, base=base)
-    _require_in(NON_NEGATIVE_INTEGERS, exp=exp)
-    _require_in(POSITIVE_INTEGERS, modulus=modulus)
-    return pow(base, exp, modulus)
+    base = _require_in(INTEGERS, base=base)
+    exp = _require_in(NON_NEGATIVE_INTEGERS, exp=exp)
+    return pow(base, exp, _require_in(POSITIVE_INTEGERS, modulus=modulus))
 

@@ -107,12 +107,10 @@ def _power_multisets(k: int, v_max: int, s_allow: float):
     yield from rec(1, k, 0, 1, ())
 
 
-def _shift_cap(k: int, eta: float, L: float) -> int:
-    """The largest shift exponent floor(L), after checking k, eta and L."""
-    _require_in(DOMAINS["k"], k=k)
-    _require_in(DOMAINS["eta"], eta=eta)
-    _require_in((1, math.inf, "[)"), L=L)
-    return math.floor(L)
+def _shift_args(k: int, eta: float, L: float) -> tuple[int, float, float]:
+    """k, eta and L as an int and two floats, after checking each against its domain."""
+    return (_require_in(DOMAINS["k"], k=k), _require_in(DOMAINS["eta"], eta=eta),
+            _require_in((1, math.inf, "[)"), L=L))
 
 
 def enum_Xi(N: int, k: int, eta: float, L: float) -> XiSet:
@@ -122,13 +120,12 @@ def enum_Xi(N: int, k: int, eta: float, L: float) -> XiSet:
         DomainError: N not an odd integer >= 1, k or eta outside DOMAINS, L < 1 or not finite
         ResourceError: enumeration beyond MAX_NODES
     """
-    _require_odd(N=N)
-    v_max = _shift_cap(k, eta, L)
-    eta, L = float(eta), float(L)
+    N = _require_odd(N=N)
+    k, eta, L = _shift_args(k, eta, L)
     window_lo = (1.0 - eta) * N
     counts: dict[int, int] = {}
     # the +1 slack keeps pruning strictly weaker than the exact window test
-    for s, mult, _ in _power_multisets(k, v_max, eta * N + 1.0):
+    for s, mult, _ in _power_multisets(k, math.floor(L), eta * N + 1.0):
         n = N - s
         if n >= window_lo:
             counts[n] = counts.get(n, 0) + mult
@@ -138,12 +135,11 @@ def enum_Xi(N: int, k: int, eta: float, L: float) -> XiSet:
 
 def count_pairs(N1: int, N2: int, k: int, eta: float, L: float) -> int:
     """Ordered tuples admissible for both N1 and N2, in either order (raises as enum_Xi)."""
-    _require_odd(N1=N1, N2=N2)
-    v_max = _shift_cap(k, eta, L)
-    eta = float(eta)
+    N1, N2 = _require_odd(N1=N1, N2=N2)
+    k, eta, L = _shift_args(k, eta, L)
     s_allow = min(eta * N1, eta * N2) + 1.0
     total = 0
-    for s, mult, _ in _power_multisets(k, v_max, s_allow):
+    for s, mult, _ in _power_multisets(k, math.floor(L), s_allow):
         if N1 - s >= (1.0 - eta) * N1 and N2 - s >= (1.0 - eta) * N2:
             total += mult
     return total
@@ -181,12 +177,10 @@ def _level_sets(lams, L: float, grid: int) -> list[MeasureEstimate]:
     read at k = 2j + 1 mod grid, folded to grid - k above grid//2, for the
     midpoints of the crossing cells.
     """
-    for lam in lams:
-        _require_in((0, math.inf, "[)"), lam=lam)
+    lams = [_require_in((0, math.inf, "[)"), lam=lam) for lam in lams]
     m = _binary_terms(L)
-    _require_in((1, 1000, "[]"), L=L)
-    _require_in((1 << 10, math.inf, "[)Z"), grid=grid)
-    lams, L, grid = [float(lam) for lam in lams], float(L), _grid_size(grid)
+    L = _require_in((1, 1000, "[]"), L=L)
+    grid = _grid_size(_require_in((1 << 10, math.inf, "[)Z"), grid=grid))
     powers = np.array([pow(2, u, grid) for u in range(m)], dtype=np.int64)
     spectrum = np.abs(_half_spectrum(powers, np.ones(m), grid))
     n_star = 2.0**L * L
@@ -251,7 +245,7 @@ def j_sum_exact(params: ProblemParams, L_cap: int) -> JSumExact:
         ResourceError: N_i above MAX_JSUM_N, or L_cap above MAX_JSUM_LCAP
         NumericalIntegrityError: an autocorrelation count fails to round
     """
-    _require_in(POSITIVE_INTEGERS, L_cap=L_cap)
+    L_cap = _require_in(POSITIVE_INTEGERS, L_cap=L_cap)
     if params.n(1) > MAX_JSUM_N or params.n(2) > MAX_JSUM_N:
         raise ResourceError(f"pair-sum tables need N_i <= binary.MAX_JSUM_N = {MAX_JSUM_N}")
     if L_cap > MAX_JSUM_LCAP:
@@ -268,7 +262,7 @@ def j_sum_exact(params: ProblemParams, L_cap: int) -> JSumExact:
 
     m, zero = L_cap, int(np.searchsorted(distinct, 0))
     diagonal = float((2 * m * m - m) * r[n1][zero] * r[n2][zero])
-    ratio = total * (math.log(n1) * math.log(n2)) ** 2 / (n1 * n2 * float(L_cap) ** 4)
+    ratio = total * (math.log(n1) * math.log(n2)) ** 2 / (n1 * n2 * L_cap**4)
     return JSumExact(
         n1=n1,
         n2=n2,

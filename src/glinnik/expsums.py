@@ -40,8 +40,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .arith import PrimeTable, dyadic_table, sieve_range
-from .errors import INTEGERS, NON_NEGATIVE_INTEGERS, POSITIVE_INTEGERS, REALS, DomainError
-from .errors import ResourceError, _require_in, _require_odd, _store_plain
+from .errors import NON_NEGATIVE_INTEGERS, PHASES, POSITIVE_INTEGERS, DomainError, ResourceError
+from .errors import _require_in, _require_odd
 from .parallel import map_ordered
 
 KINDS = ("linear", "cube_u", "cube_v", "binary")
@@ -62,6 +62,7 @@ DOMAINS = {
     "epsilon": (0, 1.0 / 18.0, "()"),  # keeps the exponent of p_max positive
     "k": (1, math.inf, "[)Z"),
 }
+_INDICES = (1, 2, "[]Z")  # a target's index i
 
 _TWO_PI = 2.0 * math.pi
 _LIMB_BITS = 31  # m * A stays below 2^62 for m, A < 2^31
@@ -92,12 +93,13 @@ class ProblemParams:
     k: int = 231
 
     def __post_init__(self):
-        _require_targets(self.n1, self.n2)
-        if self.n1 > MAX_RATIO * self.n2:
+        n1, n2 = _require_targets(self.n1, self.n2)
+        if n1 > MAX_RATIO * n2:
             raise DomainError(f"n1/n2 exceeds expsums.MAX_RATIO = {MAX_RATIO}")
-        for name, domain in DOMAINS.items():
-            _require_in(domain, **{name: getattr(self, name)})
-        _store_plain(self)  # a numpy float or a Fraction computes as its float
+        checked = {name: _require_in(domain, **{name: getattr(self, name)})
+                   for name, domain in DOMAINS.items()}
+        for name, value in {"n1": n1, "n2": n2, **checked}.items():
+            object.__setattr__(self, name, value)
         if not self.eta < self.delta / (1.0 + self.delta):
             raise DomainError(
                 "constraint violated: eta < delta/(1+delta) "
@@ -108,12 +110,7 @@ class ProblemParams:
                 raise DomainError(f"arc dissection needs 2 P_{i} <= Q_{i}")
 
     def n(self, i: int) -> int:
-        _require_in(INTEGERS, i=i)
-        if i == 1:
-            return self.n1
-        if i == 2:
-            return self.n2
-        raise DomainError(f"index must be 1 or 2, got {i}")
+        return self.n2 if _require_in(_INDICES, i=i) == 2 else self.n1
 
     def u(self, i: int) -> float:
         return _cube_scales(self.n(i), self.delta)[0]
@@ -132,11 +129,12 @@ class ProblemParams:
         return self.n(i) ** (8.0 / 9.0 + self.epsilon)
 
 
-def _require_targets(n1: int, n2: int) -> None:
-    """Raise DomainError unless the two targets are odd integers with n1 >= n2 >= 1."""
-    _require_odd(n1=n1, n2=n2)
+def _require_targets(n1: int, n2: int) -> tuple[int, int]:
+    """n1 and n2 as ints; DomainError unless they are odd integers with n1 >= n2 >= 1."""
+    n1, n2 = _require_odd(n1=n1, n2=n2)
     if n1 < n2:
         raise DomainError("n1 >= n2 is required")
+    return n1, n2
 
 
 def _cube_scales(n: int, delta: float) -> tuple[float, float]:
@@ -226,7 +224,7 @@ def _phases(m: np.ndarray, alpha, top: int) -> np.ndarray:
     near 2^63): int64 for q <= 2^31, Python ints above; a float goes through _split_phases.
     """
     if not isinstance(alpha, (int, Fraction)):
-        return _split_phases(m, float(alpha), top)
+        return _split_phases(m, alpha, top)
     q = alpha.denominator
     r = m.astype(np.int64 if q <= 1 << _LIMB_BITS else object, copy=False) % q
     return np.asarray(r * (alpha.numerator % q) % q / q, dtype=np.float64)
@@ -367,7 +365,7 @@ def eval_linear(params: ProblemParams, i: int, alpha, *, table: PrimeTable | Non
     Raises:
         DomainError: alpha not a finite real number, or table not a PrimeTable
     """
-    _require_in(REALS, alpha=alpha)
+    alpha = _require_in(PHASES, alpha=alpha)
     if table is None:
         table = linear_table(params, i)
     return _planned_sum(*_table_terms(table), alpha)
@@ -391,7 +389,7 @@ def eval_cube(table: PrimeTable, alpha) -> complex:
         DomainError: alpha not a finite real number, or table not a PrimeTable
         ResourceError: table.hi at or above MAX_CUBE_HI, where p^3 can leave int64
     """
-    _require_in(REALS, alpha=alpha)
+    alpha = _require_in(PHASES, alpha=alpha)
     _require_table(table)
     _check_cube_hi(table.hi)
     return _weighted_phase_sum(table.primes**3, table.log_weights(), alpha)
@@ -411,17 +409,14 @@ def eval_G(L: float, alpha) -> complex:
         ResourceError: floor(L) above MAX_BINARY_TERMS
     """
     m = _binary_terms(L)
-    _require_in(REALS, alpha=alpha)
-    if not isinstance(alpha, (int, Fraction)):
-        alpha = Fraction(float(alpha))  # the dyadic rational a float stores
+    alpha = Fraction(_require_in(PHASES, alpha=alpha))  # a float as the dyadic rational it stores
     res = np.array([pow(2, v, alpha.denominator) for v in range(1, m + 1)], dtype=object)
     return _weighted_phase_sum(res, np.ones(m), alpha)
 
 
 def _binary_terms(L) -> int:
     """floor(L), the number of terms of the binary sum, within MAX_BINARY_TERMS."""
-    _require_in((1, math.inf, "[)"), L=L)
-    m = math.floor(L)
+    m = math.floor(_require_in((1, math.inf, "[)"), L=L))
     if m > MAX_BINARY_TERMS:
         raise ResourceError(f"binary sum of {m} terms exceeds the term budget "
                             f"expsums.MAX_BINARY_TERMS = {MAX_BINARY_TERMS}")
@@ -451,8 +446,7 @@ def _grid_terms(kind: str, source, M: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _grid_size(M) -> int:
     """M as an int, checked before any term is built: an integer from 2 to MAX_GRID."""
-    _require_in((2, math.inf, "[)Z"), M=M)
-    M = int(M)  # a numpy integer breaks three-argument pow
+    M = _require_in((2, math.inf, "[)Z"), M=M)
     if M > MAX_GRID:
         raise ResourceError(f"grid size {M} exceeds expsums.MAX_GRID = {MAX_GRID}")
     return M
@@ -527,17 +521,9 @@ def eval_grid(kind: str, source, M: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # rational approximation and arc dissection
 
-
-def _ratio(alpha) -> tuple[int, int]:
-    """Exact (numerator, denominator) in lowest terms of a real alpha, as Python ints.
-
-    A numpy float counts as the float64 it converts to, as in eval_G and _phases.
-    """
-    if isinstance(alpha, Fraction):
-        return alpha.numerator, alpha.denominator
-    if isinstance(alpha, (int, np.integer)):
-        return int(alpha), 1
-    return float(alpha).as_integer_ratio()
+# alpha's domain at an arc query: it holds every [1/Q, 1 + 1/Q] with room for a rounded
+# endpoint, and an exact alpha inside it divides num / den into a float
+_ARC_PHASES = (0, 3, "()Q")
 
 
 def _convergents(num: int, den: int, cap: int) -> list[tuple[int, int]]:
@@ -565,10 +551,8 @@ def dirichlet_approx(alpha, Q: int) -> DirichletApprox:
     Raises:
         DomainError: Q not an integer or < 1, alpha not finite or outside [1/Q, 1 + 1/Q]
     """
-    _require_in(REALS, alpha=alpha)
-    _require_in(POSITIVE_INTEGERS, Q=Q)
-    Q = int(Q)
-    num, den = _ratio(alpha)
+    num, den = _require_in(_ARC_PHASES, alpha=alpha).as_integer_ratio()  # in lowest terms
+    Q = _require_in(POSITIVE_INTEGERS, Q=Q)
     x = num / den
     # a float that is the rounded endpoint 1/Q or (Q + 1)/Q counts as the endpoint
     if num * Q != den and math.isclose(x, 1.0 / Q, rel_tol=4e-16, abs_tol=0.0):
@@ -595,9 +579,8 @@ def classify_arc(params: ProblemParams, i: int, alpha) -> ArcLabel:
     convergent of alpha, so scanning convergents with q <= P_i decides
     membership; the arcs are disjoint, so at most one label can match.
     """
-    _require_in(REALS, alpha=alpha)
+    num, den = _require_in(_ARC_PHASES, alpha=alpha).as_integer_ratio()
     q_cap = params.q_max(i)
-    num, den = _ratio(alpha)
     x = num / den
     if not (1.0 / q_cap <= x <= 1.0 + 1.0 / q_cap):
         raise DomainError(f"alpha={x} outside [1/Q_{i}, 1+1/Q_{i}]")
@@ -639,7 +622,7 @@ def moment_ST4_exact(U: int, V: int) -> float:
         DomainError: U or V not an integer, or negative
         ResourceError: more four-tuples than MAX_QUADRUPLES
     """
-    _require_in(NON_NEGATIVE_INTEGERS, U=U, V=V)
+    U, V = _require_in(NON_NEGATIVE_INTEGERS, U=U, V=V)
     tu = dyadic_table(U)
     tv = dyadic_table(V)
     if len(tu) == 0 or len(tv) == 0:
@@ -697,10 +680,10 @@ def minor_arc_diagnostic(
         DomainError: i not the integer 1 or 2; samples, seed or threads not
             an integer; samples outside [1, 2^16], seed < 0, or c outside [-64, 64]
     """
-    _require_in((1, 1 << 16, "[]Z"), samples=samples)  # each sample is one full linear sum
-    _require_in(NON_NEGATIVE_INTEGERS, seed=seed)  # threads: as sieve_range, through linear_table
-    _require_in((-64, 64, "[]"), c=c)  # keeps (log N)^c a finite, nonzero float
-    c = float(c)
+    samples = _require_in((1, 1 << 16, "[]Z"), samples=samples)  # each is one full linear sum
+    seed = _require_in(NON_NEGATIVE_INTEGERS, seed=seed)  # threads: as sieve_range, in linear_table
+    c = _require_in((-64, 64, "[]"), c=c)  # keeps (log N)^c a finite, nonzero float
+    i = _require_in(_INDICES, i=i)
     n = params.n(i)
     q_cap = params.q_max(i)
     rng = np.random.default_rng(seed)

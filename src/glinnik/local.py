@@ -81,11 +81,12 @@ class TruncatedSeries:
     anomalies: tuple[tuple[int, float], ...]
 
 
-def _require_sum_args(q: int, a: int) -> None:
-    """Raise DomainError unless q and a are integers with 1 <= a <= q."""
-    _require_in(POSITIVE_INTEGERS, q=q, a=a)
+def _require_sum_args(q: int, a: int) -> tuple[int, int]:
+    """q and a as ints; DomainError unless they are integers with 1 <= a <= q."""
+    q, a = _require_in(POSITIVE_INTEGERS, q=q, a=a)
     if a > q:
         raise DomainError(f"need a <= q, got a={a}, q={q}")
+    return q, a
 
 
 def ramanujan_C1(q: int, a: int) -> int:
@@ -96,8 +97,7 @@ def ramanujan_C1(q: int, a: int) -> int:
     p^e | a, -p^(e-1) when only p^(e-1) | a, and 0 otherwise.
     DomainError unless q and a are integers with 1 <= a <= q.
     """
-    _require_sum_args(q, a)
-    q, a = int(q), int(a)
+    q, a = _require_sum_args(q, a)
     fac, _, _ = multiplicative(q)
     out = 1
     for p, e in fac.factors:
@@ -125,11 +125,10 @@ def cubic_C3(q: int, a: int) -> complex:
         DomainError: q or a not an integer, or not 1 <= a <= q
         ResourceError: q beyond MAX_RESIDUES
     """
-    _require_sum_args(q, a)
+    q, a = _require_sum_args(q, a)
     if q > MAX_RESIDUES:
         raise ResourceError(f"modulus {q} exceeds the residue budget "
                             f"local.MAX_RESIDUES = {MAX_RESIDUES}")
-    q, a = int(q), int(a)
     fac, _, _ = multiplicative(q)
     out = 1.0
     for p, t in fac.factors:
@@ -212,7 +211,7 @@ def _period_row(p: int) -> tuple[float, tuple[float, float, float], int]:
 
 def _a_prime(n: int, p: int) -> float:
     """A(n, p) for a prime p, in closed form."""
-    m = int(-n % p)
+    m = -n % p
     if p % 3 != 1:
         return -1.0 / float(p - 1) ** 4 if m == 0 else 1.0 / float(p - 1) ** 5
     at_zero, by_coset, omega = _period_row(p)
@@ -230,9 +229,8 @@ def local_A(n: int, q: int) -> LocalFactor:
     Raises:
         DomainError: n or q not an integer, or q < 1
     """
-    _require_in(INTEGERS, n=n)
-    _require_in(POSITIVE_INTEGERS, q=q)
-    n, q = int(n), int(q)  # a numpy integer breaks three-argument pow
+    n = _require_in(INTEGERS, n=n)
+    q = _require_in(POSITIVE_INTEGERS, q=q)
     fac, mu, phi = multiplicative(q)
     if mu == 0:
         # every term of the a-sum carries C1(q, a) = mu(q) = 0
@@ -256,8 +254,8 @@ def singular_series(n: int, prime_cutoff: int = 10_000) -> TruncatedSeries:
         DomainError: n or prime_cutoff not an integer, or prime_cutoff < 3
         ResourceError: prime_cutoff beyond MAX_SERIES_CUTOFF
     """
-    _require_in(INTEGERS, n=n)
-    _require_in((3, math.inf, "[)Z"), prime_cutoff=prime_cutoff)
+    n = _require_in(INTEGERS, n=n)
+    prime_cutoff = _require_in((3, math.inf, "[)Z"), prime_cutoff=prime_cutoff)
     if prime_cutoff > MAX_SERIES_CUTOFF:
         raise ResourceError(f"prime_cutoff {prime_cutoff} exceeds the series budget "
                             f"local.MAX_SERIES_CUTOFF = {MAX_SERIES_CUTOFF}")

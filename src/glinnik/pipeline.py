@@ -18,7 +18,8 @@ from dataclasses import dataclass, fields, replace
 
 from . import binary, local, search
 from .binary import count_pairs, enum_Xi
-from .errors import POSITIVE_INTEGERS, _require_in, _require_odd, _store_plain
+from .errors import NON_NEGATIVE_INTEGERS, POSITIVE_INTEGERS, _require_in, _require_odd
+from .errors import _store_plain
 from .expsums import DOMAINS, ProblemParams
 from .sint import jn_closed_form, jn_monte_carlo
 
@@ -69,14 +70,15 @@ class ConstantsLedger:
 
 def r1_coefficient(sigma_min: float, j_const: float) -> float:
     """(sigma_min * j_const)^2 / 3^8, for sigma_min and j_const in (0, 1e75), so it stays finite."""
-    _require_in((0, 1e75, "()"), sigma_min=sigma_min, j_const=j_const)
-    return (float(sigma_min) * float(j_const)) ** 2 / 3**8
+    sigma_min, j_const = _require_in((0, 1e75, "()"), sigma_min=sigma_min, j_const=j_const)
+    return (sigma_min * j_const) ** 2 / 3**8
 
 
 def r3_coefficient(jsum_const: float, st_moment_const: float) -> float:
     """sqrt(jsum_const) * st_moment_const, for both in (0, 1e75), so it stays finite."""
-    _require_in((0, 1e75, "()"), jsum_const=jsum_const, st_moment_const=st_moment_const)
-    return math.sqrt(jsum_const) * float(st_moment_const)
+    jsum_const, st_moment_const = _require_in(
+        (0, 1e75, "()"), jsum_const=jsum_const, st_moment_const=st_moment_const)
+    return math.sqrt(jsum_const) * st_moment_const
 
 
 def k_threshold(c1: float, c2: float, lam: float) -> int:
@@ -85,9 +87,8 @@ def k_threshold(c1: float, c2: float, lam: float) -> int:
     A logarithm bracket locates the candidate; direct floating evaluation
     at the candidate and its neighbors is authoritative.
     """
-    _require_in((0, math.inf, "()"), c1=c1, c2=c2)
-    _require_in(DOMAINS["lam"], lam=lam)
-    c1, c2, lam = float(c1), float(c2), float(lam)
+    c1, c2 = _require_in((0, math.inf, "()"), c1=c1, c2=c2)
+    lam = _require_in(DOMAINS["lam"], lam=lam)
 
     def positive(k: int) -> bool:
         return c1 - c2 * lam ** (k - 2) > 0.0
@@ -138,11 +139,11 @@ class ReportBudgets:
         the last witness target is within search.MAX_WITNESS_N.
         """
         lo, hi = self.sigma_window
-        _require_in(POSITIVE_INTEGERS, sigma_window_lo=lo, witness_count=self.witness_count)
-        _require_in((lo, math.inf, "[)Z"), sigma_window_hi=hi)
+        lo, count = _require_in(POSITIVE_INTEGERS, sigma_window_lo=lo,
+                                witness_count=self.witness_count)
+        hi = _require_in((lo, math.inf, "[)Z"), sigma_window_hi=hi)
         _require_in((1, (hi + 1) // 2 - lo // 2, "[]Z"), sigma_samples=self.sigma_samples)
-        _require_odd(witness_start=self.witness_start)
-        search._check_witness_n(self.witness_start + 2 * self.witness_count - 2)
+        search._check_witness_n(_require_odd(witness_start=self.witness_start) + 2 * count - 2)
         _store_plain(self)
 
 
@@ -176,6 +177,7 @@ def full_report(
     `lambda`, `N` as `n`, `U` and `V` as `u` and `v`, xi's `L` as `vmax`).
     """
     b = budgets or ReportBudgets()
+    seed = _require_in(NON_NEGATIVE_INTEGERS, seed=seed)  # the report records it
     ledger = ConstantsLedger(lam=params.lam)
 
     rng_step = max(1, (b.sigma_window[1] - b.sigma_window[0]) // b.sigma_samples)

@@ -188,12 +188,13 @@ def _search(
     """
     if mode not in ("free", "paper_ranges"):
         raise DomainError(f"unknown search mode {mode!r}")
-    for name, value in (("delta", delta), ("omega", omega), ("k", k)):
-        _require_in(DOMAINS[name], **{name: value})
+    delta = _require_in(DOMAINS["delta"], delta=delta)
+    omega = _require_in(DOMAINS["omega"], omega=omega)
+    k = _require_in(DOMAINS["k"], k=k)
     _check_witness_n(max(targets))
     if min(targets) < _MIN_WITNESS + 2 * k:
         return None  # every shift is at least 2
-    sets = [_search_sets(N, mode, float(delta), float(omega)) for N in targets]
+    sets = [_search_sets(N, mode, delta, omega) for N in targets]
     if not all(t.u_sums and t.v_sums for t in sets):
         return None
     # one bitset serves every target up to the next power of two, within MAX_WITNESS_N
@@ -234,8 +235,7 @@ def find_witness(
         ResourceError: N above MAX_WITNESS_N, or the shift enumeration
             beyond binary.MAX_NODES
     """
-    _require_odd(N=N)
-    found = _search((N,), k, mode, delta, omega)
+    found = _search((_require_odd(N=N),), k, mode, delta, omega)
     return None if found is None else found[0]
 
 
@@ -249,8 +249,7 @@ def find_pair_witness(
     omega: float = ProblemParams.omega,
 ) -> PairWitness | None:
     """Witnesses for odd N1 >= N2 sharing one shift multiset, or None (raises as find_witness)."""
-    _require_targets(N1, N2)
-    found = _search((N1, N2), k, mode, delta, omega)
+    found = _search(_require_targets(N1, N2), k, mode, delta, omega)
     return None if found is None else PairWitness(*found)
 
 
@@ -277,7 +276,7 @@ def rho_counts_from_primes(
             delta outside expsums.DOMAINS, or 16 (1 + delta) U^3 not a finite float
         ResourceError: over expsums.MAX_QUADRUPLES four-tuples or MAX_DIFFS differences by a bound
     """
-    n_ref = _reference_target(U, V, delta)
+    U, V, n_ref = _reference_target(U, V, delta)
     return _rho(_prime_entries("primes_u", primes_u), _prime_entries("primes_v", primes_v),
                 U, V, n_ref)
 
@@ -288,9 +287,8 @@ def _prime_entries(name: str, primes) -> list[int]:
         entries = list(primes)
     except TypeError:
         raise DomainError(f"{name} must be a list of primes, got {primes!r}") from None
-    for j, p in enumerate(entries):
-        _require_in((2, math.inf, "[)Z"), **{f"{name}[{j}]": p})
-    entries = sorted(map(int, entries))
+    entries = sorted(_require_in((2, math.inf, "[)Z"), **{f"{name}[{j}]": p})
+                     for j, p in enumerate(entries))
     if not entries or len(set(entries)) < len(entries):
         raise DomainError(f"{name} must hold at least one prime, and none twice")
     return entries
@@ -312,8 +310,8 @@ def _rho(pu, pv, U: int, V: int, n_ref: float) -> RhoCounts:
     max_count = int(counts @ counts)
     bound_ratio = max_count * math.log(n_ref) ** 8 / (float(U) * float(V) ** 4)
     return RhoCounts(
-        U=int(U),
-        V=int(V),
+        U=U,
+        V=V,
         sums=sums,
         counts=counts,
         quadruples=int(counts.sum()),
@@ -328,13 +326,13 @@ def _multisets(n: int, k: int) -> int:
     return math.comb(n + k - 1, k) if k else 1
 
 
-def _reference_target(U: int, V: int, delta: float) -> float:
-    """N = 16 (1 + delta) U^3, the target whose cube scale is U, after checking U, V and delta."""
-    _require_in((1, 1 << 63, "[)Z"), U=U, V=V)
-    _require_in(DOMAINS["delta"], delta=delta)
-    n_ref = 16.0 * (1.0 + float(delta)) * float(U) ** 3  # as U < 2^63, only a huge delta overflows
+def _reference_target(U: int, V: int, delta: float) -> tuple[int, int, float]:
+    """U, V as ints and N = 16 (1 + delta) U^3, the target whose cube scale is U, after checks."""
+    U, V = _require_in((1, 1 << 63, "[)Z"), U=U, V=V)
+    delta = _require_in(DOMAINS["delta"], delta=delta)
+    n_ref = 16.0 * (1.0 + delta) * float(U) ** 3  # as U < 2^63, only a huge delta overflows
     _require_in(REALS, **{f"16 (1 + delta) U^3 at U={U}, delta={delta}": n_ref})
-    return n_ref
+    return U, V, n_ref
 
 
 def rho_counts(U: int, V: int, *, delta: float = ProblemParams.delta) -> RhoCounts:
@@ -348,7 +346,7 @@ def rho_counts(U: int, V: int, *, delta: float = ProblemParams.delta) -> RhoCoun
         DomainError: U, V or delta as rho_counts_from_primes, before any sieving; an
             empty dyadic block
     """
-    n_ref = _reference_target(U, V, delta)
+    U, V, n_ref = _reference_target(U, V, delta)
     tu = dyadic_table(U)
     tv = dyadic_table(V)
     if len(tu) == 0 or len(tv) == 0:

@@ -56,8 +56,7 @@ def jn_closed_form(delta: float) -> float:
     and U^2 V^2 = (N / (16 (1 + delta)))^(11/9), so this is the
     normalized value, at every delta > 0, whenever the m1 indicator does not bind.
     """
-    _require_in(DOMAINS["delta"], delta=delta)
-    return 81.0 * (16.0 * (1.0 + float(delta))) ** (-11.0 / 9.0)
+    return 81.0 * (16.0 * (1.0 + _require_in(DOMAINS["delta"], delta=delta))) ** (-11.0 / 9.0)
 
 
 def _fill_uniform(rng: np.random.Generator, lo: float, hi: float, out: np.ndarray) -> None:
@@ -105,8 +104,7 @@ def _mc_batches(jobs, n, box, m1_range) -> list[tuple[float, float]]:
 def _check_window(m1_range: tuple[float, float]) -> tuple[float, float]:
     """The m1 window's bounds as floats, each any number but NaN: the window may be unbounded."""
     m1_lo, m1_hi = m1_range
-    _require_in((-math.inf, math.inf, "[]"), m1_lo=m1_lo, m1_hi=m1_hi)
-    return float(m1_lo), float(m1_hi)
+    return _require_in((-math.inf, math.inf, "[]"), m1_lo=m1_lo, m1_hi=m1_hi)
 
 
 def jn_monte_carlo_box(
@@ -133,14 +131,13 @@ def jn_monte_carlo_box(
             samples < 1; seed < 0; a block with lo >= hi
         ResourceError: samples beyond MAX_MC_SAMPLES
     """
-    _require_in(POSITIVE_INTEGERS, samples=samples)
-    _require_in(NON_NEGATIVE_INTEGERS, seed=seed)
-    _require_in(INTEGERS, threads=threads)
-    _require_in(REALS, n=n)
+    samples = _require_in(POSITIVE_INTEGERS, samples=samples)
+    seed = _require_in(NON_NEGATIVE_INTEGERS, seed=seed)
+    threads = _require_in(INTEGERS, threads=threads)
+    n = _require_in(REALS, n=n)
     u3_lo, u3_hi, v3_lo, v3_hi = box
-    _require_in((0, 1e75, "()"), u3_lo=u3_lo, u3_hi=u3_hi, v3_lo=v3_lo, v3_hi=v3_hi)
-    n, box = float(n), tuple(map(float, box))
-    u3_lo, u3_hi, v3_lo, v3_hi = box
+    box = u3_lo, u3_hi, v3_lo, v3_hi = _require_in(
+        (0, 1e75, "()"), u3_lo=u3_lo, u3_hi=u3_hi, v3_lo=v3_lo, v3_hi=v3_hi)
     m1_range = _check_window(m1_range)
     if not (u3_lo < u3_hi and v3_lo < v3_hi):
         raise DomainError(f"sampling box {box} needs lo < hi in each block")
@@ -185,7 +182,9 @@ def jn_monte_carlo(
             (zero admissible volume); else as jn_monte_carlo_box
         ResourceError: samples beyond MAX_MC_SAMPLES
     """
-    _require_in(INTEGERS, n=n)
+    n = _require_in(INTEGERS, n=n)
+    samples = _require_in(POSITIVE_INTEGERS, samples=samples)  # stored, as is seed
+    seed = _require_in(NON_NEGATIVE_INTEGERS, seed=seed)
     N = params.n(i)
     if not (1.0 - params.eta) * N <= n <= N:
         raise DomainError(f"n={n} outside [(1-eta)N, N] for N={N}")
@@ -264,13 +263,12 @@ def jn_exact_small(n: int, U: int, V: int, m1_range: tuple[float, float]) -> flo
             or a NaN window bound
         ResourceError: U or V beyond the lattice budget
     """
-    _require_in(REALS, n=n)
-    _require_in(POSITIVE_INTEGERS, U=U, V=V)
+    n = _require_in(REALS, n=n)
+    U, V = _require_in(POSITIVE_INTEGERS, U=U, V=V)
     if max(U, V) > _MAX_LATTICE_U:
         raise ResourceError(f"U={U} or V={V} exceeds the lattice budget "
                             f"sint._MAX_LATTICE_U = {_MAX_LATTICE_U}")
     m1_lo, m1_hi = _check_window(m1_range)
-    n = float(n)
     conv_u = _fft_self_convolve(_block_weights(U))  # index su - 2*(U^3+1)
     conv_v = _fft_self_convolve(_block_weights(V))  # index sv - 2*(V^3+1)
     prefix_v = np.concatenate(([0.0], np.cumsum(conv_v)))

@@ -22,6 +22,7 @@ import glinnik
 from glinnik import ProblemParams, arith, binary, cli, expsums, local, search, sint
 from glinnik.cli import SUBCOMMANDS, RunConfig, main
 from glinnik.errors import DomainError, ResourceError
+from glinnik.expsums import DOMAINS
 from glinnik.pipeline import ReportBudgets, full_report
 
 nan, inf = math.nan, math.inf
@@ -399,6 +400,9 @@ def same_result(got, want, close: bool = False) -> bool:
         return type(got) is type(want) and all(
             same_result(getattr(got, f.name), getattr(want, f.name), close)
             for f in dataclasses.fields(want))
+    if isinstance(want, dict):
+        return (type(got) is dict and got.keys() == want.keys()
+                and all(same_result(got[k], w, close) for k, w in want.items()))
     if isinstance(want, np.ndarray):
         return isinstance(got, np.ndarray) and got.dtype == want.dtype and (
             np.allclose(got, want, rtol=1e-13, atol=0.0) if close else np.array_equal(got, want))
@@ -435,3 +439,67 @@ def test_real_slots_take_numpy_floats_and_fractions(small_budgets, name, slot, k
         return
     close = kind is Fraction and slot == ("alpha", None)
     assert same_result(got, want, close), (got, want)
+
+
+INTEGER_CASES = [(name, slot, kind) for name in sorted(VALID) for slot in slots(VALID[name])
+                 if isinstance(valid_value(VALID[name], slot), int)
+                 for kind in (np.int64, np.uint64, np.int32)]
+
+
+@pytest.mark.parametrize("name, slot, kind", INTEGER_CASES,
+                         ids=[f"{n}-{s[0]}{'' if s[1] is None else s[1]}-{k.__name__}"
+                              for n, s, k in INTEGER_CASES])
+def test_integer_slots_take_numpy_integers(small_budgets, name, slot, kind):
+    """An integer slot given a numpy integer returns what its int returns, down to type."""
+    kwargs = VALID[name]
+    want = getattr(glinnik, name)(**kwargs)
+    try:
+        got = getattr(glinnik, name)(**with_value(kwargs, slot, kind(valid_value(kwargs, slot))))
+    except DomainError:
+        return
+    assert same_result(got, want), (got, want)
+
+
+# reals that overflow a float, or that round onto 1 or 0 (an open end of several domains)
+EDGES = {"1e400": 10**400, "-1e400": -(10**400),
+         "1+1e-20": Fraction(10**20 + 1, 10**20), "1-1e-20": Fraction(10**20 - 1, 10**20),
+         "1e-400": Fraction(1, 10**400), "-1e-400": Fraction(-1, 10**400)}
+EDGE_CASES = [(name, slot, edge) for name in sorted(VALID) for slot in slots(VALID[name])
+              if isinstance(valid_value(VALID[name], slot), float) for edge in EDGES]
+
+
+@pytest.mark.parametrize("name, slot, edge", EDGE_CASES,
+                         ids=[f"{n}-{s[0]}{'' if s[1] is None else s[1]}-{e}"
+                              for n, s, e in EDGE_CASES])
+def test_real_slots_refuse_or_finish_at_edge_values(small_budgets, name, slot, edge):
+    try:
+        result = getattr(glinnik, name)(**with_value(VALID[name], slot, EDGES[edge]))
+    except (DomainError, ResourceError):
+        return
+    assert_finite(result)
+
+
+FIELD_EDGE_CASES = [(cls, slot, edge) for cls, kwargs in FIELD_KWARGS.items()
+                    for slot in slots(kwargs) if isinstance(valid_value(kwargs, slot), float)
+                    for edge in EDGES]
+
+
+@pytest.mark.parametrize("cls, slot, edge", FIELD_EDGE_CASES,
+                         ids=[f"{c.__name__}-{s[0]}{'' if s[1] is None else s[1]}-{e}"
+                              for c, s, e in FIELD_EDGE_CASES])
+def test_real_fields_refuse_edge_values_or_store_them_in_domain(small_budgets, cls, slot, edge):
+    """An accepted field lies inside its expsums.DOMAINS interval, and the report is finite."""
+    try:
+        obj = cls(**with_value(FIELD_KWARGS[cls], slot, EDGES[edge]))
+    except DomainError:
+        return
+    for name, (lo, hi, ends) in DOMAINS.items() if cls is ProblemParams else ():
+        v = getattr(obj, name)
+        inside = (lo < v if ends[0] == "(" else lo <= v) and (v < hi if ends[1] == ")" else v <= hi)
+        assert inside, obj
+    try:
+        report = full_report(*((obj, ReportBudgets(**TINY_REPORT)) if cls is ProblemParams
+                               else (PARAMS, obj)), seed=1, threads=1)
+    except (DomainError, ResourceError):
+        return
+    assert_finite(report)

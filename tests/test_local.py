@@ -45,18 +45,33 @@ def direct_B(n: int, q: int) -> complex:
     return total
 
 
-def c3_row(q: int) -> tuple[np.ndarray, np.ndarray]:
+def c3_row(q: int, q1: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """C3(q, a) for every residue a, and the mask of reduced residues, by one length-q DFT.
 
     C3(q, .) is the transform of the cube-residue histogram over reduced
-    residues.  The modulus is never split into primes, so this is
-    independent of the CRT products behind cubic_C3 and local_A.
+    residues, built over the whole modulus, which is never split into primes.
+    Given a factor q1 of q coprime to q2 = q / q1, the length-q transform is
+    taken as one q1 x q2 ifft2 (Good-Thomas): the histogram's entry at
+    (j1 q2 + j2 q1) mod q goes to (j1, j2), and the transform's entry
+    (k1, k2) is the value at the a with a = k1 mod q1 and a = k2 mod q2.
+    That reindexing holds for the DFT of any array, so the row still never
+    uses the multiplicativity of C3 behind cubic_C3 and local_A.
     """
     h = np.arange(q, dtype=np.int64)
-    mask = np.gcd(h, q) == 1
+    mask = np.empty(q, dtype=bool)
+    half = q // 2 + 1
+    mask[:half] = np.gcd(h[:half], q) == 1
+    mask[half:] = mask[q - half : 0 : -1]  # gcd(h, q) = gcd(q - h, q)
     cubes = (h * h % q) * h % q
     r = np.bincount(cubes[mask], minlength=q).astype(np.float64)
-    return np.fft.ifft(r) * q, mask
+    if q1 == 1:
+        return np.fft.ifft(r) * q, mask
+    q2 = q // q1
+    j1, j2 = np.ogrid[:q1, :q2]
+    row = np.empty(q, dtype=np.complex128)
+    row[(j1 * (q2 * pow(q2, -1, q1)) + j2 * (q1 * pow(q1, -1, q2))) % q] = (
+        np.fft.ifft2(r[(j1 * q2 + j2 * q1) % q]) * q)
+    return row, mask
 
 
 def composite_b_row(q: int, mu: int) -> np.ndarray:
@@ -117,32 +132,32 @@ def residue_A(n: int, p: int) -> float:
     return -81.0 * float(np.dot(eta4, np.cos(2.0 * math.pi / p * (a * (n % p) % p)))) / (p - 1.0) ** 5
 
 
-def composite_b_at(n: int, q: int, mu: int) -> complex:
-    """B(n, q) for squarefree q: C3(q, .) from one length-q DFT, then one dot product.
+def composite_b_at(n: int, q: int, mu: int, q1: int = 1) -> complex:
+    """B(n, q) for squarefree q: C3(q, .) from c3_row(q, q1), then one dot product.
 
     The modulus is never split into primes, so this stays independent of
     local_A; a*n is reduced mod q in int64 before the phase is formed.
     """
-    row, mask = c3_row(q)
+    row, mask = c3_row(q, q1)
     a = np.flatnonzero(mask)
     c3 = row[a]
     phase = np.exp(-2j * math.pi * (a * (n % q) % q / q))
     return mu * complex(np.dot(c3**4, phase))
 
 
-def oracle_A(n: int, q: int) -> float:
-    """A(n, q) from the whole-modulus sum, with its realness checked."""
+def oracle_A(n: int, q: int, q1: int = 1) -> float:
+    """A(n, q) from the whole-modulus sum, with its realness checked; q1 as in c3_row."""
     _, mu, phi = multiplicative(q)
     if mu == 0:
         return 0.0
-    b = composite_b_at(n, q, mu)
+    b = composite_b_at(n, q, mu, q1)
     assert abs(b.imag) <= 1e-6 * max(abs(b.real), (q - 1.0) ** 2.5)
     return b.real / phi**5
 
 
 def assert_multiplicative(n: int, q1: int, q2: int) -> None:
     """A(n, q1 q2) = A(n, q1) A(n, q2) for coprime q1, q2, against the oracle."""
-    a12 = oracle_A(n, q1 * q2)
+    a12 = oracle_A(n, q1 * q2, q1)
     for got in (local_A(n, q1).A * local_A(n, q2).A, local_A(n, q1 * q2).A):
         assert abs(a12 - got) <= 1e-9 * max(abs(a12), abs(got), 1e-9)
 
@@ -303,6 +318,16 @@ def test_one_point_oracle_matches_the_row_oracle():
         scale = float(np.abs(row).max())
         for n in (0, 1, q - 1, *(int(x) for x in rng.integers(0, 10**7, size=5))):
             assert abs(composite_b_at(n, q, mu) - row[n % q]) <= 1e-12 * scale
+
+
+def test_split_row_matches_the_plain_transform():
+    # Good-Thomas splits q = q1 q2, with q2 = 1, q1 > q2 or composite factors, against one ifft
+    for q1, q2 in ((2, 3), (3, 1), (5, 2), (4, 9), (7, 11 * 13), (64, 15_625), (997, 991)):
+        q = q1 * q2
+        plain, mask = c3_row(q)
+        split, split_mask = c3_row(q, q1)
+        assert np.array_equal(split_mask, mask)
+        assert np.max(np.abs(split - plain)) <= 1e-9 * q, (q1, q2)
 
 
 def assert_rows_agree(p: int, ms, row: np.ndarray) -> None:
