@@ -24,6 +24,7 @@ from .parallel import map_ordered
 
 SEGMENT_SIZE = 1 << 20  # integers per sieved segment (odd ones flagged), the unit of parallel work
 MAX_SPAN = 1 << 31  # longest range sieve_range takes
+MAX_RHO_STEPS = 1 << 20  # modular squarings of one Pollard-Brent factor search
 _MAX_BASE_LIMIT = 1 << 26
 
 # Deterministic for every n < 3.317e24 (Sorenson-Webster witness set),
@@ -227,11 +228,15 @@ def is_prime(n: int) -> bool:
 
 
 def _pollard_brent(n: int) -> int:
-    """A nontrivial factor of odd composite n (deterministic parameter scan)."""
+    """A nontrivial factor of odd composite n (deterministic scan), in MAX_RHO_STEPS steps."""
+    steps = 0
     for c in range(1, 100):
         y, m, g, r, q = 2, 128, 1, 1, 1
         x = ys = y
         while g == 1:
+            steps += 2 * r
+            if steps > MAX_RHO_STEPS:
+                raise ResourceError(f"factor search exceeded arith.MAX_RHO_STEPS = {MAX_RHO_STEPS}")
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -275,6 +280,7 @@ def multiplicative(n: int) -> tuple[Factorization, int, int]:
 
     Raises:
         DomainError: n not an integer, or n < 1
+        ResourceError: a Pollard-Brent search beyond MAX_RHO_STEPS
     """
     n = _require_in(POSITIVE_INTEGERS, n=n)
     found: dict[int, int] = {}

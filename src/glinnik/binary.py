@@ -2,10 +2,13 @@
 
 enum_Xi enumerates n = N - 2^(v1) - ... - 2^(vk) with v_j in 1..floor(L)
 that land in the window [(1-eta) N, N], with exact ordered-tuple
-multiplicities.  measure_sigma estimates the measure of the set where the
-binary sum is large.  j_sum_exact evaluates the exact prime-difference
-pair sum over all shift quadruples at desk scale, reading every difference
-count off one FFT autocorrelation whose values must round to integers.
+multiplicities.  The window is decided once, in integers, for any odd N:
+the shift sum s = N - n is at most expsums._shift_cap(N, eta), floor(eta N)
+for eta's exact binary value, and only the enumerator applies that cap.
+measure_sigma estimates the measure of the set where the binary sum is
+large.  j_sum_exact evaluates the exact prime-difference pair sum over all
+shift quadruples at desk scale, reading every difference count off one FFT
+autocorrelation whose values must round to integers.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from .arith import sieve_range
 from .errors import POSITIVE_INTEGERS, NumericalIntegrityError, ResourceError
 from .errors import _require_in, _require_odd
 from .expsums import DOMAINS, ProblemParams, _binary_terms, _fft_length, _grid_size, _half_spectrum
+from .expsums import _shift_cap
 
 MAX_NODES = 5_000_000  # shift-multiset enumeration nodes, for xi, count_pairs and the searches
 MAX_SHIFT_COUNT = 1 << 12  # k! is formed before any pruning; the paper's k is 231
@@ -68,14 +72,14 @@ class JSumExact:
     diagonal: float
 
 
-def _power_multisets(k: int, v_max: int, s_allow: float):
-    """Yield (sum, ordered-count, exponents) per multiset v1 <= ... <= vk.
+def _power_multisets(k: int, v_max: int, s_max: int):
+    """Yield (sum, ordered-count, exponents) per multiset v1 <= ... <= vk with sum <= s_max.
 
-    Exponents range over 1..v_max; branches are pruned once the smallest
-    possible completion exceeds s_allow; the ordered count of a multiset
-    with run lengths c_1..c_m is k! / (c_1! ... c_m!).  Multisets come in
-    lexicographic order of their non-decreasing exponent tuples, which is
-    more copies of v before fewer.
+    Exponents range over 1..v_max; s_max is an int, the one exact window
+    test, and branches are pruned once the least completion exceeds it.
+    The ordered count of a multiset with run lengths c_1..c_m is
+    k! / (c_1! ... c_m!).  Multisets come in lexicographic order of their
+    non-decreasing exponent tuples, which is more copies of v before fewer.
     """
     if k > MAX_SHIFT_COUNT:
         raise ResourceError(f"k={k} exceeds the shift-count budget "
@@ -90,12 +94,12 @@ def _power_multisets(k: int, v_max: int, s_allow: float):
             return
         for v in range(v_start, v_max + 1):
             step = 1 << v
-            if partial + remaining * step > s_allow:
+            if partial + remaining * step > s_max:
                 return  # larger v only raises the minimal completion
             for c in range(remaining, 0, -1):
                 s = partial + c * step
                 left = remaining - c
-                if s > s_allow or (left > 0 and (v == v_max or s + left * (step * 2) > s_allow)):
+                if s > s_max or (left > 0 and (v == v_max or s + left * (step * 2) > s_max)):
                     continue  # too large, or cannot finish with exactly c copies of v
                 nodes += 1
                 if nodes > MAX_NODES:
@@ -122,13 +126,9 @@ def enum_Xi(N: int, k: int, eta: float, L: float) -> XiSet:
     """
     N = _require_odd(N=N)
     k, eta, L = _shift_args(k, eta, L)
-    window_lo = (1.0 - eta) * N
     counts: dict[int, int] = {}
-    # the +1 slack keeps pruning strictly weaker than the exact window test
-    for s, mult, _ in _power_multisets(k, math.floor(L), eta * N + 1.0):
-        n = N - s
-        if n >= window_lo:
-            counts[n] = counts.get(n, 0) + mult
+    for s, mult, _ in _power_multisets(k, math.floor(L), _shift_cap(N, eta)):
+        counts[N - s] = counts.get(N - s, 0) + mult
     entries = tuple(sorted(counts.items()))
     return XiSet(N=N, k=k, eta=eta, L=L, entries=entries)
 
@@ -137,12 +137,8 @@ def count_pairs(N1: int, N2: int, k: int, eta: float, L: float) -> int:
     """Ordered tuples admissible for both N1 and N2, in either order (raises as enum_Xi)."""
     N1, N2 = _require_odd(N1=N1, N2=N2)
     k, eta, L = _shift_args(k, eta, L)
-    s_allow = min(eta * N1, eta * N2) + 1.0
-    total = 0
-    for s, mult, _ in _power_multisets(k, math.floor(L), s_allow):
-        if N1 - s >= (1.0 - eta) * N1 and N2 - s >= (1.0 - eta) * N2:
-            total += mult
-    return total
+    s_max = min(_shift_cap(N1, eta), _shift_cap(N2, eta))
+    return sum(mult for _, mult, _ in _power_multisets(k, math.floor(L), s_max))
 
 
 def measure_sigma(lam: float, L: float, grid: int) -> MeasureEstimate:

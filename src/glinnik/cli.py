@@ -41,7 +41,7 @@ from .expsums import (
 from .local import singular_series
 from .pipeline import ConstantsLedger, ReportBudgets, _record, full_report, k_threshold
 from .search import find_pair_witness, find_witness, rho_counts
-from .sint import SingularIntegralEstimate, jn_closed_form, jn_exact_small, jn_monte_carlo
+from .sint import SingularIntegralEstimate, _normalized, jn_closed_form, jn_exact_small, jn_monte_carlo
 
 
 @dataclasses.dataclass
@@ -222,7 +222,7 @@ def _cmd_singular_integral(args, cfg: RunConfig):
         if args.u is None or args.v is None:
             raise DomainError("exact_lattice needs --u and --v")
         value = jn_exact_small(n, args.u, args.v, (params.omega * n, float(n)))
-        normalized = value / N ** (11.0 / 9.0)
+        normalized = _normalized(value, N)
     est = SingularIntegralEstimate(
         n=n,
         N=N,

@@ -63,6 +63,7 @@ DOMAINS = {
     "k": (1, math.inf, "[)Z"),
 }
 _INDICES = (1, 2, "[]Z")  # a target's index i
+_TARGET_BITS = 9 * 1024 // 11  # n1 < 2^837 keeps N^(11/9), the largest power of N in use, finite
 
 _TWO_PI = 2.0 * math.pi
 _LIMB_BITS = 31  # m * A stays below 2^62 for m, A < 2^31
@@ -74,7 +75,7 @@ _BLOCK_CHUNK = 1 << 16  # terms per gather and block sum of _blocked_phase_sum
 class ProblemParams:
     """Problem sizes and tunables, with every derived scale recomputed.
 
-    n1 >= n2 are the two odd targets.  Derived quantities (never stored):
+    n1 >= n2 are the two odd targets, n1 below 2^837.  Derived quantities (never stored):
 
         u(i) = (n_i / (16 (1 + delta)))^(1/3)     cube dyadic scale
         v(i) = u(i)^(5/6)                          small cube dyadic scale
@@ -130,10 +131,12 @@ class ProblemParams:
 
 
 def _require_targets(n1: int, n2: int) -> tuple[int, int]:
-    """n1 and n2 as ints; DomainError unless they are odd integers with n1 >= n2 >= 1."""
+    """n1 and n2 as ints; DomainError unless they are odd integers with 2^837 > n1 >= n2 >= 1."""
     n1, n2 = _require_odd(n1=n1, n2=n2)
     if n1 < n2:
         raise DomainError("n1 >= n2 is required")
+    if n1.bit_length() > _TARGET_BITS:
+        raise DomainError(f"n1 must be below 2^{_TARGET_BITS}, or N^(11/9) overflows a float")
     return n1, n2
 
 
@@ -146,6 +149,12 @@ def _cube_scales(n: int, delta: float) -> tuple[float, float]:
 def _shift_scale(n: int) -> float:
     """The powers-of-two cutoff log2(n / log n) of a target n, as ProblemParams.L."""
     return math.log2(n / math.log(n))
+
+
+def _shift_cap(n: int, eta: float) -> int:
+    """floor(eta n) for eta's exact value, in ints: n - s is in [(1 - eta) n, n] iff 0 <= s <= it."""
+    num, den = eta.as_integer_ratio()
+    return num * n // den
 
 
 @dataclass(frozen=True)
@@ -230,17 +239,12 @@ def _phases(m: np.ndarray, alpha, top: int) -> np.ndarray:
     return np.asarray(r * (alpha.numerator % q) % q / q, dtype=np.float64)
 
 
-def _weighted_phase_sum(m: np.ndarray, w: np.ndarray, alpha) -> complex:
-    """sum of w e(m alpha): from two root tables when _block_plan allows, else term by term.
+def _planned_sum(m: np.ndarray, w: np.ndarray, plan: _BlockPlan | None, alpha) -> complex:
+    """sum of w e(m alpha) by plan = _block_plan(m), or by the direct pass where it is None.
 
     The root tables add at most a few ulp per term to the direct pass's
     rounding, so the two agree to well within 1e-13 * sum |w|.
     """
-    return _planned_sum(m, w, _block_plan(m), alpha)
-
-
-def _planned_sum(m: np.ndarray, w: np.ndarray, plan: _BlockPlan | None, alpha) -> complex:
-    """sum of w e(m alpha) by plan = _block_plan(m), or by the direct pass where it is None."""
     if plan is None:
         return _direct_phase_sum(m, w, alpha, int(m.max(initial=0)))
     return _blocked_phase_sum(plan, w, alpha)
@@ -258,14 +262,15 @@ def _direct_phase_sum(m: np.ndarray, w: np.ndarray, alpha, top: int) -> complex:
 
 
 def _root_split(m: np.ndarray) -> int:
-    """The split k of _block_plan for m, or 0 where the direct pass must run.
+    """The split k of _block_plan for int64 m, or 0 where the direct pass must run.
 
     k = ceil(bits(max m) / 2); the tables hold 2^k low roots and one high
     root per block h from m[0] >> k to m[-1] >> k.  They pay only when
-    together smaller than m, which needs m ascending int64 from m[0] >= 0:
-    a table of primes, never the sparse cubes p^3.
+    together smaller than m, which needs m ascending from m[0] >= 0.  Only a
+    PrimeTable's int64 primes come here: the 2^k > p_max^(3/2) low roots of
+    the cubes p^3 outnumber the primes, and the binary residues are Python ints.
     """
-    if m.dtype != np.int64 or m.size < 2 or m[0] < 0:
+    if m.size < 2 or m[0] < 0:
         return 0
     top = int(m[-1])  # the largest, once m is found ascending
     k = (top.bit_length() + 1) // 2
@@ -392,7 +397,8 @@ def eval_cube(table: PrimeTable, alpha) -> complex:
     alpha = _require_in(PHASES, alpha=alpha)
     _require_table(table)
     _check_cube_hi(table.hi)
-    return _weighted_phase_sum(table.primes**3, table.log_weights(), alpha)
+    cubes = table.primes**3
+    return _direct_phase_sum(cubes, table.log_weights(), alpha, int(cubes.max(initial=0)))
 
 
 def _check_cube_hi(hi: int) -> None:
@@ -411,7 +417,7 @@ def eval_G(L: float, alpha) -> complex:
     m = _binary_terms(L)
     alpha = Fraction(_require_in(PHASES, alpha=alpha))  # a float as the dyadic rational it stores
     res = np.array([pow(2, v, alpha.denominator) for v in range(1, m + 1)], dtype=object)
-    return _weighted_phase_sum(res, np.ones(m), alpha)
+    return _direct_phase_sum(res, np.ones(m), alpha, int(res.max(initial=0)))
 
 
 def _binary_terms(L) -> int:
@@ -554,10 +560,10 @@ def dirichlet_approx(alpha, Q: int) -> DirichletApprox:
     num, den = _require_in(_ARC_PHASES, alpha=alpha).as_integer_ratio()  # in lowest terms
     Q = _require_in(POSITIVE_INTEGERS, Q=Q)
     x = num / den
-    # a float that is the rounded endpoint 1/Q or (Q + 1)/Q counts as the endpoint
-    if num * Q != den and math.isclose(x, 1.0 / Q, rel_tol=4e-16, abs_tol=0.0):
+    # a float that is the rounded endpoint 1/Q or (Q + 1)/Q counts as it; int / int rounds once
+    if num * Q != den and math.isclose(x, 1 / Q, rel_tol=4e-16, abs_tol=0.0):
         num, den = 1, Q
-    elif num * Q != (Q + 1) * den and math.isclose(x, 1.0 + 1.0 / Q, rel_tol=4e-16, abs_tol=0.0):
+    elif num * Q != (Q + 1) * den and math.isclose(x, 1 + 1 / Q, rel_tol=4e-16, abs_tol=0.0):
         num, den = Q + 1, Q
     if not den <= num * Q <= (Q + 1) * den:
         raise DomainError(f"alpha={num / den} outside [1/Q, 1+1/Q] for Q={Q}")

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import INTEGERS, NON_NEGATIVE_INTEGERS, POSITIVE_INTEGERS, REALS, DomainError
 from .errors import ResourceError, _require_in
-from .expsums import DOMAINS, ProblemParams, _fft_length
+from .expsums import DOMAINS, ProblemParams, _fft_length, _shift_cap
 from .parallel import map_ordered
 
 MC_BATCH = 1 << 16
@@ -57,6 +57,11 @@ def jn_closed_form(delta: float) -> float:
     normalized value, at every delta > 0, whenever the m1 indicator does not bind.
     """
     return 81.0 * (16.0 * (1.0 + _require_in(DOMAINS["delta"], delta=delta))) ** (-11.0 / 9.0)
+
+
+def _normalized(value: float, N: int) -> float:
+    """value / N^(11/9), the scale of jn_closed_form's constant; finite below 2^837."""
+    return value / N ** (11.0 / 9.0)
 
 
 def _fill_uniform(rng: np.random.Generator, lo: float, hi: float, out: np.ndarray) -> None:
@@ -127,8 +132,8 @@ def jn_monte_carlo_box(
 
     Raises:
         DomainError: samples, seed or threads not an integer; n NaN or infinite; a box
-            entry outside (0, 1e75), which keeps the volume finite; a NaN m1 bound;
-            samples < 1; seed < 0; a block with lo >= hi
+            entry outside [1e-50, 1e75), which keeps the volume and every f^2 finite;
+            a NaN m1 bound; samples < 1; seed < 0; a block with lo >= hi
         ResourceError: samples beyond MAX_MC_SAMPLES
     """
     samples = _require_in(POSITIVE_INTEGERS, samples=samples)
@@ -137,7 +142,7 @@ def jn_monte_carlo_box(
     n = _require_in(REALS, n=n)
     u3_lo, u3_hi, v3_lo, v3_hi = box
     box = u3_lo, u3_hi, v3_lo, v3_hi = _require_in(
-        (0, 1e75, "()"), u3_lo=u3_lo, u3_hi=u3_hi, v3_lo=v3_lo, v3_hi=v3_hi)
+        (1e-50, 1e75, "[)"), u3_lo=u3_lo, u3_hi=u3_hi, v3_lo=v3_lo, v3_hi=v3_hi)
     m1_range = _check_window(m1_range)
     if not (u3_lo < u3_hi and v3_lo < v3_hi):
         raise DomainError(f"sampling box {box} needs lo < hi in each block")
@@ -177,8 +182,8 @@ def jn_monte_carlo(
     """Monte Carlo estimate over the dyadic box derived from params.
 
     Raises:
-        DomainError: n not an integer; i not the integer 1 or 2; n outside
-            [(1-eta) N, N]; the m1 indicator identically zero over the box
+        DomainError: n not an integer; i not the integer 1 or 2; N - n outside
+            [0, floor(eta N)] for eta's exact value; the m1 indicator identically zero over the box
             (zero admissible volume); else as jn_monte_carlo_box
         ResourceError: samples beyond MAX_MC_SAMPLES
     """
@@ -186,22 +191,21 @@ def jn_monte_carlo(
     samples = _require_in(POSITIVE_INTEGERS, samples=samples)  # stored, as is seed
     seed = _require_in(NON_NEGATIVE_INTEGERS, seed=seed)
     N = params.n(i)
-    if not (1.0 - params.eta) * N <= n <= N:
+    if not 0 <= N - n <= _shift_cap(N, params.eta):
         raise DomainError(f"n={n} outside [(1-eta)N, N] for N={N}")
     u3 = N / (16.0 * (1.0 + params.delta))
     v3 = u3 ** (5.0 / 6.0)
     box = (u3, 8.0 * u3, v3, 8.0 * v3)
     m1_range = (params.omega * N, float(N))
     min_sum = 2.0 * (u3 + v3)
-    max_sum = 16.0 * (u3 + v3)
-    if n - min_sum <= m1_range[0] or n - max_sum > m1_range[1]:
+    if n - min_sum <= m1_range[0]:  # as n <= N, m1 = n - (m2 + ... + m5) is never above N
         raise DomainError("m1 indicator vanishes on the whole box (zero admissible volume)")
     value, stderr = jn_monte_carlo_box(n, box, m1_range, samples, seed, threads=threads)
     return SingularIntegralEstimate(
         n=n,
         N=N,
         value=value,
-        normalized=value / N ** (11.0 / 9.0),
+        normalized=_normalized(value, N),
         method="monte_carlo",
         stderr=stderr,
         samples=samples,

@@ -21,12 +21,18 @@ from glinnik import (
 from glinnik.binary import MAX_SHIFT_COUNT
 
 
+def in_window(s, N, eta):
+    """N - s in [(1 - eta) N, N] for eta's exact binary value num/den."""
+    num, den = eta.as_integer_ratio()
+    return 0 <= s and s * den <= num * N
+
+
 def exhaustive_xi(N, k, eta, v_max):
     counts = {}
     for tup in itertools.product(range(1, v_max + 1), repeat=k):
-        n = N - sum(1 << v for v in tup)
-        if (1.0 - eta) * N <= n <= N:
-            counts[n] = counts.get(n, 0) + 1
+        s = sum(1 << v for v in tup)
+        if in_window(s, N, eta):
+            counts[N - s] = counts.get(N - s, 0) + 1
     return counts
 
 
@@ -107,14 +113,42 @@ def test_count_pairs_bounded_by_tuple_count():
         assert 0 <= c <= M**k
 
 
+def exhaustive_pairs(N1, N2, k, eta, M):
+    brute = 0
+    for tup in itertools.product(range(1, M + 1), repeat=k):
+        s = sum(1 << v for v in tup)
+        if in_window(s, N1, eta) and in_window(s, N2, eta):
+            brute += 1
+    return brute
+
+
 def test_count_pairs_matches_exhaustive():
     for N1, N2, k, eta, M in [(101, 103, 2, 0.1, 3), (1001, 987, 3, 0.08, 6)]:
-        brute = 0
-        for tup in itertools.product(range(1, M + 1), repeat=k):
-            s = sum(1 << v for v in tup)
-            if N1 - s >= (1 - eta) * N1 and N2 - s >= (1 - eta) * N2:
-                brute += 1
-        assert count_pairs(N1, N2, k, eta, float(M)) == brute
+        assert count_pairs(N1, N2, k, eta, float(M)) == exhaustive_pairs(N1, N2, k, eta, M)
+
+
+def rounded_below():
+    """(N, c, eta) with eta = fl(c/N) just below c/N, for c = 2^a + 2^b and a few odd N."""
+    out = []
+    for N in (1_000_003, 999_999_937, 2**40 + 15, 10**15 + 37):
+        for a, b in itertools.combinations_with_replacement(range(1, 9), 2):
+            c = (1 << a) + (1 << b)
+            if Fraction(c / N) < Fraction(c, N):
+                out.append((N, c, c / N))
+    return out
+
+
+def test_the_window_edge_is_exact_where_eta_rounds_below():
+    # fl(10/1000003) * 1000003 < 10 exactly, so the shift sum 10 = 2 + 8 is out
+    assert 999_993 not in enum_Xi(1_000_003, 2, 10 / 1_000_003, 3.0).values
+    assert count_pairs(1_000_003, 1_000_003, 2, 10 / 1_000_003, 3.0) == 4
+    cases = rounded_below()
+    assert len(cases) >= 20
+    for N, c, eta in cases:
+        xi = enum_Xi(N, 2, eta, 8.0)
+        assert N - c not in xi.values
+        assert dict(xi.entries) == exhaustive_xi(N, 2, eta, 8)
+        assert count_pairs(N, N + 2, 2, eta, 8.0) == exhaustive_pairs(N, N + 2, 2, eta, 8)
 
 
 def test_binary_collision_identity():

@@ -19,6 +19,7 @@ from glinnik import (
     local,
     measure_sigma,
     moment_ST4_exact,
+    multiplicative,
     rho_counts,
     search,
     sieve_range,
@@ -33,6 +34,8 @@ def xi_cli():
 # (module, constant, small value, entry point); each call succeeds at the constant's real value
 CASES = [
     pytest.param(arith, "MAX_SPAN", 99, lambda: sieve_range(1, 100), id="MAX_SPAN-sieve_range"),
+    pytest.param(arith, "MAX_RHO_STEPS", 1, lambda: multiplicative((2**31 - 1) * (2**61 - 1)),
+                 id="MAX_RHO_STEPS-multiplicative"),
     pytest.param(expsums, "MAX_GRID", 1024, lambda: eval_grid("binary", 12.0, 2048),
                  id="MAX_GRID-eval_grid"),
     pytest.param(expsums, "MAX_GRID", 1024, lambda: measure_sigma(0.9, 20.0, 4096),

@@ -446,6 +446,9 @@ def test_every_subcommand_has_help_and_rejects_unknown_flags(capsys, name):
         ("singular-integral", "--samples", str(10**15)),
         ("measure", "--l", "1100", "--grid", "1024"),
         ("measure", "--l", "1023.5", "--grid", "1024"),
+        ("singular-integral", "--method", "exact_lattice", "--u", "2", "--v", "2",
+         "--n1", str(10**300 + 1), "--n2", str(10**300 + 1)),
+        ("report", "--n1", str(10**400 + 1), "--n2", str(10**400 + 1)),
     ],
 )
 def test_hostile_argv_exits_with_an_error_line_not_a_traceback(tmp_path, capsys, argv):

@@ -814,7 +814,7 @@ def test_blocked_sum_matches_direct_sum():
         mass = float(w.sum())
         for alpha in _root_alphas(rng):
             blocked = expsums._blocked_phase_sum(plan, w, alpha)
-            assert blocked == expsums._weighted_phase_sum(m, w, alpha)
+            assert blocked == expsums._planned_sum(m, w, expsums._block_plan(m), alpha)
             direct = expsums._direct_phase_sum(m, w, alpha, top)
             assert abs(blocked - direct) <= 1e-13 * mass, (m.size, alpha)
 
@@ -831,8 +831,20 @@ def test_root_split_needs_ascending_int64_and_small_tables(monkeypatch):
         assert expsums._root_split(m) == 0
     monkeypatch.setattr(expsums, "_blocked_phase_sum", refuse)
     w = rng.uniform(0.5, 2.0, shuffled.size)
-    assert (expsums._weighted_phase_sum(shuffled, w, 0.3)
+    assert (expsums._planned_sum(shuffled, w, expsums._block_plan(shuffled), 0.3)
             == expsums._direct_phase_sum(shuffled, w, 0.3, int(shuffled.max())))
+
+
+def test_cube_and_binary_sums_never_build_a_block_plan(monkeypatch):
+    table = dyadic_table(100_000)  # 2^k > sqrt(max p^3) > the number of primes
+    alphas = [0.3, -1.7, 2.0**40 + 0.375, Fraction(3, 7), Fraction(1, 2**31 + 11), 5]
+    before = [(eval_cube(table, a), eval_G(1000.5, a)) for a in alphas]
+
+    def refuse(m):
+        raise AssertionError("a block plan was built")
+
+    monkeypatch.setattr(expsums, "_block_plan", refuse)
+    assert [(eval_cube(table, a), eval_G(1000.5, a)) for a in alphas] == before
 
 
 def test_linear_sum_at_integer_alpha_is_real():
@@ -890,8 +902,8 @@ def test_cached_table_state_gives_the_uncached_sum_bit_for_bit():
     alphas += [0.6, -0.3, 1e-12, 2.0**40 + 0.375, 1.0 / 3.0]
     for table in (big, few):
         for alpha in alphas:
-            fresh = expsums._weighted_phase_sum(
-                table.primes, np.log(table.primes.astype(float)), alpha)
+            fresh = expsums._planned_sum(table.primes, np.log(table.primes.astype(float)),
+                                         expsums._block_plan(table.primes), alpha)
             assert eval_linear(PARAMS_1E6, 1, alpha, table=table) == fresh, alpha
 
 

@@ -26,7 +26,10 @@ from glinnik.expsums import DOMAINS
 from glinnik.pipeline import ReportBudgets, full_report
 
 nan, inf = math.nan, math.inf
-HOSTILE = (nan, inf, -inf, 1e308, 5e-324, -1, 0, 10**30, "7")
+# 10**300 + 1 and 10**400 + 1 are odd targets: N^(11/9) overflows at the first, and the
+# second is beyond the float range
+HUGE = (10**300 + 1, 10**400 + 1)
+HOSTILE = (nan, inf, -inf, 1e308, 5e-324, -1, 0, 10**30, *HUGE, "7")
 
 PARAMS = ProblemParams(n1=101, n2=101)
 TABLE = glinnik.dyadic_table(10)
@@ -76,7 +79,7 @@ VALID = {
 
 # (module, budget, small value): every valid call above and below fits
 SMALL_BUDGETS = [
-    (arith, "MAX_SPAN", 1 << 16), (expsums, "MAX_GRID", 1 << 12),
+    (arith, "MAX_SPAN", 1 << 16), (arith, "MAX_RHO_STEPS", 1 << 12), (expsums, "MAX_GRID", 1 << 12),
     (expsums, "MAX_QUADRUPLES", 1 << 12),
     (binary, "MAX_NODES", 10_000), (binary, "MAX_JSUM_N", 10_000),
     (search, "MAX_WITNESS_N", 10_000), (search, "MAX_DIFFS", 1 << 14),
@@ -251,7 +254,7 @@ def test_cli_valid_argv_cover_every_subcommand(capsys, small_budgets):
         strict_json(capsys.readouterr().out)
 
 
-CLI_TEXTS = ("nan", "inf", "-inf", "1e308", "5e-324", "-1", "0", str(10**30), "2.5")
+CLI_TEXTS = ("nan", "inf", "-inf", "1e308", "5e-324", "-1", "0", str(10**30), *map(str, HUGE), "2.5")
 CLI_CASES = [(row[0], flag, text) for row in SUBCOMMANDS for flag in numeric_flags(row)
              for text in CLI_TEXTS]
 
@@ -311,6 +314,8 @@ PROBES = {
     "eval_cube(5, 0.3)": lambda: glinnik.eval_cube(5, 0.3),
     "rho_counts_from_primes(5, [3], U=3, V=2)":
         lambda: glinnik.rho_counts_from_primes(5, [3], U=3, V=2),
+    "ProblemParams(n1=10**300 + 1, n2=10**300 + 1)": partial(ProblemParams, HUGE[0], HUGE[0]),
+    "ProblemParams(n1=10**400 + 1, n2=10**400 + 1)": partial(ProblemParams, HUGE[1], HUGE[1]),
 }
 
 

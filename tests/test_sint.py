@@ -179,6 +179,8 @@ def test_monte_carlo_box_makes_no_blas_call(monkeypatch):
         lambda: jn_monte_carlo_box(30.0, (math.nan, 8.0, 1.0, 8.0), MC_WINDOW, 100, 1),
         lambda: jn_monte_carlo_box(30.0, (-1e308, 1e308, 1.0, 8.0), MC_WINDOW, 100, 1),
         lambda: jn_monte_carlo_box(30.0, (8.0, 1.0, 1.0, 8.0), MC_WINDOW, 100, 1),
+        # every product m2 m3 m4 m5 underflows to 0, and f = 0^(-2/3) is infinite
+        lambda: jn_monte_carlo_box(30.0, (1e-300, 2e-300, 1e-300, 2e-300), MC_WINDOW, 100, 1),
         lambda: jn_monte_carlo_box(math.nan, MC_BOX, MC_WINDOW, 100, 1),
         lambda: jn_monte_carlo_box(30.0, MC_BOX, (math.nan, 20.0), 100, 1),
         lambda: jn_monte_carlo_box(30.0, MC_BOX, MC_WINDOW, 2.5, 1),
@@ -193,6 +195,17 @@ def test_monte_carlo_box_makes_no_blas_call(monkeypatch):
 def test_hostile_sint_inputs_are_domain_errors(call):
     with pytest.raises(DomainError):
         call()
+
+
+def test_monte_carlo_window_ends_at_floor_eta_n():
+    # fl(10/1000003) * 1000003 < 10 exactly, so floor(eta N) = 9 and N - 10 is out,
+    # although (1 - eta) N <= N - 10 holds in floats
+    params = ProblemParams(n1=1_000_003, n2=1_000_003, eta=10 / 1_000_003)
+    for n in (1_000_003, 999_995):
+        assert jn_monte_carlo(n, params, 1, 100, 1).n == n
+    for n in (999_993, 1_000_005):
+        with pytest.raises(DomainError):
+            jn_monte_carlo(n, params, 1, 100, 1)
 
 
 def test_lattice_separable_product():
