@@ -24,7 +24,7 @@ from .parallel import map_ordered
 
 SEGMENT_SIZE = 1 << 20  # integers per sieved segment (odd ones flagged), the unit of parallel work
 MAX_SPAN = 1 << 31  # longest range sieve_range takes
-MAX_RHO_STEPS = 1 << 20  # modular squarings of one Pollard-Brent factor search
+MAX_RHO_STEPS = 1 << 20  # limb-weighted squarings of one Pollard-Brent search: each costs L^2, L = 64-bit limbs of n
 _MAX_BASE_LIMIT = 1 << 26
 
 # Deterministic for every n < 3.317e24 (Sorenson-Webster witness set),
@@ -228,13 +228,19 @@ def is_prime(n: int) -> bool:
 
 
 def _pollard_brent(n: int) -> int:
-    """A nontrivial factor of odd composite n (deterministic scan), in MAX_RHO_STEPS steps."""
+    """A nontrivial factor of odd composite n (deterministic scan), in MAX_RHO_STEPS steps.
+
+    A step is one squaring mod n charged by its size, L^2 for n of L 64-bit
+    limbs: a squaring mod an n below 2^64 counts 1, and the time a refused
+    search takes does not grow with n.
+    """
+    cost = ((n.bit_length() + 63) // 64) ** 2
     steps = 0
     for c in range(1, 100):
         y, m, g, r, q = 2, 128, 1, 1, 1
         x = ys = y
         while g == 1:
-            steps += 2 * r
+            steps += 2 * r * cost
             if steps > MAX_RHO_STEPS:
                 raise ResourceError(f"factor search exceeded arith.MAX_RHO_STEPS = {MAX_RHO_STEPS}")
             x = y

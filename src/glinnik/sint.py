@@ -16,14 +16,18 @@ the estimate does not depend on the thread count.
 
 The exact lattice sum convolves each block's weights with themselves by
 one real FFT at the least 5-smooth length (expsums._fft_length, which the
-pair counts of binary share), then reads every m1 window's weight from
-slices of one prefix-sum table, and still adds its terms left to right.
+pair counts of binary share).  These pair profiles depend on U and V
+only, so they are built once per (U, V) and kept, read-only, for the
+calls that follow; each call then reads its m1 window's weight from
+slices of the kept prefix-sum table in O(7 U^3), and still adds its terms
+left to right.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -226,6 +230,20 @@ def _fft_self_convolve(a: np.ndarray) -> np.ndarray:
     return np.fft.irfft(spec, nf)[:n]
 
 
+@lru_cache(maxsize=1)
+def _pair_profiles(U: int, V: int, nf_u: int, nf_v: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (U-pair profile, prefix sums of the V-pair profile) of the lattice sum.
+
+    nf_u and nf_v are the FFT lengths _fft_self_convolve pads to; they are
+    part of the key only, so that a different _fft_length builds anew.  One
+    (U, V) pair is kept: 16 (7 U^3 + 7 V^3) bytes, 28 MB at U = V = 50.
+    """
+    conv_u = _fft_self_convolve(_block_weights(U))  # index su - 2*(U^3+1)
+    prefix_v = np.concatenate(([0.0], np.cumsum(_fft_self_convolve(_block_weights(V)))))
+    conv_u.flags.writeable = prefix_v.flags.writeable = False
+    return conv_u, prefix_v
+
+
 def _window_edge(x: float, base: int, span: int) -> int:
     """ceil(x) - base, clamped to [0, span]: every edge beyond either end acts as that end."""
     return math.ceil(min(max(x, base), base + span)) - base
@@ -252,7 +270,9 @@ def jn_exact_small(n: int, U: int, V: int, m1_range: tuple[float, float]) -> flo
 
     The two pair-sum weight profiles (one per dyadic block) are
     self-convolutions, each through one rfft/irfft pair padded to
-    expsums._fft_length, the least 5-smooth length.  The m1 window turns
+    expsums._fft_length, the least 5-smooth length.  They are built once
+    per (U, V) and kept for the next call at the same U and V, so a call
+    after the first costs O(7 U^3), the window read alone.  The m1 window turns
     into a window [c_lo - i, c_hi - i) of V-pair sums for the U-pair sum
     with offset i; its two integer edges are taken once, with unbounded or
     huge bounds clamped first (so (-inf, inf) weighs the same as
@@ -273,12 +293,10 @@ def jn_exact_small(n: int, U: int, V: int, m1_range: tuple[float, float]) -> flo
         raise ResourceError(f"U={U} or V={V} exceeds the lattice budget "
                             f"sint._MAX_LATTICE_U = {_MAX_LATTICE_U}")
     m1_lo, m1_hi = _check_window(m1_range)
-    conv_u = _fft_self_convolve(_block_weights(U))  # index su - 2*(U^3+1)
-    conv_v = _fft_self_convolve(_block_weights(V))  # index sv - 2*(V^3+1)
-    prefix_v = np.concatenate(([0.0], np.cumsum(conv_v)))
+    conv_u, prefix_v = _pair_profiles(U, V, _fft_length(14 * U**3 - 1), _fft_length(14 * V**3 - 1))
     # m1 = n - su - sv in (m1_lo, m1_hi]  <=>  n - m1_hi <= sv < n - m1_lo, so with
     # su = base_u + i the V-pair offsets are [c_lo - i, c_hi - i), clipped to [0, top]
-    base, top = 2 * (U**3 + 1) + 2 * (V**3 + 1), len(conv_v)
+    base, top = 2 * (U**3 + 1) + 2 * (V**3 + 1), len(prefix_v) - 1
     span = top + len(conv_u) - 1  # from c = span on, clip(c - i, 0, top) = top for every i
     c_lo = _window_edge(n - m1_hi, base, span)
     c_hi = _window_edge(n - m1_lo, base, span)

@@ -1,5 +1,6 @@
 import bisect
 import math
+import time
 
 import numpy as np
 import pytest
@@ -265,6 +266,17 @@ def test_miller_rabin_runs_only_at_or_above_the_trial_bound(monkeypatch):
         calls.clear()
         f, _, _ = multiplicative(n)
         assert calls and f.value() == n, n
+
+
+def test_factor_search_refuses_huge_cofactors_quickly():
+    # each squaring is charged by the cofactor's size, so the wait does not grow with it
+    for n in ((2**89 - 1) * (2**107 - 1), 10**300 + 1):
+        start = time.perf_counter()
+        with pytest.raises(ResourceError, match="arith.MAX_RHO_STEPS"):
+            multiplicative(n)
+        assert time.perf_counter() - start < 1.0, n
+    # a cofactor of two 64-bit limbs, charged 4 a squaring, is still split
+    assert multiplicative((2**31 - 1) * (2**61 - 1))[0].factors == ((2**31 - 1, 1), (2**61 - 1, 1))
 
 
 def test_modpow_examples():

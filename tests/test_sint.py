@@ -1,4 +1,6 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -299,6 +301,75 @@ def test_lattice_pinned_values(monkeypatch, n, U, V, window, pinned):
     assert value == pytest.approx(float.fromhex(pinned), rel=1e-13, abs=0.0)
     monkeypatch.setattr(sint, "_fft_length", power_of_two_length)
     assert jn_exact_small(n, U, V, window).hex() == pinned
+
+
+@pytest.mark.parametrize("order", [1, -1])
+def test_lattice_kept_profiles_give_the_pinned_values_bit_for_bit(order):
+    cases = LATTICE_PINS[::order]
+    for case in cases:
+        sint._pair_profiles.cache_clear()
+        cold = jn_exact_small(*case[:4]).hex()
+        assert cold == jn_exact_small(*case[:4]).hex() == FIVE_SMOOTH_PINS[case], case
+    # consecutive cases at one (U, V) share one build: (2, 2), (8, 8), (22, 13), (9, 6)
+    sint._pair_profiles.cache_clear()
+    assert [jn_exact_small(*case[:4]).hex() for case in cases] == [FIVE_SMOOTH_PINS[c] for c in cases]
+    info = sint._pair_profiles.cache_info()
+    assert (info.misses, info.hits) == (4, len(cases) - 4)
+
+
+def test_lattice_window_pair_builds_the_profiles_once():
+    n, U, V = 170385, 22, 13
+    split = 1e-5 * n
+    sint._pair_profiles.cache_clear()
+    inner = jn_exact_small(n, U, V, (split, float(n)))
+    outer = jn_exact_small(n, U, V, (-1e30, split))
+    info = sint._pair_profiles.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    total = math.prod(math.fsum(m ** (-2.0 / 3.0) for m in range(x**3 + 1, 8 * x**3 + 1))
+                      for x in (U, U, V, V))
+    assert inner > 0.0 and outer > 0.0
+    assert abs(inner + outer - total) <= 1e-9 * total
+
+
+@pytest.mark.parametrize("U, V, window", [(51, 2, (0.0, 1e9)), (2.5, 2, (0.0, 1e9)),
+                                          (2, 2, (math.nan, 1e9)), (2, 2, (0.0, math.nan))])
+def test_lattice_refused_call_builds_and_keeps_nothing(monkeypatch, U, V, window):
+    sint._pair_profiles.cache_clear()
+    monkeypatch.setattr(sint, "_block_weights", lambda x: pytest.fail("built a profile"))
+    with pytest.raises((DomainError, ResourceError)):
+        jn_exact_small(10**9, U, V, window)
+    assert sint._pair_profiles.cache_info() == (0, 0, 1, 0)
+
+
+def test_lattice_kept_profiles_refuse_writes():
+    jn_exact_small(500, 3, 2, (50.0, 400.0))
+    conv_u, prefix_v = sint._pair_profiles(3, 2, sint._fft_length(14 * 27 - 1), sint._fft_length(14 * 8 - 1))
+    assert sint._pair_profiles.cache_info().hits >= 1
+    for a in (conv_u, prefix_v):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1.0
+
+
+def test_lattice_threads_alternating_two_pairs_match_serial_calls():
+    def calls(start):
+        out = []
+        for k in range(40):
+            U, V = ((9, 6), (8, 7))[(start + k) % 2]
+            n = 11625 + 37 * k
+            out.append(jn_exact_small(n, U, V, (0.1 * k * n / 40, float(n))))
+        return out
+
+    starts = (0, 1, 0, 1)  # more threads than the two cores, half of them out of step
+    serial = [calls(start) for start in starts]
+    sint._pair_profiles.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(len(starts)) as pool:
+            threaded = [f.result(timeout=60) for f in [pool.submit(calls, s) for s in starts]]
+    finally:
+        sys.setswitchinterval(interval)
+    assert [[v.hex() for v in run] for run in threaded] == [[v.hex() for v in run] for run in serial]
 
 
 def gather_lattice(n, U, V, m1_range) -> float:
