@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields, replace
 from . import binary, local, search
 from .binary import count_pairs, enum_Xi
 from .errors import NON_NEGATIVE_INTEGERS, POSITIVE_INTEGERS, _require_in, _require_odd
-from .errors import _store_plain
+from .errors import DomainError, _store_plain
 from .expsums import DOMAINS, ProblemParams
 from .sint import jn_closed_form, jn_monte_carlo
 
@@ -160,6 +160,73 @@ def _annotate(value, method: str, seed: int | None = None) -> dict:
     return {"value": value, "method": method, "seed": seed}
 
 
+def _singular_series(params, b, ledger, seed, threads) -> dict:
+    """Odd n spread over sigma_window at least 2 apart, so that no n is sampled twice."""
+    step = max(2, (b.sigma_window[1] - b.sigma_window[0]) // b.sigma_samples)
+    ns = [(b.sigma_window[0] + j * step) | 1 for j in range(b.sigma_samples)]
+    vals = [local.singular_series(n, b.sigma_cutoff).value for n in ns]
+    return {"count": len(ns), "cutoff": b.sigma_cutoff, "min": min(vals),
+            "mean": sum(vals) / len(vals), "max": max(vals), "bound": ledger.sigma_min,
+            "tail_allowance": 0.003, "violations": [
+                {"n": n, "value": v} for n, v in zip(ns, vals) if v < ledger.sigma_min - 0.003]}
+
+
+def _singular_integral(params, b, ledger, seed, threads) -> dict:
+    mc_params = replace(params, n1=b.mc_n, n2=b.mc_n)
+    mc = jn_monte_carlo(b.mc_n, mc_params, 1, b.mc_samples, seed, threads=threads)
+    return {"closed_form": _annotate(jn_closed_form(params.delta), "closed_form"),
+            "monte_carlo": _annotate(_record(mc, "method", "seed"), "monte_carlo", seed)}
+
+
+def _measure(params, b, ledger, seed, threads) -> list:
+    return [_annotate(_record(m, lam="lambda"), "grid_bisection")
+            for m in binary._level_sets(b.measure_lambdas, b.measure_L, b.measure_grid)]
+
+
+def _jsum(params, b, ledger, seed, threads) -> dict:
+    jsum = binary.j_sum_exact(replace(params, n1=b.jsum_n, n2=b.jsum_n), b.jsum_l_cap)
+    return {**_record(jsum, "omega", "diagonal"), "bound_const": ledger.jsum_const,
+            "asserted": False}
+
+
+def _rho(params, b, ledger, seed, threads) -> dict:
+    rho = search.rho_counts(b.rho_u, b.rho_v, delta=params.delta)
+    return {**_record(rho, "sums", "counts", "quadruples", "n_ref", U="u", V="v"),
+            "bound_const": ledger.b, "asserted": False}
+
+
+def _witness_density(params, b, ledger, seed, threads) -> dict:
+    ns = range(b.witness_start, b.witness_start + 2 * b.witness_count, 2)
+    missing = [n for n in ns if search.find_witness(n, b.witness_k, "free") is None]
+    return {"start": b.witness_start, "count": b.witness_count, "k": b.witness_k,
+            "found": b.witness_count - len(missing), "missing": missing}
+
+
+def _xi(params, b, ledger, seed, threads) -> dict:
+    xi = enum_Xi(b.xi_n[0], b.xi_k, b.xi_eta, b.xi_vmax)
+    return {**_record(xi, "entries", N="n", L="vmax"), "values": list(xi.values),
+            "total_multiplicity": xi.total_multiplicity(),
+            "pair_count": count_pairs(b.xi_n[0], b.xi_n[1], b.xi_k, b.xi_eta, b.xi_vmax)}
+
+
+# The report's computed blocks, in report order: one row per block, holding
+# (key, method, stage).  stage(params, budgets, ledger, seed, threads) returns the
+# block's value, which full_report annotates with method; a stage whose method is
+# None returns blocks it annotated itself.  A value built from a result dataclass
+# holds its fields through _record, less those the report leaves out, and renamed
+# where the report's key differs (`lam` as `lambda`, `N` as `n`, `U` and `V` as
+# `u` and `v`, xi's `L` as `vmax`).
+REPORT_BLOCKS = (
+    ("singular_series", "euler_product", _singular_series),
+    ("singular_integral", None, _singular_integral),
+    ("measure", None, _measure),
+    ("jsum", "fft_autocorrelation", _jsum),
+    ("rho", "meet_in_the_middle", _rho),
+    ("witness_density", "exhaustive_search", _witness_density),
+    ("xi", "pruned_enumeration", _xi),
+)
+
+
 def full_report(
     params: ProblemParams,
     budgets: ReportBudgets | None = None,
@@ -171,88 +238,23 @@ def full_report(
 
     Every numeric block carries its method and seed (null for
     deterministic computations), so identical inputs reproduce the report
-    bit for bit at any thread count.  A block built from a result
-    dataclass holds its fields through _record, less those the report
-    leaves out, and renamed where the report's key differs (`lam` as
-    `lambda`, `N` as `n`, `U` and `V` as `u` and `v`, xi's `L` as `vmax`).
+    bit for bit at any thread count.  Each computed block is one row of
+    REPORT_BLOCKS.  budgets None means ReportBudgets(); DomainError for
+    anything else that is not a ReportBudgets.
     """
-    b = budgets or ReportBudgets()
+    b = ReportBudgets() if budgets is None else budgets
+    if not isinstance(b, ReportBudgets):
+        raise DomainError(f"budgets must be a ReportBudgets, got {budgets!r}")
     seed = _require_in(NON_NEGATIVE_INTEGERS, seed=seed)  # the report records it
     ledger = ConstantsLedger(lam=params.lam)
-
-    rng_step = max(1, (b.sigma_window[1] - b.sigma_window[0]) // b.sigma_samples)
-    sigma_ns = [b.sigma_window[0] + j * rng_step for j in range(b.sigma_samples)]
-    sigma_ns = [n if n % 2 == 1 else n + 1 for n in sigma_ns]
-    sigma_vals = [local.singular_series(n, b.sigma_cutoff).value for n in sigma_ns]
-    sigma_violations = [
-        {"n": n, "value": v}
-        for n, v in zip(sigma_ns, sigma_vals)
-        if v < ledger.sigma_min - 0.003
-    ]
-
-    mc_params = replace(params, n1=b.mc_n, n2=b.mc_n)
-    mc = jn_monte_carlo(b.mc_n, mc_params, 1, b.mc_samples, seed, threads=threads)
-
-    measures = binary._level_sets(b.measure_lambdas, b.measure_L, b.measure_grid)
-
-    jsum = binary.j_sum_exact(replace(params, n1=b.jsum_n, n2=b.jsum_n), b.jsum_l_cap)
-
-    rho = search.rho_counts(b.rho_u, b.rho_v, delta=params.delta)
-
-    witness_ns = range(b.witness_start, b.witness_start + 2 * b.witness_count, 2)
-    missing = [n for n in witness_ns if search.find_witness(n, b.witness_k, "free") is None]
-
-    xi1 = enum_Xi(b.xi_n[0], b.xi_k, b.xi_eta, b.xi_vmax)
-    pairs = count_pairs(b.xi_n[0], b.xi_n[1], b.xi_k, b.xi_eta, b.xi_vmax)
-
     constants = {**_record(ledger, lam="lambda"), "r1_coeff": ledger.r1_coeff,
                  "r3_coeff": ledger.r3_coeff, "k_threshold": ledger.k_threshold}
-    return {
-        "schema": 1,
-        "config": {**_record(params, lam="lambda"), "seed": seed, "budgets": _record(b)},
-        "constants": _annotate(constants, method="ledger_arithmetic"),
-        "k_threshold": ledger.k_threshold,
-        "exponent_note": EXPONENT_NOTE,
-        "regime_note": REGIME_NOTE,
-        "singular_series": _annotate(
-            {
-                "count": len(sigma_ns),
-                "cutoff": b.sigma_cutoff,
-                "min": min(sigma_vals),
-                "mean": sum(sigma_vals) / len(sigma_vals),
-                "max": max(sigma_vals),
-                "bound": ledger.sigma_min,
-                "tail_allowance": 0.003,
-                "violations": sigma_violations,
-            },
-            method="euler_product",
-        ),
-        "singular_integral": {
-            "closed_form": _annotate(jn_closed_form(params.delta), method="closed_form"),
-            "monte_carlo": _annotate(_record(mc, "method", "seed"), method="monte_carlo", seed=seed),
-        },
-        "measure": [_annotate(_record(m, lam="lambda"), method="grid_bisection") for m in measures],
-        "jsum": _annotate({**_record(jsum, "omega", "diagonal"), "bound_const": ledger.jsum_const,
-                           "asserted": False}, method="fft_autocorrelation"),
-        "rho": _annotate({**_record(rho, "sums", "counts", "quadruples", "n_ref", U="u", V="v"),
-                          "bound_const": ledger.b, "asserted": False}, method="meet_in_the_middle"),
-        "witness_density": _annotate(
-            {
-                "start": b.witness_start,
-                "count": b.witness_count,
-                "k": b.witness_k,
-                "found": b.witness_count - len(missing),
-                "missing": missing,
-            },
-            method="exhaustive_search",
-        ),
-        "xi": _annotate(
-            {
-                **_record(xi1, "entries", N="n", L="vmax"),
-                "values": list(xi1.values),
-                "total_multiplicity": xi1.total_multiplicity(),
-                "pair_count": pairs,
-            },
-            method="pruned_enumeration",
-        ),
-    }
+    report = {"schema": 1,
+              "config": {**_record(params, lam="lambda"), "seed": seed, "budgets": _record(b)},
+              "constants": _annotate(constants, "ledger_arithmetic"),
+              "k_threshold": constants["k_threshold"],
+              "exponent_note": EXPONENT_NOTE, "regime_note": REGIME_NOTE}
+    for key, method, stage in REPORT_BLOCKS:
+        value = stage(params, b, ledger, seed, threads)
+        report[key] = value if method is None else _annotate(value, method)
+    return report

@@ -325,6 +325,18 @@ def test_probe_calls_raise_domain_errors(call):
         call()
 
 
+# budgets is a ReportBudgets or None; a mapping of its fields once raised a raw TypeError
+# from dataclasses.fields, and a falsy value such as {} silently meant the defaults
+NOT_BUDGETS = {"{'sigma_samples': 3}": {"sigma_samples": 3}, "{}": {}, "0": 0, "False": False,
+               "''": "", "TINY_REPORT": TINY_REPORT, "params": PARAMS}
+
+
+@pytest.mark.parametrize("budgets", NOT_BUDGETS.values(), ids=NOT_BUDGETS.keys())
+def test_full_report_refuses_budgets_that_are_not_report_budgets(budgets):
+    with pytest.raises(DomainError, match="budgets must be a ReportBudgets"):
+        full_report(PARAMS, budgets, seed=1, threads=1)
+
+
 # one hostile prime-list entry at a time, or a repeated prime.  Before the lists had a stated
 # domain, nan raised a bare ValueError, 3.5 counted as 3, 2**40 wrapped int64 and a repeated
 # prime counted every tuple 4 times

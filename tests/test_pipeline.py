@@ -14,6 +14,8 @@ from glinnik import (
     full_report,
     j_sum_exact,
     k_threshold,
+    local,
+    pipeline,
     r1_coefficient,
     r3_coefficient,
     rho_counts,
@@ -185,3 +187,56 @@ def test_full_report_jsum_reads_omega():
     n, l_cap = SMALL_BUDGETS.jsum_n, SMALL_BUDGETS.jsum_l_cap
     assert jsum["value"] == j_sum_exact(replace(params, n1=n, n2=n), l_cap).value
     assert jsum["value"] != j_sum_exact(ProblemParams(n1=n, n2=n), l_cap).value
+
+
+# (sigma_window, sigma_samples) -> the n the singular-series block evaluates; before the
+# step's floor of 2, the first two windows sampled [101, 101] and [101, 103, 103]
+SIGMA_SAMPLES = {
+    ((100, 103), 2): [101, 103],
+    ((101, 105), 3): [101, 103, 105],
+    ((1001, 1013), 3): [1001, 1005, 1009],
+}
+
+
+@pytest.mark.parametrize("window, samples", SIGMA_SAMPLES)
+def test_full_report_samples_each_odd_n_once(monkeypatch, window, samples):
+    seen = []
+    series = local.singular_series
+
+    def spy(n, prime_cutoff):
+        seen.append(n)
+        return series(n, prime_cutoff)
+
+    monkeypatch.setattr(local, "singular_series", spy)
+    budgets = replace(SMALL_BUDGETS, sigma_window=window, sigma_samples=samples)
+    report = full_report(ProblemParams(n1=1_000_003, n2=1_000_003), budgets, seed=5)
+    assert seen == SIGMA_SAMPLES[window, samples]
+    assert report["singular_series"]["value"]["count"] == len(seen)
+
+
+REPORT_FIXED_KEYS = {"schema", "config", "constants", "k_threshold", "exponent_note",
+                     "regime_note"}
+
+
+def test_report_blocks_cover_the_report(monkeypatch):
+    calls = []
+
+    def spy(key, stage):
+        def run(*args):
+            calls.append(key)
+            return stage(*args)
+        return run
+
+    rows = pipeline.REPORT_BLOCKS
+    keys = [key for key, _, _ in rows]
+    monkeypatch.setattr(pipeline, "REPORT_BLOCKS",
+                        tuple((key, method, spy(key, stage)) for key, method, stage in rows))
+    params = ProblemParams(n1=1_000_003, n2=1_000_003)
+    for runs in (1, 2):
+        report = full_report(params, SMALL_BUDGETS, seed=5)
+        assert calls == keys * runs
+    assert len(set(keys)) == len(keys) and REPORT_FIXED_KEYS.isdisjoint(keys)
+    assert set(report) == REPORT_FIXED_KEYS | set(keys)
+    for key, method, _ in rows:
+        if method is not None:
+            assert report[key]["method"] == method and report[key]["seed"] is None
